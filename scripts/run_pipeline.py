@@ -39,18 +39,11 @@ def parse_args(argv=None):
     ap.add_argument("--dim", type=int, default=512)
     ap.add_argument("--hidden", type=int, default=16)
     ap.add_argument("--epochs", type=int, default=200)
-    ap.add_argument("--threads", type=int, default=1,
-                    help="sweep evaluation threads (sets FAIRVEC_THREADS)")
     return ap.parse_args(argv)
 
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.threads > 1:
-        import os
-
-        os.environ["FAIRVEC_THREADS"] = str(args.threads)
-
     started = time.perf_counter()
     attr = "gender"
     bases, vectors, ffts, trains, groups = {}, {}, {}, {}, None

@@ -366,6 +366,9 @@ def main(argv=None) -> int:
     except FairvecError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_RUNTIME
 
 
 if __name__ == "__main__":

@@ -34,8 +34,16 @@ def featurize(tokens, dim: int) -> np.ndarray:
 
 
 def featurize_all(examples, dim: int) -> np.ndarray:
-    mat = np.zeros((len(examples), dim), dtype=np.float32)
+    """Row i equals featurize(examples[i].tokens, dim); each distinct token is hashed once."""
+    buckets: dict[str, int] = {}
+    flat = []
     for i, ex in enumerate(examples):
+        row = i * dim
         for token in ex.tokens:
-            mat[i, bucket(token, dim)] += 1.0
-    return mat
+            b = buckets.get(token)
+            if b is None:
+                b = buckets[token] = bucket(token, dim)
+            flat.append(row + b)
+    mat = np.zeros(len(examples) * dim, dtype=np.float32)
+    np.add.at(mat, np.array(flat, dtype=np.intp), np.float32(1.0))
+    return mat.reshape(len(examples), dim)

@@ -295,18 +295,26 @@ def load_predictions(
             line = line.strip()
             if not line:
                 continue
-            obj = json.loads(line)
-            score = float(obj["score"])
+            try:
+                obj = json.loads(line)
+                score = float(obj["score"])
+                y_pred = obj.get("y_pred")
+                y_pred = None if y_pred is None else int(y_pred)
+                rec_id, y_true = str(obj["id"]), int(obj["y_true"])
+                groups = dict(obj["groups"])
+            except KeyError as exc:
+                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+            except (AttributeError, TypeError, ValueError) as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from None
             if not math.isfinite(score):
                 raise ValueError(f"{path}:{lineno}: non-finite score")
-            y_pred = obj.get("y_pred")
             records.append(
                 PredictionRecord(
-                    id=str(obj["id"]),
-                    y_true=int(obj["y_true"]),
+                    id=rec_id,
+                    y_true=y_true,
                     score=score,
-                    y_pred=int(y_pred) if y_pred is not None else binarize(score, threshold),
-                    groups=dict(obj["groups"]),
+                    y_pred=y_pred if y_pred is not None else binarize(score, threshold),
+                    groups=groups,
                 )
             )
     return records

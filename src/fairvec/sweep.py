@@ -1,9 +1,10 @@
 """Sweep orchestration: uniform-coefficient merge grids and worst-subgroup
 injection grids across seeds, with deterministic result assembly.
 
-Rows are ordered grid-major then seed, regardless of how they were computed.
-Per-seed artifacts (base checkpoint, vectors, eval split) may be passed as a
-single shared object or as a dict keyed by seed.
+Evaluation is seed-major: each seed's eval split is featurized once, every grid
+point is scored against it, and only one seed's feature matrix is alive at a
+time. Rows are still ordered grid-major then seed. Per-seed artifacts (base
+checkpoint, vectors, eval split) may be one shared object or a dict by seed.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import math
 import os
 import statistics
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, asdict
 
 from . import svg, toymodel
@@ -143,18 +143,23 @@ def _per_seed(obj, seed):
     return obj
 
 
-def _run_grid(config: SweepConfig, point_fn) -> list[SweepRow]:
-    points = [(lam, seed) for lam in config.grid for seed in config.seeds]
-    workers = max(1, int(os.environ.get("FAIRVEC_THREADS", "1")))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            reports = list(pool.map(lambda p: point_fn(*p), points))
-    else:
-        reports = [point_fn(lam, seed) for lam, seed in points]
-    return [
-        SweepRow(lam=lam, seed=seed, report=report)
-        for (lam, seed), report in zip(points, reports)
-    ]
+def _edit_sweep(config: SweepConfig, base, parts_at, eval_data, mode: str) -> SweepResult:
+    """Score merge(base, parts_at(lam, seed)) at every grid point of every seed."""
+    reports = {}
+    for seed in config.seeds:
+        examples = _per_seed(eval_data, seed)
+        X = None  # drops the previous seed's matrix before featurizing this one
+        for lam in config.grid:
+            model = toymodel.ToyModel.from_checkpoint(
+                merge(_per_seed(base, seed), parts_at(lam, seed))
+            )
+            if X is None:
+                X = toymodel.featurize_all(examples, model.dim)
+            preds = toymodel.score_features(model, X, examples, config.threshold)
+            reports[lam, seed] = evaluate(preds, config.attribute, config.threshold)
+    grid_major = [(lam, seed) for lam in config.grid for seed in config.seeds]
+    rows = [SweepRow(lam, seed, reports[lam, seed]) for lam, seed in grid_major]
+    return SweepResult(config=config, rows=rows, provenance={"mode": mode})
 
 
 def lambda_sweep(
@@ -164,19 +169,10 @@ def lambda_sweep(
     eval_data,
 ) -> SweepResult:
     """Uniform-coefficient merge over the grid, evaluated per seed."""
-
-    def point(lam: float, seed: int) -> GroupReport:
-        merged = merge(
-            _per_seed(base, seed),
-            [WeightedVector(v, lam) for v in _per_seed(vectors, seed)],
-        )
-        preds = toymodel.predict(merged, _per_seed(eval_data, seed), config.threshold)
-        return evaluate(preds, config.attribute, config.threshold)
-
-    return SweepResult(
-        config=config,
-        rows=_run_grid(config, point),
-        provenance={"mode": "merge"},
+    return _edit_sweep(
+        config, base,
+        lambda lam, seed: [WeightedVector(v, lam) for v in _per_seed(vectors, seed)],
+        eval_data, "merge",
     )
 
 
@@ -187,18 +183,10 @@ def inject_sweep(
     eval_data,
 ) -> SweepResult:
     """Injection grid: sft + lambda * worst_vector; lambda=0 is the sft row."""
-
-    def point(lam: float, seed: int) -> GroupReport:
-        edited = merge(
-            _per_seed(sft, seed), [WeightedVector(_per_seed(worst_vector, seed), lam)]
-        )
-        preds = toymodel.predict(edited, _per_seed(eval_data, seed), config.threshold)
-        return evaluate(preds, config.attribute, config.threshold)
-
-    return SweepResult(
-        config=config,
-        rows=_run_grid(config, point),
-        provenance={"mode": "inject"},
+    return _edit_sweep(
+        config, sft,
+        lambda lam, seed: [WeightedVector(_per_seed(worst_vector, seed), lam)],
+        eval_data, "inject",
     )
 
 

@@ -264,7 +264,14 @@ def train_lora(
 def predict(ckpt: Checkpoint, examples, threshold: float = 0.5) -> list[PredictionRecord]:
     """Score examples with a serialized toy model; y_pred via the threshold."""
     model = ToyModel.from_checkpoint(ckpt)
-    X = featurize_all(examples, model.dim)
+    return score_features(model, featurize_all(examples, model.dim), examples, threshold)
+
+
+def score_features(
+    model: ToyModel, X: np.ndarray, examples, threshold: float = 0.5
+) -> list[PredictionRecord]:
+    """Score examples whose features are the rows of X; the one forward path
+    shared by predict and the sweeps, so sweep rows equal predict bit for bit."""
     _, _, logit = _forward(model.arrays(), X)
     scores = _sigmoid(logit.astype(np.float64))
     return [
@@ -275,7 +282,7 @@ def predict(ckpt: Checkpoint, examples, threshold: float = 0.5) -> list[Predicti
             y_pred=binarize(float(s), threshold),
             groups=dict(ex.groups),
         )
-        for ex, s in zip(examples, scores)
+        for ex, s in zip(examples, scores, strict=True)
     ]
 
 

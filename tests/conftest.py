@@ -1,8 +1,26 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from fairvec.ckpt import Checkpoint, Dtype, Tensor
 from fairvec.metrics import PredictionRecord
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+def run_cli(args, cwd=None):
+    """Run `python -m fairvec.cli` with this checkout's src importable from any cwd."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return subprocess.run(
+        [sys.executable, "-m", "fairvec.cli", *args],
+        cwd=cwd, env=env, capture_output=True, text=True,
+    )
 
 
 def random_checkpoint(rng, max_tensors=3, max_dim=4, dtypes=(Dtype.F32,), with_meta=True):

@@ -8,8 +8,6 @@ one is stated.
 import json
 import statistics
 import struct
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 from fractions import Fraction
@@ -51,7 +49,7 @@ from fairvec.toymodel import (
     train_subgroup,
 )
 
-from conftest import random_checkpoint, random_checkpoint_pair
+from conftest import random_checkpoint, random_checkpoint_pair, run_cli
 from oracle import (
     binary_dpd_fraction,
     binary_eod_fraction,
@@ -454,10 +452,8 @@ def test_criterion_8_emission_fidelity(tmp_path):
         write_checkpoint(base, tmp_path / "base.ckpt")
         write_checkpoint(vectors[0].to_checkpoint(), tmp_path / "v.ckpt")
         for out in ("a.ckpt", "b.ckpt"):
-            proc = subprocess.run(
-                [sys.executable, "-m", "fairvec.cli", "merge", "base.ckpt",
-                 "--vec", "v.ckpt:0.5", "-o", out],
-                cwd=tmp_path, capture_output=True, text=True,
+            proc = run_cli(
+                ["merge", "base.ckpt", "--vec", "v.ckpt:0.5", "-o", out], tmp_path
             )
             assert proc.returncode == 0, proc.stderr
         assert (tmp_path / "a.ckpt").read_bytes() == (tmp_path / "b.ckpt").read_bytes()

@@ -1,24 +1,13 @@
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import run_cli
 from fairvec import TaskVector, read_checkpoint
 from fairvec.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
-
-
-def run_cli(args, cwd):
-    return subprocess.run(
-        [sys.executable, "-m", "fairvec.cli", *args],
-        cwd=cwd,
-        capture_output=True,
-        text=True,
-    )
 
 
 @pytest.fixture(scope="module")
@@ -156,10 +145,7 @@ def test_sweep_bad_mode(workdir):
 
 
 def test_version():
-    proc = subprocess.run(
-        [sys.executable, "-m", "fairvec.cli", "--version"],
-        capture_output=True, text=True,
-    )
+    proc = run_cli(["--version"])
     assert proc.returncode == 0
 
 
@@ -180,3 +166,37 @@ def test_help_enumerates_every_flag():
         for action in sub._actions:
             for opt in action.option_strings:
                 assert opt in text, (name, opt)
+
+
+def test_train_toy_missing_spec_exit_1(workdir, tmp_path):
+    (tmp_path / "train.jsonl").write_bytes((workdir / "data" / "train.jsonl").read_bytes())
+    proc = run_cli(
+        ["train-toy", "--data", str(tmp_path), "--seed", "13", "--dim", "16",
+         "--hidden", "2", "--epochs", "1", "-o", "never.ckpt"],
+        tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "spec.json" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"id": "x", "y_true": 1, "groups": {"g": "A"}', "Expecting"),
+        ('{"id": "x", "y_true": 1, "groups": {"g": "A"}}', "missing field 'score'"),
+        ('{"y_true": 1, "score": 0.5, "groups": {"g": "A"}}', "missing field 'id'"),
+        ('{"id": "x", "score": 0.5, "groups": {"g": "A"}}', "missing field 'y_true'"),
+        ('{"id": "x", "y_true": 1, "score": 0.5}', "missing field 'groups'"),
+        ('[1, 2]', "list indices"),
+    ],
+)
+def test_eval_malformed_line_names_location(tmp_path, line, reason):
+    good = {"id": "a", "y_true": 0, "score": 0.9, "groups": {"g": "A"}}
+    (tmp_path / "p.jsonl").write_text(json.dumps(good) + "\n\n" + line + "\n")
+    proc = run_cli(["eval", "--preds", "p.jsonl", "--attribute", "g"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid input: p.jsonl:3: ")
+    assert reason in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1

@@ -1,6 +1,8 @@
 import numpy as np
+import pytest
 
-from fairvec.features import FNV_OFFSET, bucket, featurize, fnv1a_64
+from fairvec.corpus import CorpusSpec, Example, gen_corpus
+from fairvec.features import FNV_OFFSET, bucket, featurize, featurize_all, fnv1a_64
 
 
 def test_known_hash_values():
@@ -29,3 +31,16 @@ def test_bag_semantics():
 def test_dim_and_dtype():
     vec = featurize(["p"], 32)
     assert vec.shape == (32,) and vec.dtype == np.float32
+
+
+# dim 7 forces bucket collisions: the corpus has hundreds of distinct tokens
+@pytest.mark.parametrize("dim", [7, 512])
+def test_featurize_all_rows_match_featurize(dim):
+    train, test = gen_corpus(CorpusSpec(total=200, seed=13))
+    extra = Example("u", ("café", "ünï", "café", "tok1", "日本"), 1, {"gender": "Women"})
+    examples = [*train, *test, extra, Example("e", (), 0, {"gender": "Men"})]
+    mat = featurize_all(examples, dim)
+    assert mat.shape == (len(examples), dim) and mat.dtype == np.float32
+    assert featurize_all([], dim).shape == (0, dim)
+    for i, ex in enumerate(examples):
+        assert mat[i].tobytes() == featurize(ex.tokens, dim).tobytes(), i

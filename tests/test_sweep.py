@@ -220,6 +220,35 @@ def test_inject_rows_match_independent_recompute(lab):
         assert row.report == expect
 
 
+def test_lambda_rows_match_independent_recompute(lab):
+    from fairvec.arith import WeightedVector, merge
+
+    bases, vectors, evals, _, seeds = lab
+    cfg = SweepConfig(grid=[0.0, 0.3, 1.0], seeds=seeds, attribute=ATTR)
+    res = lambda_sweep(bases, vectors, cfg, evals)
+    assert [(r.lam, r.seed) for r in res.rows] == [
+        (lam, seed) for lam in cfg.grid for seed in seeds
+    ]
+    for row in res.rows:
+        merged = merge(
+            bases[row.seed], [WeightedVector(v, row.lam) for v in vectors[row.seed]]
+        )
+        assert row.report == evaluate(predict(merged, evals[row.seed]), ATTR)
+
+
+def test_rows_grid_major_with_shared_eval_split(lab):
+    bases, vectors, evals, ffts, seeds = lab
+    shared = evals[13]
+    cfg = SweepConfig(grid=[0.0, 0.5, 1.0], seeds=seeds, attribute=ATTR)
+    res = inject_sweep(ffts, {s: vectors[s][0] for s in seeds}, cfg, shared)
+    assert [(r.lam, r.seed) for r in res.rows] == [
+        (lam, seed) for lam in cfg.grid for seed in seeds
+    ]
+    for seed in seeds:
+        zero_row = res.rows[seeds.index(seed)]
+        assert zero_row.report == evaluate(predict(ffts[seed], shared), ATTR)
+
+
 def test_emit_files_and_determinism(tmp_path, lab):
     bases, vectors, evals, _, seeds = lab
     cfg = SweepConfig(grid=[0.0, 0.5, 1.0], seeds=seeds, attribute=ATTR)
