@@ -13,12 +13,12 @@ import json
 import math
 import os
 import struct
-import tempfile
 from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import (
     IoFailure,
     MalformedHeader,
@@ -237,19 +237,11 @@ def write_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         cursor = end
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    path = os.fspath(path)
     try:
-        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as fh:
-                fh.write(struct.pack("<Q", len(blob)))
-                fh.write(blob)
-                for chunk in payloads:
-                    fh.write(chunk)
-            os.replace(tmp, path)
-        except BaseException:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-            raise
+        with atomic_open(path, "wb") as fh:
+            fh.write(struct.pack("<Q", len(blob)))
+            fh.write(blob)
+            for chunk in payloads:
+                fh.write(chunk)
     except OSError as exc:
         raise IoFailure(f"cannot write checkpoint to {path}: {exc}") from exc

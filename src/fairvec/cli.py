@@ -15,6 +15,7 @@ import sys
 import time
 
 from . import __version__, arith, corpus, metrics, sweep as sweep_mod, toymodel
+from .atomic import atomic_open
 from .ckpt import read_checkpoint, write_checkpoint
 from .errors import FairvecError
 from .sweep import SweepConfig, sha256_file
@@ -42,11 +43,9 @@ def _write_manifest(path, command, config, inputs, started):
         "version": __version__,
         "duration_s": time.monotonic() - started,
     }
-    tmp = path + ".tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         json.dump(manifest, fh, sort_keys=True, indent=2)
         fh.write("\n")
-    os.replace(tmp, path)
 
 
 def _parse_vec_arg(text):
@@ -125,10 +124,8 @@ def cmd_eval(args, started):
     report = metrics.evaluate(records, args.attribute, args.threshold)
     text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
     if args.output:
-        tmp = args.output + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_open(args.output) as fh:
             fh.write(text + "\n")
-        os.replace(tmp, args.output)
         _write_manifest(
             args.output + ".manifest.json", "eval",
             {"attribute": args.attribute, "threshold": args.threshold},
@@ -137,10 +134,8 @@ def cmd_eval(args, started):
     else:
         print(text)
     if args.csv:
-        tmp = args.csv + ".tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with atomic_open(args.csv) as fh:
             fh.write(report.to_csv())
-        os.replace(tmp, args.csv)
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field, asdict
 
 import numpy as np
 
+from .atomic import atomic_open
 from .errors import InvalidSpec
 
 # 7-subgroup default mix (counts 817/114/178/173/148/2057/59, total 3546)
@@ -161,7 +162,7 @@ def gen_corpus(spec: CorpusSpec) -> tuple[list[Example], list[Example]]:
 
 
 def save_examples(examples, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for ex in examples:
             fh.write(
                 json.dumps(
@@ -200,7 +201,7 @@ def save_corpus(spec: CorpusSpec, train, test, out_dir: str | os.PathLike) -> No
     os.makedirs(out_dir, exist_ok=True)
     save_examples(train, os.path.join(out_dir, "train.jsonl"))
     save_examples(test, os.path.join(out_dir, "test.jsonl"))
-    with open(os.path.join(out_dir, "spec.json"), "w", encoding="utf-8") as fh:
+    with atomic_open(os.path.join(out_dir, "spec.json")) as fh:
         fh.write(spec.to_json() + "\n")
 
 

@@ -15,6 +15,7 @@ import math
 import os
 from dataclasses import dataclass, field
 
+from .atomic import atomic_open
 from .errors import EmptyGroup, InsufficientGroups
 
 DEFAULT_THRESHOLD = 0.5
@@ -321,7 +322,7 @@ def load_predictions(
 
 
 def dump_predictions(records, path: str | os.PathLike) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path) as fh:
         for rec in records:
             fh.write(
                 json.dumps(

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field, asdict
 
 from . import svg, toymodel
 from .arith import TaskVector, WeightedVector, merge
+from .atomic import atomic_open
 from .ckpt import Checkpoint
 from .errors import InsufficientGroups, IoFailure
 from .metrics import GroupReport, evaluate
@@ -259,11 +260,9 @@ def emit(
 
     def write(name: str, text: str):
         path = os.path.join(out_dir, name)
-        tmp = path + ".tmp"
         try:
-            with open(tmp, "w", encoding="utf-8") as fh:
+            with atomic_open(path) as fh:
                 fh.write(text)
-            os.replace(tmp, path)
         except OSError as exc:
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         written.append(path)

@@ -5,6 +5,24 @@ Training is single-threaded and deterministic given the seed: the base
 initialization, the shuffle stream, and the LoRA init are all derived from
 independent substreams of the same seed, so pooled and per-subgroup runs
 share an identical starting point.
+
+Hashed features are sparse: a subgroup's examples touch only a few hundred
+of the 4096 buckets, and while the loss is finite a W1 row whose bucket no
+example touches gets an exact +0 gradient at every step. When at most half
+of the buckets are touched, ``train`` therefore computes the W1 gradient and
+applies the update only for the touched rows (``W1[active] -= lr * dW1``);
+untouched rows keep their starting bytes. Each touched gradient element is
+the same sum over the batch as in the dense product, but the BLAS kernel a
+matrix product takes depends on its shape, and some kernels sum in another
+order (OpenBLAS on AVX-512 does for hidden sizes with 1-8 columns past a
+multiple of 16). ``_trained_rows`` therefore checks once per call, on random
+data of the call's own shapes and rows, that the compacted product gives
+the dense product's bytes, and trains densely if it does not; either way
+the checkpoints are byte-identical to dense training. The forward pass
+stays the dense ``X @ W1``: compacting it to the touched columns changes how
+BLAS blocks the sum over D and with it the output bytes, and the dense
+forward keeps a non-finite weight in an untouched row poisoning the loss
+(``0 * NaN``), so divergence is still reported.
 """
 
 from __future__ import annotations
@@ -111,8 +129,18 @@ def _sigmoid(z):
     return out
 
 
-def loss_and_grads(arrays: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray):
-    """Mean BCE on sigmoid(logit) and its gradients w.r.t. all parameters."""
+def loss_and_grads(
+    arrays: dict[str, np.ndarray],
+    X: np.ndarray,
+    y: np.ndarray,
+    grad_input: np.ndarray | None = None,
+):
+    """Mean BCE on sigmoid(logit) and its gradients w.r.t. all parameters.
+
+    grad_input, if given, replaces X in the W1 gradient, so dW1 is
+    grad_input.T @ dZ: passing the touched columns X[:, active] yields the
+    gradient of the rows W1[active] only.
+    """
     _, H, logit = _forward(arrays, X)
     # softplus(z) - y*z is BCE-with-logits, stable for large |z|
     with np.errstate(invalid="ignore"):
@@ -122,7 +150,7 @@ def loss_and_grads(arrays: dict[str, np.ndarray], X: np.ndarray, y: np.ndarray):
     db2 = dlogit.sum(dtype=dlogit.dtype).reshape(())
     dH = np.outer(dlogit, arrays["w2"])
     dZ = dH * (1.0 - H * H)
-    dW1 = X.T @ dZ
+    dW1 = (X if grad_input is None else grad_input).T @ dZ
     db1 = dZ.sum(axis=0)
     return loss, {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
 
@@ -133,6 +161,27 @@ def _labels(examples) -> np.ndarray:
 
 def _degenerate(y: np.ndarray) -> bool:
     return bool(np.all(y == y[0]))
+
+
+def _trained_rows(X: np.ndarray, hidden: int, batch_size: int):
+    """The W1 rows train updates: the buckets some row of X touches, or all
+    rows (a full slice) when more than half are touched or when this BLAS
+    sums the compacted W1 gradient in another order than the dense one."""
+    active = np.flatnonzero(X.max(axis=0) > 0)  # feature counts are non-negative
+    # batch_size < 1 runs no step (the loop raises or is empty), so no probe
+    if 2 * len(active) > X.shape[1] or batch_size < 1:
+        return slice(None)
+    # an output row of X.T @ dZ reads only its own column of X, and BLAS picks
+    # its kernel by shape, not by value, so other columns may stay zero
+    rng = np.random.default_rng(0)
+    probe = np.zeros((min(batch_size, len(X)), X.shape[1]), dtype=np.float32)
+    probe[:, active] = rng.standard_normal((len(probe), len(active)), dtype=np.float32)
+    dZ = rng.standard_normal((len(probe), hidden), dtype=np.float32)
+    for rows in {len(probe), len(X) % batch_size} - {0}:
+        Xb, dZb = probe[:rows], dZ[:rows]
+        if (Xb.T @ dZb)[active].tobytes() != (Xb[:, active].T @ dZb).tobytes():
+            return slice(None)
+    return active
 
 
 def train(
@@ -158,18 +207,23 @@ def train(
     if _degenerate(y):
         meta["degenerate_labels"] = "true"
 
+    rows = _trained_rows(X, model.hidden, hyper.batch_size)
     shuffle = np.random.default_rng([hyper.seed, 1])
     arrays = model.arrays()
     lr = np.float32(hyper.lr)
-    for _ in range(hyper.epochs):
+    for epoch in range(hyper.epochs):
         order = shuffle.permutation(len(examples))
-        for start in range(0, len(examples), hyper.batch_size):
+        for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
             idx = order[start : start + hyper.batch_size]
-            loss, grads = loss_and_grads(arrays, X[idx], y[idx])
+            Xb = X[idx]
+            loss, grads = loss_and_grads(arrays, Xb, y[idx], grad_input=Xb[:, rows])
             if not math.isfinite(loss):
-                raise DivergedTraining(f"non-finite training loss {loss}")
-            for name in TENSOR_NAMES:
-                arrays[name] = (arrays[name] - lr * grads[name]).astype(np.float32)
+                raise DivergedTraining(
+                    f"non-finite training loss {loss} at epoch {epoch}, step {step}"
+                )
+            arrays["W1"][rows] -= lr * grads["W1"]
+            for name in ("b1", "w2", "b2"):
+                arrays[name] -= lr * grads[name]
     return ToyModel(*(arrays[n] for n in TENSOR_NAMES)).to_checkpoint(meta)
 
 
@@ -231,15 +285,17 @@ def train_lora(
     shuffle = np.random.default_rng([hyper.seed, 3])
     arrays = model.arrays()
     lr = np.float32(hyper.lr)
-    for _ in range(hyper.epochs):
+    for epoch in range(hyper.epochs):
         order = shuffle.permutation(len(examples))
-        for start in range(0, len(examples), hyper.batch_size):
+        for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
             idx = order[start : start + hyper.batch_size]
             eff = dict(arrays)
             eff["W1"] = arrays["W1"] + scaling * (A @ B)
             loss, grads = loss_and_grads(eff, X[idx], y[idx])
             if not math.isfinite(loss):
-                raise DivergedTraining(f"non-finite training loss {loss}")
+                raise DivergedTraining(
+                    f"non-finite training loss {loss} at epoch {epoch}, step {step}"
+                )
             A, B = (
                 (A - lr * scaling * (grads["W1"] @ B.T)).astype(np.float32),
                 (B - lr * scaling * (A.T @ grads["W1"])).astype(np.float32),

@@ -59,8 +59,8 @@ def test_inject_and_apply(workdir):
     assert (workdir / "inj.ckpt.manifest.json").exists()
 
 
-def test_eval_hand_built(workdir):
-    # the two-group counting fixture: rates 0.75 vs 0.25 -> DPD 0.5
+def write_hand_built_preds(path):
+    """The two-group counting fixture: rates 0.75 vs 0.25 -> DPD 0.5."""
     lines = (
         [{"id": f"a{i}", "y_true": 0, "score": 0.9, "y_pred": 1, "groups": {"g": "A"}}
          for i in range(3)]
@@ -69,12 +69,31 @@ def test_eval_hand_built(workdir):
         + [{"id": f"b{i}", "y_true": 0, "score": 0.1, "y_pred": 0, "groups": {"g": "B"}}
            for i in range(1, 4)]
     )
-    path = workdir / "hand.jsonl"
     path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
+
+
+def test_eval_hand_built(workdir):
+    write_hand_built_preds(workdir / "hand.jsonl")
     proc = run_cli(["eval", "--preds", "hand.jsonl", "--attribute", "g"], workdir)
     assert proc.returncode == 0
     doc = json.loads(proc.stdout)
     assert doc["overall"]["overall_dpd"] == 0.5
+
+
+def test_eval_outputs_ignore_directories_named_like_temp_files(tmp_path):
+    write_hand_built_preds(tmp_path / "hand.jsonl")
+    for name in ("report.json.tmp", "report.csv.tmp", "report.json.manifest.json.tmp"):
+        (tmp_path / name).mkdir()
+    proc = run_cli(
+        ["eval", "--preds", "hand.jsonl", "--attribute", "g",
+         "--output", "report.json", "--csv", "report.csv"],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads((tmp_path / "report.json").read_text())
+    assert doc["overall"]["overall_dpd"] == 0.5
+    assert (tmp_path / "report.csv").read_text().startswith("group,")
+    assert (tmp_path / "report.json.manifest.json").exists()
 
 
 def test_unknown_flag_exit_2_no_files(workdir):

@@ -6,12 +6,15 @@ from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from fairvec.metrics import evaluate
 from fairvec.arith import diff
-from fairvec.features import featurize
+from fairvec.features import featurize, featurize_all
 from fairvec.toymodel import (
     Hyper,
     ToyModel,
     grad_check,
     init_model,
+    TENSOR_NAMES,
+    _labels,
+    _trained_rows,
     loss_and_grads,
     predict,
     train,
@@ -69,8 +72,10 @@ def test_diverged_training():
     nan_base = init_model(DIM, HID, 1).to_checkpoint()
     bad = dict(nan_base.tensors)
     bad["W1"] = Tensor.from_numpy(np.full((DIM, HID), np.nan, np.float32))
-    with pytest.raises(DivergedTraining):
+    with pytest.raises(DivergedTraining, match="epoch 0, step 0"):
         train(ex, Hyper(epochs=1, seed=1), base=Checkpoint(tensors=bad))
+    with pytest.raises(DivergedTraining, match="epoch 0, step 0"):
+        train_lora(ex, Checkpoint(tensors=bad), Hyper(epochs=1, seed=1))
 
 
 def test_empty_dataset():
@@ -215,3 +220,91 @@ class TestGradCheck:
         model = init_model(DIM, HID, 5)
         with pytest.raises(ValueError):
             grad_check(model, separable_examples(4), eps=1e-2)
+
+
+def dense_train_reference(examples, hyper, dim, hidden, base=None):
+    """The dense training loop that row-sparse training must reproduce:
+    a full X.T @ dZ gradient and a fresh copy of every tensor per step."""
+    model = (
+        ToyModel.from_checkpoint(base) if base is not None
+        else init_model(dim, hidden, hyper.seed)
+    ).copy()
+    X = featurize_all(examples, model.dim)
+    y = _labels(examples)
+    shuffle = np.random.default_rng([hyper.seed, 1])
+    arrays = model.arrays()
+    lr = np.float32(hyper.lr)
+    for _ in range(hyper.epochs):
+        order = shuffle.permutation(len(examples))
+        for start in range(0, len(examples), hyper.batch_size):
+            idx = order[start : start + hyper.batch_size]
+            loss, grads = loss_and_grads(arrays, X[idx], y[idx])
+            for name in TENSOR_NAMES:
+                arrays[name] = (arrays[name] - lr * grads[name]).astype(np.float32)
+    return ToyModel(*(arrays[n] for n in TENSOR_NAMES)).to_checkpoint()
+
+
+class TestSparseTraining:
+    """train updates only the W1 rows of touched buckets when at most half
+    of the buckets are touched and BLAS sums the compacted gradient like the
+    dense one; either way its bytes equal the dense loop."""
+
+    SPARSE_DIM = 1024
+
+    @staticmethod
+    def touched(examples, dim):
+        return featurize_all(examples, dim).any(axis=0)
+
+    @pytest.mark.parametrize(
+        "dim, hidden, group, eligible",
+        [
+            (DIM, HID, None, False),
+            (DIM, 16, "A", False),
+            (SPARSE_DIM, 16, "A", True),
+            (SPARSE_DIM, 32, None, True),
+            (SPARSE_DIM, HID, "B", True),
+        ],
+    )
+    def test_bytes_equal_dense_reference(self, corpus, dim, hidden, group, eligible):
+        _, tr, _ = corpus
+        subset = [ex for ex in tr if group is None or ex.groups["g"] == group]
+        touched = self.touched(subset, dim)
+        assert (2 * touched.sum() <= dim) == eligible
+        rows = _trained_rows(featurize_all(subset, dim), hidden, 32)
+        if isinstance(rows, slice):
+            assert rows == slice(None)
+        else:
+            assert eligible and np.array_equal(rows, np.flatnonzero(touched))
+        hy = Hyper(epochs=4, seed=13)
+        got = train(subset, hy, dim=dim, hidden=hidden)
+        assert got.tensors == dense_train_reference(subset, hy, dim, hidden).tensors
+
+    def test_from_base_bytes_equal_dense_reference(self, corpus):
+        _, tr, _ = corpus
+        hy = Hyper(epochs=3, seed=13)
+        base = dense_train_reference(tr, hy, self.SPARSE_DIM, 16)
+        subset = [ex for ex in tr if ex.groups["g"] == "B"]
+        got = train_subgroup(tr, "g", "B", hy, base=base)
+        assert got.tensors == dense_train_reference(subset, hy, None, None, base).tensors
+
+    @pytest.mark.parametrize("dim", [DIM, SPARSE_DIM])
+    def test_untouched_rows_keep_their_bytes(self, corpus, dim):
+        _, tr, _ = corpus
+        subset = [ex for ex in tr if ex.groups["g"] == "A"]
+        untouched = ~self.touched(subset, dim)
+        assert untouched.any()
+        start = init_model(dim, 16, 13).W1
+        W1 = ToyModel.from_checkpoint(
+            train(subset, Hyper(epochs=3, seed=13), dim=dim, hidden=16)
+        ).W1
+        assert W1[untouched].tobytes() == start[untouched].tobytes()
+        assert W1[~untouched].tobytes() != start[~untouched].tobytes()
+
+    def test_nan_in_untouched_row_still_diverges(self, corpus):
+        _, tr, _ = corpus
+        subset = [ex for ex in tr if ex.groups["g"] == "A"]
+        row = int(np.flatnonzero(~self.touched(subset, self.SPARSE_DIM))[0])
+        model = init_model(self.SPARSE_DIM, 16, 13)
+        model.W1[row, 0] = np.nan
+        with pytest.raises(DivergedTraining, match="epoch 0, step 0"):
+            train(subset, Hyper(epochs=1, seed=13), base=model.to_checkpoint())
