@@ -33,8 +33,8 @@ def featurize(tokens, dim: int) -> np.ndarray:
     return vec
 
 
-def featurize_all(examples, dim: int) -> np.ndarray:
-    """Row i equals featurize(examples[i].tokens, dim); each distinct token is hashed once."""
+def _hashed(examples, dim: int) -> np.ndarray:
+    """Flat indices row * dim + bucket, one per token; each distinct token is hashed once."""
     buckets: dict[str, int] = {}
     flat = []
     for i, ex in enumerate(examples):
@@ -44,6 +44,21 @@ def featurize_all(examples, dim: int) -> np.ndarray:
             if b is None:
                 b = buckets[token] = bucket(token, dim)
             flat.append(row + b)
+    return np.array(flat, dtype=np.intp)
+
+
+def featurize_all(examples, dim: int) -> np.ndarray:
+    """Row i equals featurize(examples[i].tokens, dim)."""
     mat = np.zeros(len(examples) * dim, dtype=np.float32)
-    np.add.at(mat, np.array(flat, dtype=np.intp), np.float32(1.0))
+    np.add.at(mat, _hashed(examples, dim), np.float32(1.0))
     return mat.reshape(len(examples), dim)
+
+
+def featurize_compact(examples, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(cols, Xc): the sorted buckets some example touches and their float32
+    counts, N x len(cols), so that featurize_all(examples, dim)[:, cols] == Xc."""
+    rows, buckets = np.divmod(_hashed(examples, dim), dim)
+    cols, inverse = np.unique(buckets, return_inverse=True)
+    mat = np.zeros((len(examples), len(cols)), dtype=np.float32)
+    np.add.at(mat, (rows, inverse), np.float32(1.0))
+    return cols, mat

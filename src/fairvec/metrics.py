@@ -286,6 +286,12 @@ def evaluate(
     )
 
 
+def _binary_label(name: str, value) -> int:
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+    return int(value)
+
+
 def load_predictions(
     path: str | os.PathLike, threshold: float = DEFAULT_THRESHOLD
 ) -> list[PredictionRecord]:
@@ -300,9 +306,13 @@ def load_predictions(
                 obj = json.loads(line)
                 score = float(obj["score"])
                 y_pred = obj.get("y_pred")
-                y_pred = None if y_pred is None else int(y_pred)
-                rec_id, y_true = str(obj["id"]), int(obj["y_true"])
-                groups = dict(obj["groups"])
+                y_pred = None if y_pred is None else _binary_label("y_pred", y_pred)
+                rec_id, y_true = str(obj["id"]), _binary_label("y_true", obj["y_true"])
+                groups = obj["groups"]
+                if not isinstance(groups, dict) or not all(
+                    isinstance(v, str) for v in groups.values()
+                ):
+                    raise ValueError(f"groups must map names to strings, got {groups!r}")
             except KeyError as exc:
                 raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
             except (AttributeError, TypeError, ValueError) as exc:

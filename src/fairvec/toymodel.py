@@ -8,21 +8,34 @@ share an identical starting point.
 
 Hashed features are sparse: a subgroup's examples touch only a few hundred
 of the 4096 buckets, and while the loss is finite a W1 row whose bucket no
-example touches gets an exact +0 gradient at every step. When at most half
-of the buckets are touched, ``train`` therefore computes the W1 gradient and
-applies the update only for the touched rows (``W1[active] -= lr * dW1``);
-untouched rows keep their starting bytes. Each touched gradient element is
-the same sum over the batch as in the dense product, but the BLAS kernel a
-matrix product takes depends on its shape, and some kernels sum in another
-order (OpenBLAS on AVX-512 does for hidden sizes with 1-8 columns past a
-multiple of 16). ``_trained_rows`` therefore checks once per call, on random
-data of the call's own shapes and rows, that the compacted product gives
-the dense product's bytes, and trains densely if it does not; either way
-the checkpoints are byte-identical to dense training. The forward pass
-stays the dense ``X @ W1``: compacting it to the touched columns changes how
-BLAS blocks the sum over D and with it the output bytes, and the dense
-forward keeps a non-finite weight in an untouched row poisoning the loss
-(``0 * NaN``), so divergence is still reported.
+example touches gets an exact +0 gradient at every step. ``train`` therefore
+works on the touched columns only (``features.featurize_compact``) when that
+gives the dense loop's bytes: the W1 gradient is ``Xc.T @ dZ`` over the
+compact batch, the touched rows ``W1[cols]`` train in place and are
+scattered back at the end, and untouched rows keep their starting bytes.
+
+The forward cannot be the single product ``Xc @ W1[cols]``: that is a plain
+left-to-right sum over the touched columns, while OpenBLAS
+(``driver/level3.c``) cuts the K axis of the dense ``X @ W1`` into panels,
+sums each panel from zero and adds the panel sums in order. ``_panels``
+applies that rule for a panel width q (panels of q; a remainder between q and
+2q splits into two halves rounded up to the kernel unroll) and maps each
+panel to its slice of the touched columns, and the forward adds up
+``Xc[:, p] @ W1[p]`` panel by panel, in the dense order. The width, and
+whether a product is blocked at all, depend on the BLAS build and on the
+shapes, so ``_compact_panels`` probes once per ``train`` call. On random
+data at the call's own touched columns, for the full-batch and for the
+remainder row count, it picks the first of one panel and the widths in
+``_PANEL_WIDTHS`` that gives the dense forward's bytes, and it checks the
+compact backward against the dense one. (With OpenBLAS 0.3.31 on AVX-512, no
+width fits hidden sizes with 1-8 columns past a multiple of 16, and the
+backward matches because batches are row-major: a column-gathered batch
+``X[:, cols]`` is column-major and sums ``X.T @ dZ`` in another order.)
+Training stays fully dense when more than half of the buckets are touched,
+when an untouched W1 row is not finite (the dense forward turns it into a
+NaN loss, ``0 * NaN``, and so reports divergence), or when no width
+reproduces the dense bytes for some row count. Either way the checkpoints
+are byte-identical to dense training.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ import numpy as np
 
 from .ckpt import Checkpoint, Dtype, Tensor
 from .errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
-from .features import featurize_all
+from .features import featurize_all, featurize_compact
 from .metrics import PredictionRecord, binarize
 
 TENSOR_NAMES = ("W1", "b1", "w2", "b2")
@@ -101,9 +114,17 @@ class Hyper:
     batch_size: int = 32
     seed: int = 13
 
+    def __post_init__(self):
+        if self.epochs < 0:
+            raise ValueError(f"epochs must be >= 0, got {self.epochs}")
+        if self.batch_size < 1:
+            raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+
 
 def init_model(dim: int = DEFAULT_DIM, hidden: int = DEFAULT_HIDDEN, seed: int = 13) -> ToyModel:
     """Fixed-seed small-variance initialization; biases start at zero."""
+    if dim < 1 or hidden < 1:
+        raise ValueError(f"dim and hidden must be >= 1, got {dim} and {hidden}")
     rng = np.random.default_rng([seed, 0])
     return ToyModel(
         W1=rng.normal(0.0, 0.01, size=(dim, hidden)).astype(np.float32),
@@ -113,8 +134,18 @@ def init_model(dim: int = DEFAULT_DIM, hidden: int = DEFAULT_HIDDEN, seed: int =
     )
 
 
-def _forward(arrays: dict[str, np.ndarray], X: np.ndarray):
-    Z = X @ arrays["W1"] + arrays["b1"]
+def _product(X: np.ndarray, W1: np.ndarray, panels) -> np.ndarray:
+    """X @ W1, or with panels the left-to-right sum of X[:, p] @ W1[p]."""
+    if panels is None:
+        return X @ W1
+    Z = np.zeros((len(X), W1.shape[1]), dtype=W1.dtype)
+    for p in panels:
+        Z += X[:, p] @ W1[p]
+    return Z
+
+
+def _forward(arrays: dict[str, np.ndarray], X: np.ndarray, panels=None):
+    Z = _product(X, arrays["W1"], panels) + arrays["b1"]
     H = np.tanh(Z)
     logit = H @ arrays["w2"] + arrays["b2"]
     return Z, H, logit
@@ -133,15 +164,14 @@ def loss_and_grads(
     arrays: dict[str, np.ndarray],
     X: np.ndarray,
     y: np.ndarray,
-    grad_input: np.ndarray | None = None,
+    panels=None,
 ):
     """Mean BCE on sigmoid(logit) and its gradients w.r.t. all parameters.
 
-    grad_input, if given, replaces X in the W1 gradient, so dW1 is
-    grad_input.T @ dZ: passing the touched columns X[:, active] yields the
-    gradient of the rows W1[active] only.
+    With panels, X holds the touched columns only and arrays["W1"] their
+    rows (see _compact_panels); the W1 gradient is then of those rows.
     """
-    _, H, logit = _forward(arrays, X)
+    _, H, logit = _forward(arrays, X, panels)
     # softplus(z) - y*z is BCE-with-logits, stable for large |z|
     with np.errstate(invalid="ignore"):
         loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))
@@ -150,7 +180,7 @@ def loss_and_grads(
     db2 = dlogit.sum(dtype=dlogit.dtype).reshape(())
     dH = np.outer(dlogit, arrays["w2"])
     dZ = dH * (1.0 - H * H)
-    dW1 = (X if grad_input is None else grad_input).T @ dZ
+    dW1 = X.T @ dZ
     db1 = dZ.sum(axis=0)
     return loss, {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
 
@@ -163,25 +193,67 @@ def _degenerate(y: np.ndarray) -> bool:
     return bool(np.all(y == y[0]))
 
 
-def _trained_rows(X: np.ndarray, hidden: int, batch_size: int):
-    """The W1 rows train updates: the buckets some row of X touches, or all
-    rows (a full slice) when more than half are touched or when this BLAS
-    sums the compacted W1 gradient in another order than the dense one."""
-    active = np.flatnonzero(X.max(axis=0) > 0)  # feature counts are non-negative
-    # batch_size < 1 runs no step (the loop raises or is empty), so no probe
-    if 2 * len(active) > X.shape[1] or batch_size < 1:
-        return slice(None)
-    # an output row of X.T @ dZ reads only its own column of X, and BLAS picks
-    # its kernel by shape, not by value, so other columns may stay zero
+# K-panel widths (GEMM_Q) to try: OpenBLAS 0.3.31's sgemm uses 448 on an
+# AVX-512 CPU; the others are widths of other kernels, and the probe rejects
+# a wrong one
+_PANEL_WIDTHS = (448, 384, 512, 320, 256)
+# the kernel unroll a split remainder is rounded up to; with that OpenBLAS a
+# K of 1000 splits as 448 + 276 + 276, so the unroll divides 4
+_UNROLL = 4
+
+
+def _panels(dim: int, cols: np.ndarray, q: int) -> list[slice]:
+    """The slices of the sorted columns cols that fall in each K panel of
+    width q that OpenBLAS's level-3 driver sums separately for a K of dim,
+    in order; panels no column falls in are dropped."""
+    ends, start = [], 0
+    while start < dim:
+        width = dim - start
+        if width >= 2 * q:
+            width = q
+        elif width > q:
+            width = -(-(width // 2) // _UNROLL) * _UNROLL
+        start += width
+        ends.append(start)
+    edges = np.searchsorted(cols, ends).tolist()
+    return [slice(a, b) for a, b in zip([0, *edges], edges) if b > a]
+
+
+def _compact_panels(X: np.ndarray, cols: np.ndarray, W1: np.ndarray, batch_size: int):
+    """{batch rows: panels} for train's compact forward, one entry per batch
+    size a step sees, or None when training must stay dense: more than half
+    of the buckets touched, a non-finite untouched W1 row, or a batch size
+    for which no width makes this BLAS give the compact forward and backward
+    the dense bytes. X is the compact N x len(cols)."""
+    dim, hidden = W1.shape
+    if 2 * len(cols) > dim or not np.isfinite(np.delete(W1, cols, axis=0)).all():
+        return None
+    # BLAS picks its kernel and blocking by shape, not by value, so random
+    # data at the call's own columns and batch shapes stands in for X
+    # (row-major, like the batches X[idx] train takes)
     rng = np.random.default_rng(0)
-    probe = np.zeros((min(batch_size, len(X)), X.shape[1]), dtype=np.float32)
-    probe[:, active] = rng.standard_normal((len(probe), len(active)), dtype=np.float32)
-    dZ = rng.standard_normal((len(probe), hidden), dtype=np.float32)
-    for rows in {len(probe), len(X) % batch_size} - {0}:
-        Xb, dZb = probe[:rows], dZ[:rows]
-        if (Xb.T @ dZb)[active].tobytes() != (Xb[:, active].T @ dZb).tobytes():
-            return slice(None)
-    return active
+    compact = rng.standard_normal((min(batch_size, len(X)), len(cols)), dtype=np.float32)
+    dense = np.zeros((len(compact), dim), dtype=np.float32)
+    dense[:, cols] = compact
+    W = rng.standard_normal((dim, hidden), dtype=np.float32)
+    Wc = W[cols]
+    dZ = rng.standard_normal((len(compact), hidden), dtype=np.float32)
+    candidates = [_panels(dim, cols, q) for q in (dim, *_PANEL_WIDTHS)]
+    plan = {}
+    # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32) as
+    # one panel and blocks a larger one, so the full batch and the remainder
+    # may need different panels
+    for rows in {len(compact), len(X) % batch_size} - {0}:
+        Xb, Xc, dZb = dense[:rows], compact[:rows], dZ[:rows]
+        if (Xb.T @ dZb)[cols].tobytes() != (Xc.T @ dZb).tobytes():
+            return None
+        Z = (Xb @ W).tobytes()
+        plan[rows] = next(
+            (p for p in candidates if _product(Xc, Wc, p).tobytes() == Z), None
+        )
+        if plan[rows] is None:
+            return None
+    return plan
 
 
 def train(
@@ -199,7 +271,7 @@ def train(
         ToyModel.from_checkpoint(base) if base is not None
         else init_model(dim, hidden, hyper.seed)
     ).copy()
-    X = featurize_all(examples, model.dim)
+    cols, X = featurize_compact(examples, model.dim)
     y = _labels(examples)
 
     meta = {"seed": str(hyper.seed), "subset": "all"}
@@ -207,24 +279,31 @@ def train(
     if _degenerate(y):
         meta["degenerate_labels"] = "true"
 
-    rows = _trained_rows(X, model.hidden, hyper.batch_size)
-    shuffle = np.random.default_rng([hyper.seed, 1])
+    plan = _compact_panels(X, cols, model.W1, hyper.batch_size)
     arrays = model.arrays()
+    if plan is None:
+        dense = np.zeros((len(X), model.dim), dtype=np.float32)
+        dense[:, cols] = X
+        X = dense
+    else:
+        arrays["W1"] = model.W1[cols]
+    shuffle = np.random.default_rng([hyper.seed, 1])
     lr = np.float32(hyper.lr)
     for epoch in range(hyper.epochs):
         order = shuffle.permutation(len(examples))
         for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
             idx = order[start : start + hyper.batch_size]
-            Xb = X[idx]
-            loss, grads = loss_and_grads(arrays, Xb, y[idx], grad_input=Xb[:, rows])
+            panels = None if plan is None else plan[len(idx)]
+            loss, grads = loss_and_grads(arrays, X[idx], y[idx], panels)
             if not math.isfinite(loss):
                 raise DivergedTraining(
                     f"non-finite training loss {loss} at epoch {epoch}, step {step}"
                 )
-            arrays["W1"][rows] -= lr * grads["W1"]
-            for name in ("b1", "w2", "b2"):
+            for name in TENSOR_NAMES:
                 arrays[name] -= lr * grads[name]
-    return ToyModel(*(arrays[n] for n in TENSOR_NAMES)).to_checkpoint(meta)
+    if plan is not None:
+        model.W1[cols] = arrays["W1"]
+    return model.to_checkpoint(meta)
 
 
 def train_subgroup(

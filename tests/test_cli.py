@@ -201,6 +201,29 @@ def test_train_toy_missing_spec_exit_1(workdir, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "flag, value, reason",
+    [
+        ("--dim", "0", "dim and hidden must be >= 1"),
+        ("--hidden", "0", "dim and hidden must be >= 1"),
+        ("--batch-size", "0", "batch size must be >= 1"),
+        ("--epochs", "-3", "epochs must be >= 0"),
+    ],
+)
+def test_train_toy_bad_size_exit_2(workdir, flag, value, reason):
+    args = {"--dim": "16", "--hidden": "2", "--batch-size": "32", "--epochs": "1"}
+    args[flag] = value
+    proc = run_cli(
+        ["train-toy", "--data", "data", "--seed", "13",
+         *(x for kv in args.items() for x in kv), "-o", "never.ckpt"],
+        workdir,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid input: ") and reason in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (workdir / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize(
     "line, reason",
     [
         ('{"id": "x", "y_true": 1, "groups": {"g": "A"}', "Expecting"),
@@ -209,6 +232,16 @@ def test_train_toy_missing_spec_exit_1(workdir, tmp_path):
         ('{"id": "x", "score": 0.5, "groups": {"g": "A"}}', "missing field 'y_true'"),
         ('{"id": "x", "y_true": 1, "score": 0.5}', "missing field 'groups'"),
         ('[1, 2]', "list indices"),
+        ('{"id": "x", "y_true": 1, "score": 0.5, "y_pred": 2, "groups": {"g": "A"}}',
+         "y_pred must be 0 or 1, got 2"),
+        ('{"id": "x", "y_true": 7, "score": 0.5, "groups": {"g": "A"}}',
+         "y_true must be 0 or 1, got 7"),
+        ('{"id": "x", "y_true": "1", "score": 0.5, "groups": {"g": "A"}}',
+         "y_true must be 0 or 1, got '1'"),
+        ('{"id": "x", "y_true": 1, "score": 0.5, "groups": {"g": 1}}',
+         "groups must map names to strings"),
+        ('{"id": "x", "y_true": 1, "score": 0.5, "groups": ["x"]}',
+         "groups must map names to strings"),
     ],
 )
 def test_eval_malformed_line_names_location(tmp_path, line, reason):

@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from fairvec.corpus import CorpusSpec, Example, gen_corpus
-from fairvec.features import FNV_OFFSET, bucket, featurize, featurize_all, fnv1a_64
+from fairvec.features import (
+    FNV_OFFSET,
+    bucket,
+    featurize,
+    featurize_all,
+    featurize_compact,
+    fnv1a_64,
+)
 
 
 def test_known_hash_values():
@@ -44,3 +51,9 @@ def test_featurize_all_rows_match_featurize(dim):
     assert featurize_all([], dim).shape == (0, dim)
     for i, ex in enumerate(examples):
         assert mat[i].tobytes() == featurize(ex.tokens, dim).tobytes(), i
+    cols, compact = featurize_compact(examples, dim)
+    assert np.array_equal(cols, np.flatnonzero(mat.any(axis=0)))
+    assert compact.dtype == np.float32
+    assert compact.tobytes() == mat[:, cols].tobytes()
+    cols, compact = featurize_compact([], dim)
+    assert cols.shape == (0,) and compact.shape == (0, 0)

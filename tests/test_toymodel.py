@@ -6,15 +6,17 @@ from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from fairvec.metrics import evaluate
 from fairvec.arith import diff
-from fairvec.features import featurize, featurize_all
+from fairvec.features import featurize, featurize_all, featurize_compact
 from fairvec.toymodel import (
     Hyper,
     ToyModel,
     grad_check,
     init_model,
     TENSOR_NAMES,
+    _compact_panels,
     _labels,
-    _trained_rows,
+    _panels,
+    _product,
     loss_and_grads,
     predict,
     train,
@@ -223,7 +225,7 @@ class TestGradCheck:
 
 
 def dense_train_reference(examples, hyper, dim, hidden, base=None):
-    """The dense training loop that row-sparse training must reproduce:
+    """The dense training loop that compact training must reproduce:
     a full X.T @ dZ gradient and a fresh copy of every tensor per step."""
     model = (
         ToyModel.from_checkpoint(base) if base is not None
@@ -245,9 +247,9 @@ def dense_train_reference(examples, hyper, dim, hidden, base=None):
 
 
 class TestSparseTraining:
-    """train updates only the W1 rows of touched buckets when at most half
-    of the buckets are touched and BLAS sums the compacted gradient like the
-    dense one; either way its bytes equal the dense loop."""
+    """train works on the touched columns only when at most half of the
+    buckets are touched and BLAS gives the compact forward and backward the
+    dense bytes; either way its bytes equal the dense loop."""
 
     SPARSE_DIM = 1024
 
@@ -263,6 +265,7 @@ class TestSparseTraining:
             (SPARSE_DIM, 16, "A", True),
             (SPARSE_DIM, 32, None, True),
             (SPARSE_DIM, HID, "B", True),
+            (4096, 32, "A", True),
         ],
     )
     def test_bytes_equal_dense_reference(self, corpus, dim, hidden, group, eligible):
@@ -270,11 +273,14 @@ class TestSparseTraining:
         subset = [ex for ex in tr if group is None or ex.groups["g"] == group]
         touched = self.touched(subset, dim)
         assert (2 * touched.sum() <= dim) == eligible
-        rows = _trained_rows(featurize_all(subset, dim), hidden, 32)
-        if isinstance(rows, slice):
-            assert rows == slice(None)
-        else:
-            assert eligible and np.array_equal(rows, np.flatnonzero(touched))
+        cols, X = featurize_compact(subset, dim)
+        assert np.array_equal(cols, np.flatnonzero(touched))
+        plan = _compact_panels(X, cols, init_model(dim, hidden, 13).W1, 32)
+        if plan is not None:
+            assert eligible and set(plan) == {32, len(subset) % 32} - {0}
+            for panels in plan.values():
+                covered = np.concatenate([np.arange(len(cols))[p] for p in panels])
+                assert np.array_equal(covered, np.arange(len(cols)))
         hy = Hyper(epochs=4, seed=13)
         got = train(subset, hy, dim=dim, hidden=hidden)
         assert got.tensors == dense_train_reference(subset, hy, dim, hidden).tensors
@@ -308,3 +314,51 @@ class TestSparseTraining:
         model.W1[row, 0] = np.nan
         with pytest.raises(DivergedTraining, match="epoch 0, step 0"):
             train(subset, Hyper(epochs=1, seed=13), base=model.to_checkpoint())
+
+
+class TestPanels:
+    """_panels follows OpenBLAS's K-loop rule, and whenever _compact_panels
+    returns panels the panel sum and the compact gradient have the dense
+    products' bytes on data the probe never saw."""
+
+    @pytest.mark.parametrize(
+        "dim, q, widths",
+        [
+            (4096, 448, [448] * 8 + [256, 256]),
+            (1000, 448, [448, 276, 276]),
+            (512, 448, [256, 256]),
+            (512, 512, [512]),
+            (4096, 4096, [4096]),
+        ],
+    )
+    def test_rule_on_all_columns(self, dim, q, widths):
+        panels = _panels(dim, np.arange(dim), q)
+        assert [p.stop - p.start for p in panels] == widths
+        assert panels[0].start == 0 and panels[-1].stop == dim
+
+    def test_drops_empty_panels(self):
+        cols = np.array([3, 5, 3000, 4095])
+        assert _panels(4096, cols, 448) == [slice(0, 2), slice(2, 3), slice(3, 4)]
+        assert _panels(4096, cols[:0], 448) == []
+
+    @pytest.mark.parametrize("dim", [4096, 1024, 1000, 512])
+    @pytest.mark.parametrize("hidden", [8, 16, 32])
+    @pytest.mark.parametrize("remainder", [21, 5])
+    def test_panel_sum_is_dense_product(self, dim, hidden, remainder):
+        rng = np.random.default_rng([dim, hidden, remainder])
+        cols = np.sort(rng.choice(dim, dim // 8, replace=False))
+        n, batch = 3 * 32 + remainder, 32
+        plan = _compact_panels(
+            np.zeros((n, len(cols)), np.float32), cols,
+            rng.standard_normal((dim, hidden), dtype=np.float32), batch,
+        )
+        if plan is None:
+            return
+        for rows, panels in plan.items():
+            Xc = rng.standard_normal((rows, len(cols)), dtype=np.float32)
+            X = np.zeros((rows, dim), np.float32)
+            X[:, cols] = Xc
+            W = rng.standard_normal((dim, hidden), dtype=np.float32)
+            dZ = rng.standard_normal((rows, hidden), dtype=np.float32)
+            assert _product(Xc, W[cols], panels).tobytes() == (X @ W).tobytes()
+            assert (Xc.T @ dZ).tobytes() == (X.T @ dZ)[cols].tobytes()
