@@ -231,6 +231,10 @@ def cmd_sweep(args, started):
     eval_data = train_ex if config.split == "train" else test_ex
 
     runs = cfg["runs"]
+    run_seeds = {int(s) for s in runs}
+    for seed in config.seeds:
+        if seed not in run_seeds:
+            raise UsageError(f"seed {seed} has no entry in runs")
     digests = {}
     if mode == "merge":
         bases, vectors = {}, {}

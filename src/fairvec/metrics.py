@@ -2,8 +2,15 @@
 
 Per-subgroup values use one-vs-rest binarization of the attribute; overall
 values are max-rate minus min-rate across subgroups, which reduces to the
-binary two-group formulas. All aggregation is exact integer counting, so
-results are independent of record order.
+binary two-group formulas. Every metric is read off one confusion table: per
+group, the counts of true negatives, false positives, false negatives and
+true positives, built with one ``np.bincount``. "Rest" is the column totals
+minus the group's row. All aggregation is exact integer counting and every
+rate is an int/int division, so results are independent of record order.
+
+``GroupColumns`` holds a split's group codes and true labels as arrays, so
+a caller that scores many models on one split (the sweeps) builds it once
+and passes only each model's predictions.
 """
 
 from __future__ import annotations
@@ -15,10 +22,15 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .atomic import atomic_open
 from .errors import EmptyGroup, InsufficientGroups
 
 DEFAULT_THRESHOLD = 0.5
+
+# columns of a confusion-table row, indexed by y_true * 2 + y_pred
+_TN, _FP, _FN, _TP = range(4)
 
 
 @dataclass(frozen=True)
@@ -30,33 +42,118 @@ class PredictionRecord:
     groups: dict[str, str] = field(default_factory=dict)
 
 
-def binarize(score: float, threshold: float = DEFAULT_THRESHOLD) -> int:
-    """1 iff score >= threshold (boundary counts as positive)."""
+def check_threshold(threshold: float) -> None:
     if not 0.0 < threshold < 1.0:
         raise ValueError(f"threshold must lie in (0,1), got {threshold}")
+
+
+def binarize(score: float, threshold: float = DEFAULT_THRESHOLD) -> int:
+    """1 iff score >= threshold (boundary counts as positive)."""
+    check_threshold(threshold)
     return 1 if score >= threshold else 0
 
 
-def _groups_of(records, attribute) -> dict[str, list[PredictionRecord]]:
-    by_group: dict[str, list[PredictionRecord]] = {}
-    for rec in records:
-        if attribute not in rec.groups:
-            raise EmptyGroup(
-                f"record {rec.id!r} lacks attribute {attribute!r}"
-            )
-        by_group.setdefault(rec.groups[attribute], []).append(rec)
-    return dict(sorted(by_group.items()))
+def _binary_label(name: str, value) -> int:
+    if value not in (0, 1):
+        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
+    return int(value)
 
 
-def _rate(records) -> float:
-    return sum(r.y_pred for r in records) / len(records)
+def _binary_column(name: str, values: list) -> np.ndarray:
+    """values as an integer array, or ValueError unless each is 0 or 1: any
+    other value would alias another cell of the confusion table."""
+    col = np.array(values)
+    if col.dtype.kind in "biuf" and np.isin(col, (0, 1)).all():
+        return col.astype(np.intp)
+    return np.array([_binary_label(name, v) for v in values], dtype=np.intp)
+
+
+@dataclass(frozen=True)
+class GroupColumns:
+    """A split's labels as arrays: names are the attribute's values in
+    sorted order, codes[i] indexes item i's value in names, y_true is 0/1."""
+
+    attribute: str
+    names: list[str]
+    codes: np.ndarray
+    y_true: np.ndarray
+
+    @classmethod
+    def of(cls, items, attribute: str) -> "GroupColumns":
+        """One pass over items with id, groups and y_true (prediction records
+        or examples); EmptyGroup for an item that lacks the attribute."""
+        index: dict[str, int] = {}
+        first_seen, y_true = [], []
+        for item in items:
+            try:
+                group = item.groups[attribute]
+            except KeyError:
+                raise EmptyGroup(
+                    f"record {item.id!r} lacks attribute {attribute!r}"
+                ) from None
+            first_seen.append(index.setdefault(group, len(index)))
+            y_true.append(item.y_true)
+        names = sorted(index)
+        rank = np.empty(len(names), dtype=np.intp)
+        rank[[index[g] for g in names]] = np.arange(len(names))
+        codes = rank[np.array(first_seen, dtype=np.intp)]
+        return cls(attribute, names, codes, _binary_column("y_true", y_true))
+
+    def table(self, y_pred: np.ndarray) -> list[list[int]]:
+        """Per group in names order, [tn, fp, fn, tp] for predictions y_pred
+        (0/1 or bool, one per item)."""
+        cells = self.codes * 4 + self.y_true * 2 + y_pred
+        counts = np.bincount(cells, minlength=4 * len(self.names))
+        return counts.reshape(len(self.names), 4).tolist()
+
+    def report(self, y_pred: np.ndarray) -> GroupReport:
+        """The GroupReport of predictions y_pred; evaluate's result for the
+        same records."""
+        if not len(self.codes):
+            raise EmptyGroup("no records to evaluate")
+        return _report(self.attribute, self.names, self.table(y_pred))
+
+
+def _table(records, attribute: str) -> tuple[list[str], list[list[int]]]:
+    records = list(records)
+    columns = GroupColumns.of(records, attribute)
+    return columns.names, columns.table(
+        _binary_column("y_pred", [r.y_pred for r in records])
+    )
+
+
+def _ratio(hits: int, total: int) -> float | None:
+    return hits / total if total else None
+
+
+def _selection(row) -> float:
+    return (row[_FP] + row[_TP]) / sum(row)
+
+
+def _tpr(row) -> float | None:
+    return _ratio(row[_TP], row[_TP] + row[_FN])
+
+
+def _fpr(row) -> float | None:
+    return _ratio(row[_FP], row[_FP] + row[_TN])
+
+
+def _rests(table) -> list[list[int]]:
+    """Per group, the counts of every other group: totals minus its row."""
+    totals = [sum(column) for column in zip(*table)]
+    return [[t - c for t, c in zip(totals, row)] for row in table]
+
+
+def _require_groups(metric: str, names: list[str]) -> None:
+    if len(names) < 2:
+        raise InsufficientGroups(f"{metric} needs >=2 subgroups, found {names}")
 
 
 def selection_rate(records, attribute: str, group: str) -> float:
-    members = [r for r in records if r.groups.get(attribute) == group]
-    if not members:
+    names, table = _table(records, attribute)
+    if group not in names:
         raise EmptyGroup(f"no records for {attribute}={group!r}")
-    return _rate(members)
+    return _selection(table[names.index(group)])
 
 
 @dataclass
@@ -65,26 +162,18 @@ class DpdResult:
     overall: float
 
 
-def dpd(records, attribute: str) -> DpdResult:
-    """Demographic parity difference, per group (one-vs-rest) and overall."""
-    by_group = _groups_of(records, attribute)
-    if len(by_group) < 2:
-        raise InsufficientGroups(
-            f"DPD needs >=2 subgroups, found {sorted(by_group)}"
-        )
-    rates = {g: _rate(members) for g, members in by_group.items()}
-    per_group = {}
-    for g, members in by_group.items():
-        rest = [r for other, rs in by_group.items() if other != g for r in rs]
-        per_group[g] = abs(rates[g] - _rate(rest))
+def _dpd(names, table) -> DpdResult:
+    _require_groups("DPD", names)
+    rates = {g: _selection(row) for g, row in zip(names, table)}
+    per_group = {
+        g: abs(rates[g] - _selection(rest)) for g, rest in zip(names, _rests(table))
+    }
     return DpdResult(per_group=per_group, overall=max(rates.values()) - min(rates.values()))
 
 
-def _stratum_rate(records, y: int) -> float | None:
-    stratum = [r for r in records if r.y_true == y]
-    if not stratum:
-        return None
-    return _rate(stratum)
+def dpd(records, attribute: str) -> DpdResult:
+    """Demographic parity difference, per group (one-vs-rest) and overall."""
+    return _dpd(*_table(records, attribute))
 
 
 @dataclass
@@ -96,56 +185,51 @@ class EodResult:
     undefined: list[tuple[str, str]]  # (group, "tpr"|"fpr") with an empty stratum
 
 
+def _spread(values) -> float | None:
+    defined = [v for v in values if v is not None]
+    if len(defined) < 2:
+        return None
+    return max(defined) - min(defined)
+
+
+def _eod(names, table) -> EodResult:
+    _require_groups("EOD", names)
+    undefined: list[tuple[str, str]] = []
+    tprs: dict[str, float | None] = {}
+    fprs: dict[str, float | None] = {}
+    per_group: dict[str, float | None] = {}
+    for g, row, rest in zip(names, table, _rests(table)):
+        tprs[g], fprs[g] = _tpr(row), _fpr(row)
+        if tprs[g] is None:
+            undefined.append((g, "tpr"))
+        if fprs[g] is None:
+            undefined.append((g, "fpr"))
+        gaps = [
+            abs(mine - theirs)
+            for mine, theirs in ((tprs[g], _tpr(rest)), (fprs[g], _fpr(rest)))
+            if mine is not None and theirs is not None
+        ]
+        per_group[g] = max(gaps) if gaps else None
+
+    tpr_gap = _spread(tprs.values())
+    fpr_gap = _spread(fprs.values())
+    defined_gaps = [v for v in (tpr_gap, fpr_gap) if v is not None]
+    return EodResult(
+        per_group=per_group,
+        overall=max(defined_gaps) if defined_gaps else None,
+        tpr_gap=tpr_gap,
+        fpr_gap=fpr_gap,
+        undefined=undefined,
+    )
+
+
 def eod(records, attribute: str) -> EodResult:
     """Equalized odds difference: max of TPR and FPR gaps.
 
     Groups with an empty Y=1 (or Y=0) stratum are flagged and excluded from
     that rate's comparison rather than imputed.
     """
-    by_group = _groups_of(records, attribute)
-    if len(by_group) < 2:
-        raise InsufficientGroups(
-            f"EOD needs >=2 subgroups, found {sorted(by_group)}"
-        )
-
-    undefined: list[tuple[str, str]] = []
-    tprs: dict[str, float | None] = {}
-    fprs: dict[str, float | None] = {}
-    for g, members in by_group.items():
-        tprs[g] = _stratum_rate(members, 1)
-        fprs[g] = _stratum_rate(members, 0)
-        if tprs[g] is None:
-            undefined.append((g, "tpr"))
-        if fprs[g] is None:
-            undefined.append((g, "fpr"))
-
-    per_group: dict[str, float | None] = {}
-    for g, members in by_group.items():
-        rest = [r for other, rs in by_group.items() if other != g for r in rs]
-        gaps = []
-        for y, mine in ((1, tprs[g]), (0, fprs[g])):
-            theirs = _stratum_rate(rest, y)
-            if mine is not None and theirs is not None:
-                gaps.append(abs(mine - theirs))
-        per_group[g] = max(gaps) if gaps else None
-
-    def spread(values):
-        defined = [v for v in values if v is not None]
-        if len(defined) < 2:
-            return None
-        return max(defined) - min(defined)
-
-    tpr_gap = spread(tprs.values())
-    fpr_gap = spread(fprs.values())
-    defined_gaps = [v for v in (tpr_gap, fpr_gap) if v is not None]
-    overall = max(defined_gaps) if defined_gaps else None
-    return EodResult(
-        per_group=per_group,
-        overall=overall,
-        tpr_gap=tpr_gap,
-        fpr_gap=fpr_gap,
-        undefined=undefined,
-    )
+    return _eod(*_table(records, attribute))
 
 
 @dataclass
@@ -154,25 +238,24 @@ class AccuracyResult:
     macro: float
 
 
-def group_accuracy(records, attribute: str) -> AccuracyResult:
-    by_group = _groups_of(records, attribute)
-    if not by_group:
+def _accuracy(names, table) -> AccuracyResult:
+    if not names:
         raise EmptyGroup("no records")
-    per_group = {
-        g: sum(r.y_pred == r.y_true for r in members) / len(members)
-        for g, members in by_group.items()
-    }
+    per_group = {g: (row[_TN] + row[_TP]) / sum(row) for g, row in zip(names, table)}
+    # summed in sorted group order, so the macro value is bit-exact
     return AccuracyResult(
         per_group=per_group, macro=sum(per_group.values()) / len(per_group)
     )
 
 
+def group_accuracy(records, attribute: str) -> AccuracyResult:
+    return _accuracy(*_table(records, attribute))
+
+
 def accuracy_parity_gap(records, attribute: str) -> float:
-    acc = group_accuracy(records, attribute)
-    if len(acc.per_group) < 2:
-        raise InsufficientGroups(
-            f"accuracy parity needs >=2 subgroups, found {sorted(acc.per_group)}"
-        )
+    names, table = _table(records, attribute)
+    acc = _accuracy(names, table)
+    _require_groups("accuracy parity", names)
     return max(acc.per_group.values()) - min(acc.per_group.values())
 
 
@@ -248,30 +331,21 @@ class GroupReport:
         return buf.getvalue()
 
 
-def evaluate(
-    records, attribute: str, threshold: float = DEFAULT_THRESHOLD
-) -> GroupReport:
-    """Assemble accuracy, selection rates, DPD, and EOD into one report."""
-    records = list(records)
-    if not records:
-        raise EmptyGroup("no records to evaluate")
-    by_group = _groups_of(records, attribute)
-    acc = group_accuracy(records, attribute)
-
-    multi = len(by_group) >= 2
-    dpd_res = dpd(records, attribute) if multi else None
-    eod_res = eod(records, attribute) if multi else None
-
+def _report(attribute: str, names: list[str], table) -> GroupReport:
+    acc = _accuracy(names, table)
+    multi = len(names) >= 2
+    dpd_res = _dpd(names, table) if multi else None
+    eod_res = _eod(names, table) if multi else None
     rows = [
         GroupRow(
             group=g,
-            n=len(members),
+            n=sum(row),
             accuracy=acc.per_group[g],
-            selection_rate=_rate(members),
+            selection_rate=_selection(row),
             dpd_ovr=dpd_res.per_group[g] if dpd_res else None,
             eod_ovr=eod_res.per_group[g] if eod_res else None,
         )
-        for g, members in by_group.items()
+        for g, row in zip(names, table)
     ]
     return GroupReport(
         attribute=attribute,
@@ -286,16 +360,24 @@ def evaluate(
     )
 
 
-def _binary_label(name: str, value) -> int:
-    if value not in (0, 1):
-        raise ValueError(f"{name} must be 0 or 1, got {value!r}")
-    return int(value)
+def evaluate(
+    records, attribute: str, threshold: float = DEFAULT_THRESHOLD
+) -> GroupReport:
+    """Assemble accuracy, selection rates, DPD, and EOD into one report.
+
+    EmptyGroup for no records or a record that lacks the attribute;
+    ValueError for a y_true or y_pred other than 0 or 1.
+    """
+    records = list(records)
+    columns = GroupColumns.of(records, attribute)
+    return columns.report(_binary_column("y_pred", [r.y_pred for r in records]))
 
 
 def load_predictions(
     path: str | os.PathLike, threshold: float = DEFAULT_THRESHOLD
 ) -> list[PredictionRecord]:
     """Read a JSONL prediction log; derive y_pred from score when absent."""
+    check_threshold(threshold)
     records = []
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, 1):

@@ -1,9 +1,13 @@
 """Sweep orchestration: uniform-coefficient merge grids and worst-subgroup
 injection grids across seeds, with deterministic result assembly.
 
-Evaluation is seed-major: each seed's eval split is featurized once, every grid
-point is scored against it, and only one seed's feature matrix is alive at a
-time. Rows are still ordered grid-major then seed. Per-seed artifacts (base
+Evaluation is seed-major and columnar. Each seed's eval split is featurized
+once, compactly (``toymodel.SplitScorer``), and its group codes and true
+labels are built once (``metrics.GroupColumns``). Every grid point is then
+arrays only: the edited model's scores, ``y_pred = scores >= threshold``, one
+per-group confusion table and the GroupReport read off it, the same report
+``evaluate(predict(...))`` gives. Only one seed's arrays are alive at a time.
+Rows are still ordered grid-major then seed. Per-seed artifacts (base
 checkpoint, vectors, eval split) may be one shared object or a dict by seed.
 """
 
@@ -23,7 +27,7 @@ from .arith import TaskVector, WeightedVector, merge
 from .atomic import atomic_open
 from .ckpt import Checkpoint
 from .errors import InsufficientGroups, IoFailure
-from .metrics import GroupReport, evaluate
+from .metrics import GroupColumns, GroupReport, check_threshold
 
 MERGE_GRID = [round(0.1 * i, 1) for i in range(11)]    # 0.0 .. 1.0 step 0.1
 INJECT_GRID = [round(0.2 * i, 1) for i in range(6)]    # 0.0 .. 1.0 step 0.2
@@ -50,6 +54,12 @@ class SweepConfig:
             raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")
+        check_threshold(self.threshold)
+        if self.criterion not in OVERALL_METRICS:
+            raise ValueError(
+                f"criterion must be one of {', '.join(OVERALL_METRICS)}, "
+                f"got {self.criterion!r}"
+            )
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))
@@ -139,9 +149,11 @@ class SweepResult:
 
 
 def _per_seed(obj, seed):
-    if isinstance(obj, dict) and seed in obj:
-        return obj[seed]
-    return obj
+    if not isinstance(obj, dict):
+        return obj
+    if seed not in obj:
+        raise ValueError(f"no entry for seed {seed}")
+    return obj[seed]
 
 
 def _edit_sweep(config: SweepConfig, base, parts_at, eval_data, mode: str) -> SweepResult:
@@ -149,15 +161,16 @@ def _edit_sweep(config: SweepConfig, base, parts_at, eval_data, mode: str) -> Sw
     reports = {}
     for seed in config.seeds:
         examples = _per_seed(eval_data, seed)
-        X = None  # drops the previous seed's matrix before featurizing this one
+        scorer = None  # drops the previous seed's arrays before featurizing this one
+        columns = GroupColumns.of(examples, config.attribute)
         for lam in config.grid:
             model = toymodel.ToyModel.from_checkpoint(
                 merge(_per_seed(base, seed), parts_at(lam, seed))
             )
-            if X is None:
-                X = toymodel.featurize_all(examples, model.dim)
-            preds = toymodel.score_features(model, X, examples, config.threshold)
-            reports[lam, seed] = evaluate(preds, config.attribute, config.threshold)
+            if scorer is None:
+                scorer = toymodel.SplitScorer(examples, model)
+            y_pred = scorer.scores(model) >= config.threshold
+            reports[lam, seed] = columns.report(y_pred)
     grid_major = [(lam, seed) for lam in config.grid for seed in config.seeds]
     rows = [SweepRow(lam, seed, reports[lam, seed]) for lam, seed in grid_major]
     return SweepResult(config=config, rows=rows, provenance={"mode": mode})

@@ -36,6 +36,12 @@ when an untouched W1 row is not finite (the dense forward turns it into a
 NaN loss, ``0 * NaN``, and so reports divergence), or when no width
 reproduces the dense bytes for some row count. Either way the checkpoints
 are byte-identical to dense training.
+
+Scoring runs the same ``_forward``. ``predict`` scores the dense features;
+``SplitScorer`` scores one split under a series of models (the sweep
+points) on its touched columns. Its plan is checked once per split, against
+the first model's dense product on the real rows rather than a probe, and
+every score it returns has the bytes ``predict`` would give.
 """
 
 from __future__ import annotations
@@ -219,6 +225,20 @@ def _panels(dim: int, cols: np.ndarray, q: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *edges], edges) if b > a]
 
 
+def _candidate_panels(dim: int, cols: np.ndarray) -> list[list[slice]]:
+    """One panel, then the panels of each width in _PANEL_WIDTHS."""
+    return [_panels(dim, cols, q) for q in (dim, *_PANEL_WIDTHS)]
+
+
+def _dense(cols: np.ndarray, Xc: np.ndarray, dim: int) -> np.ndarray:
+    """The N x dim matrix with Xc in the columns cols and zeros elsewhere."""
+    X = np.zeros((len(Xc), dim), dtype=np.float32)
+    # a flat scatter of the nonzeros: half the time of X[:, cols] = Xc
+    rows, j = np.nonzero(Xc)
+    X.reshape(-1)[rows * dim + cols[j]] = Xc[rows, j]
+    return X
+
+
 def _compact_panels(X: np.ndarray, cols: np.ndarray, W1: np.ndarray, batch_size: int):
     """{batch rows: panels} for train's compact forward, one entry per batch
     size a step sees, or None when training must stay dense: more than half
@@ -233,12 +253,11 @@ def _compact_panels(X: np.ndarray, cols: np.ndarray, W1: np.ndarray, batch_size:
     # (row-major, like the batches X[idx] train takes)
     rng = np.random.default_rng(0)
     compact = rng.standard_normal((min(batch_size, len(X)), len(cols)), dtype=np.float32)
-    dense = np.zeros((len(compact), dim), dtype=np.float32)
-    dense[:, cols] = compact
+    dense = _dense(cols, compact, dim)
     W = rng.standard_normal((dim, hidden), dtype=np.float32)
     Wc = W[cols]
     dZ = rng.standard_normal((len(compact), hidden), dtype=np.float32)
-    candidates = [_panels(dim, cols, q) for q in (dim, *_PANEL_WIDTHS)]
+    candidates = _candidate_panels(dim, cols)
     plan = {}
     # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32) as
     # one panel and blocks a larger one, so the full batch and the remainder
@@ -282,9 +301,7 @@ def train(
     plan = _compact_panels(X, cols, model.W1, hyper.batch_size)
     arrays = model.arrays()
     if plan is None:
-        dense = np.zeros((len(X), model.dim), dtype=np.float32)
-        dense[:, cols] = X
-        X = dense
+        X = _dense(cols, X, model.dim)
     else:
         arrays["W1"] = model.W1[cols]
     shuffle = np.random.default_rng([hyper.seed, 1])
@@ -399,26 +416,73 @@ def train_lora(
 def predict(ckpt: Checkpoint, examples, threshold: float = 0.5) -> list[PredictionRecord]:
     """Score examples with a serialized toy model; y_pred via the threshold."""
     model = ToyModel.from_checkpoint(ckpt)
-    return score_features(model, featurize_all(examples, model.dim), examples, threshold)
-
-
-def score_features(
-    model: ToyModel, X: np.ndarray, examples, threshold: float = 0.5
-) -> list[PredictionRecord]:
-    """Score examples whose features are the rows of X; the one forward path
-    shared by predict and the sweeps, so sweep rows equal predict bit for bit."""
-    _, _, logit = _forward(model.arrays(), X)
-    scores = _sigmoid(logit.astype(np.float64))
+    scores = score_features(model, featurize_all(examples, model.dim))
     return [
         PredictionRecord(
             id=ex.id,
             y_true=ex.y_true,
-            score=float(s),
-            y_pred=binarize(float(s), threshold),
+            score=s,
+            y_pred=binarize(s, threshold),
             groups=dict(ex.groups),
         )
-        for ex, s in zip(examples, scores, strict=True)
+        for ex, s in zip(examples, scores.tolist(), strict=True)
     ]
+
+
+def score_features(
+    model: ToyModel, X: np.ndarray, cols: np.ndarray | None = None, panels=None
+) -> np.ndarray:
+    """Float64 scores of the examples whose features are the rows of X; the
+    one scoring path, shared by predict and the sweeps, so sweep rows equal
+    predict bit for bit. With cols, X holds only those feature columns and
+    the forward sums W1[cols] over panels (see SplitScorer)."""
+    arrays = model.arrays()
+    if cols is not None:
+        arrays["W1"] = model.W1[cols]
+    _, _, logit = _forward(arrays, X, panels)
+    return _sigmoid(logit.astype(np.float64))
+
+
+def _scoring_panels(X: np.ndarray, Xc: np.ndarray, cols: np.ndarray, W1: np.ndarray):
+    """The first of _candidate_panels whose sum of Xc[:, p] @ W1[cols][p]
+    gives this BLAS's X @ W1 bytes, or None; also None when X @ W1 is not
+    finite, since a NaN would hide a difference."""
+    Z = X @ W1
+    if not np.isfinite(Z).all():
+        return None
+    Z, Wc = Z.tobytes(), W1[cols]
+    return next(
+        (p for p in _candidate_panels(len(W1), cols) if _product(Xc, Wc, p).tobytes() == Z),
+        None,
+    )
+
+
+class SplitScorer:
+    """Scores one split under a series of models of one shape, such as the
+    edited models of a sweep.
+
+    The split is featurized once, compactly. The first model's dense
+    ``X @ W1`` picks the panels (``_scoring_panels``), and the dense matrix
+    is dropped when some panels match. BLAS blocks by shape, not by value,
+    so those panels give every later model's dense bytes too, except for a
+    model with a non-finite untouched W1 row: the dense product turns that
+    row into NaN (``0 * NaN``), so such a model is scored densely. When no
+    panels match, every model is scored densely.
+    """
+
+    def __init__(self, examples, model: ToyModel):
+        self.cols, self.Xc = featurize_compact(examples, model.dim)
+        X = _dense(self.cols, self.Xc, model.dim)
+        self.panels = _scoring_panels(X, self.Xc, self.cols, model.W1)
+        self.X = X if self.panels is None else None
+
+    def scores(self, model: ToyModel) -> np.ndarray:
+        """score_features of the split under model."""
+        untouched = np.delete(model.W1, self.cols, axis=0)
+        if self.panels is not None and np.isfinite(untouched).all():
+            return score_features(model, self.Xc, self.cols, self.panels)
+        X = self.X if self.X is not None else _dense(self.cols, self.Xc, model.dim)
+        return score_features(model, X)
 
 
 def grad_check(

@@ -156,6 +156,33 @@ def test_sweep_cli(workdir):
         assert (workdir / "run" / name).exists()
 
 
+@pytest.mark.parametrize(
+    "change, reason",
+    [
+        ({"criterion": "bogus"}, "criterion must be one of"),
+        ({"threshold": 1.5}, "threshold must lie in (0,1)"),
+        ({"seeds": [13, 14]}, "seed 14 has no entry in runs"),
+    ],
+)
+def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
+    cfg = {
+        "mode": "merge",
+        "grid": [0.0, 1.0],
+        "seeds": [13],
+        "attribute": "g",
+        "data_dir": str(workdir / "data"),
+        "runs": {"13": {"base": str(workdir / "base.ckpt"),
+                        "vectors": [str(workdir / "vA.ckpt")]}},
+    }
+    cfg.update(change)
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    proc = run_cli(["sweep", "--config", "sweep.json", "-o", "run"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and reason in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_sweep_bad_mode(workdir):
     cfg = {"mode": "nope", "data_dir": "data", "runs": {}}
     (workdir / "bad.json").write_text(json.dumps(cfg))
@@ -221,6 +248,21 @@ def test_train_toy_bad_size_exit_2(workdir, flag, value, reason):
     assert proc.stderr.startswith("error: invalid input: ") and reason in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert not (workdir / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("threshold", ["7", "0", "-0.5", "nan"])
+def test_eval_bad_threshold_exit_2(tmp_path, threshold):
+    # every record carries y_pred, so no score is ever binarized
+    write_hand_built_preds(tmp_path / "hand.jsonl")
+    proc = run_cli(
+        ["eval", "--preds", "hand.jsonl", "--attribute", "g", "--threshold", threshold,
+         "-o", "report.json"],
+        tmp_path,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: invalid input: threshold must lie in (0,1)")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize(

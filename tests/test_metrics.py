@@ -201,6 +201,16 @@ class TestEvaluate:
         with pytest.raises(EmptyGroup):
             evaluate(rs, "attr")
 
+    @pytest.mark.parametrize(
+        "y_true, y_pred", [(1, 2), (-1, 0), (1, "1"), (0, 0.5), (1, None)]
+    )
+    def test_label_outside_0_1_raises(self, y_true, y_pred):
+        # such a value would alias another cell of the confusion table
+        rs = records_from([(0, 1, "A"), (1, 0, "B")])
+        rs.append(rec(2, y_true, y_pred, "A", score=0.5))
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            evaluate(rs, "attr")
+
 
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**31), n=st.integers(4, 40))

@@ -28,9 +28,7 @@ DIM, HID = 128, 8
 ATTR = "g"
 
 
-@pytest.fixture(scope="module")
-def lab():
-    """Small two-seed pipeline shared by the sweep tests."""
+def build_lab(dim, hidden):
     bases, vectors, evals, ffts = {}, {}, {}, {}
     seeds = [13, 14]
     for seed in seeds:
@@ -39,15 +37,28 @@ def lab():
         )
         tr, te = gen_corpus(spec)
         hy = Hyper(epochs=30, seed=seed)
-        base = init_model(DIM, HID, seed).to_checkpoint()
+        base = init_model(dim, hidden, seed).to_checkpoint()
         bases[seed] = base
         vectors[seed] = [
-            diff(train_subgroup(tr, ATTR, g, hy, dim=DIM, hidden=HID), base)
+            diff(train_subgroup(tr, ATTR, g, hy, dim=dim, hidden=hidden), base)
             for g in spec.groups()
         ]
         evals[seed] = tr
-        ffts[seed] = train(tr, hy, dim=DIM, hidden=HID)
+        ffts[seed] = train(tr, hy, dim=dim, hidden=hidden)
     return bases, vectors, evals, ffts, seeds
+
+
+@pytest.fixture(scope="module")
+def lab():
+    """Small two-seed pipeline shared by the sweep tests."""
+    return build_lab(DIM, HID)
+
+
+@pytest.fixture(scope="module")
+def wide_lab():
+    """The same pipeline at the paper's dim and hidden size, where the eval
+    split touches few of the buckets and can be scored compactly."""
+    return build_lab(4096, 32)
 
 
 def test_default_grids():
@@ -64,6 +75,18 @@ def test_config_validation():
         SweepConfig(grid=[0.0, float("inf")])
     with pytest.raises(ValueError):
         SweepConfig(grid=[0.0], seeds=[])
+    for threshold in (0.0, 1.0, 7.0, float("nan")):
+        with pytest.raises(ValueError, match="threshold"):
+            SweepConfig(grid=[0.0], threshold=threshold)
+    with pytest.raises(ValueError, match="criterion"):
+        SweepConfig(grid=[0.0], criterion="bogus")
+
+
+def test_seed_missing_from_per_seed_mapping(lab):
+    bases, vectors, evals, _, _ = lab
+    cfg = SweepConfig(grid=[0.0], seeds=[13, 99], attribute=ATTR)
+    with pytest.raises(ValueError, match="seed 99"):
+        lambda_sweep(bases, vectors, cfg, evals)
 
 
 def test_row_cardinality(lab):
@@ -220,10 +243,11 @@ def test_inject_rows_match_independent_recompute(lab):
         assert row.report == expect
 
 
-def test_lambda_rows_match_independent_recompute(lab):
+@pytest.mark.parametrize("lab_name", ["lab", "wide_lab"])
+def test_lambda_rows_match_independent_recompute(request, lab_name):
     from fairvec.arith import WeightedVector, merge
 
-    bases, vectors, evals, _, seeds = lab
+    bases, vectors, evals, _, seeds = request.getfixturevalue(lab_name)
     cfg = SweepConfig(grid=[0.0, 0.3, 1.0], seeds=seeds, attribute=ATTR)
     res = lambda_sweep(bases, vectors, cfg, evals)
     assert [(r.lam, r.seed) for r in res.rows] == [
@@ -234,6 +258,26 @@ def test_lambda_rows_match_independent_recompute(lab):
             bases[row.seed], [WeightedVector(v, row.lam) for v in vectors[row.seed]]
         )
         assert row.report == evaluate(predict(merged, evals[row.seed]), ATTR)
+
+
+def test_nan_in_untouched_row_recompute(wide_lab):
+    """A NaN in a W1 row no eval example touches turns the dense forward into
+    NaN scores (0 * NaN), so the sweep must score that point densely too."""
+    from fairvec.arith import TaskVector, inject
+    from fairvec.features import featurize_compact
+
+    bases, vectors, evals, ffts, _ = wide_lab
+    cols, _ = featurize_compact(evals[13], 4096)
+    row = np.setdiff1d(np.arange(4096), cols)[0]
+    deltas = vectors[13][0].arrays()
+    deltas["W1"][row, 0] = np.nan
+    nan_vec = TaskVector.from_arrays(deltas)
+    cfg = SweepConfig(grid=[0.0, 0.5], seeds=[13], attribute=ATTR)
+    res = inject_sweep(ffts, {13: nan_vec}, cfg, evals)
+    for r in res.rows:
+        expect = evaluate(predict(inject(ffts[13], nan_vec, r.lam), evals[13]), ATTR)
+        assert r.report == expect
+    assert res.rows[1].report.rows[0].selection_rate == 0.0  # NaN scores are negative
 
 
 def test_rows_grid_major_with_shared_eval_split(lab):

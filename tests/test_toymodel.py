@@ -9,6 +9,7 @@ from fairvec.arith import diff
 from fairvec.features import featurize, featurize_all, featurize_compact
 from fairvec.toymodel import (
     Hyper,
+    SplitScorer,
     ToyModel,
     grad_check,
     init_model,
@@ -19,6 +20,7 @@ from fairvec.toymodel import (
     _product,
     loss_and_grads,
     predict,
+    score_features,
     train,
     train_lora,
     train_subgroup,
@@ -362,3 +364,26 @@ class TestPanels:
             dZ = rng.standard_normal((rows, hidden), dtype=np.float32)
             assert _product(Xc, W[cols], panels).tobytes() == (X @ W).tobytes()
             assert (Xc.T @ dZ).tobytes() == (X.T @ dZ)[cols].tobytes()
+
+
+class TestScoringPanels:
+    """Whichever plan SplitScorer picks, its scores have the bytes
+    score_features gives on the dense features: for the model that picked
+    the plan, for a later model, and for a model with a NaN in an untouched
+    W1 row; and a plan is not picked on a non-finite dense product."""
+
+    @pytest.mark.parametrize("dim, hidden", [(4096, 32), (4096, 16), (512, 16), (DIM, HID)])
+    def test_scores_bytes_equal_dense(self, corpus, dim, hidden):
+        _, tr, _ = corpus
+        dense = featurize_all(tr, dim)
+        first, later = init_model(dim, hidden, 13), init_model(dim, hidden, 14)
+        later.W1 *= 100
+        nan_row = later.copy()
+        nan_row.W1[int(np.flatnonzero(~dense.any(axis=0))[0]), 0] = np.nan
+        scorer = SplitScorer(tr, first)
+        for model in (first, later, nan_row):
+            assert scorer.scores(model).tobytes() == score_features(model, dense).tobytes()
+        poisoned = first.copy()
+        poisoned.W1[:] = np.nan
+        got = SplitScorer(tr, poisoned).scores(later)
+        assert got.tobytes() == score_features(later, dense).tobytes()
