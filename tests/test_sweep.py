@@ -243,11 +243,10 @@ def test_inject_rows_match_independent_recompute(lab):
         assert row.report == expect
 
 
-@pytest.mark.parametrize("lab_name", ["lab", "wide_lab"])
-def test_lambda_rows_match_independent_recompute(request, lab_name):
+def check_lambda_rows_match_independent_recompute(lab):
     from fairvec.arith import WeightedVector, merge
 
-    bases, vectors, evals, _, seeds = request.getfixturevalue(lab_name)
+    bases, vectors, evals, _, seeds = lab
     cfg = SweepConfig(grid=[0.0, 0.3, 1.0], seeds=seeds, attribute=ATTR)
     res = lambda_sweep(bases, vectors, cfg, evals)
     assert [(r.lam, r.seed) for r in res.rows] == [
@@ -258,6 +257,14 @@ def test_lambda_rows_match_independent_recompute(request, lab_name):
             bases[row.seed], [WeightedVector(v, row.lam) for v in vectors[row.seed]]
         )
         assert row.report == evaluate(predict(merged, evals[row.seed]), ATTR)
+
+
+def test_lambda_rows_match_independent_recompute(lab):
+    check_lambda_rows_match_independent_recompute(lab)
+
+
+def test_lambda_rows_match_independent_recompute_wide(wide_lab):
+    check_lambda_rows_match_independent_recompute(wide_lab)
 
 
 def test_nan_in_untouched_row_recompute(wide_lab):
