@@ -135,8 +135,12 @@ def _parse_header(blob: bytes) -> dict:
 
 def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        return parse_checkpoint(fh.read())
 
+
+def parse_checkpoint(blob: bytes) -> Checkpoint:
+    """The checkpoint a file of these bytes holds; each tensor's payload is
+    copied once, out of a view of blob."""
     if len(blob) < 8:
         raise MalformedHeader("file shorter than the 8-byte length prefix")
     (header_len,) = struct.unpack("<Q", blob[:8])
@@ -145,7 +149,7 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
             f"declared header length {header_len} exceeds file size"
         )
     header = _parse_header(blob[8 : 8 + header_len])
-    data = blob[8 + header_len :]
+    data = memoryview(blob)[8 + header_len :]
 
     metadata: dict[str, str] = {}
     if METADATA_KEY in header:
@@ -213,7 +217,7 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
         )
 
     tensors = {
-        name: Tensor(dtype, shape, data[begin:end])
+        name: Tensor(dtype, shape, data[begin:end].tobytes())
         for name, dtype, shape, begin, end in entries
     }
     return Checkpoint(tensors=tensors, metadata=metadata)

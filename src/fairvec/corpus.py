@@ -21,6 +21,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import InvalidSpec
+from .metrics import binary_label, parse_jsonl, string_map
 
 # 7-subgroup default mix (counts 817/114/178/173/148/2057/59, total 3546)
 DEFAULT_GROUP_COUNTS = {
@@ -178,23 +179,27 @@ def save_examples(examples, path: str | os.PathLike) -> None:
             )
 
 
+def _example(obj) -> Example:
+    rec_id, tokens = str(obj["id"]), obj["tokens"]
+    if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+        raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
+    return Example(
+        id=rec_id,
+        tokens=tuple(tokens),
+        y_true=binary_label("y_true", obj["y_true"]),
+        groups=dict(string_map("groups", obj["groups"])),
+    )
+
+
+def parse_examples(lines, path="<corpus>") -> list[Example]:
+    """The examples of a JSONL corpus file (lines: an open text file); a
+    malformed line is a ValueError naming path:line, as for prediction logs."""
+    return list(parse_jsonl(lines, path, _example))
+
+
 def load_examples(path: str | os.PathLike) -> list[Example]:
-    out = []
     with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            obj = json.loads(line)
-            out.append(
-                Example(
-                    id=str(obj["id"]),
-                    tokens=tuple(obj["tokens"]),
-                    y_true=int(obj["y_true"]),
-                    groups=dict(obj["groups"]),
-                )
-            )
-    return out
+        return parse_examples(fh, path)
 
 
 def save_corpus(spec: CorpusSpec, train, test, out_dir: str | os.PathLike) -> None:
@@ -205,9 +210,13 @@ def save_corpus(spec: CorpusSpec, train, test, out_dir: str | os.PathLike) -> No
         fh.write(spec.to_json() + "\n")
 
 
-def load_corpus(data_dir: str | os.PathLike):
+def load_spec(data_dir: str | os.PathLike) -> CorpusSpec:
     with open(os.path.join(data_dir, "spec.json"), "r", encoding="utf-8") as fh:
-        spec = CorpusSpec.from_json(fh.read())
+        return CorpusSpec.from_json(fh.read())
+
+
+def load_corpus(data_dir: str | os.PathLike):
+    spec = load_spec(data_dir)
     train = load_examples(os.path.join(data_dir, "train.jsonl"))
     test = load_examples(os.path.join(data_dir, "test.jsonl"))
     return spec, train, test

@@ -11,6 +11,12 @@ rate is an int/int division, so results are independent of record order.
 ``GroupColumns`` holds a split's group codes and true labels as arrays, so
 a caller that scores many models on one split (the sweeps) builds it once
 and passes only each model's predictions.
+
+A JSONL prediction log is read either as ``PredictionRecord``s
+(``load_predictions``) or straight into columns (``prediction_columns``,
+which ``fairvec eval`` uses and which builds no per-record objects). Both
+check each line with the one validator ``_prediction`` under
+``parse_jsonl``, which also reads corpus files.
 """
 
 from __future__ import annotations
@@ -53,7 +59,11 @@ def binarize(score: float, threshold: float = DEFAULT_THRESHOLD) -> int:
     return 1 if score >= threshold else 0
 
 
-def _binary_label(name: str, value) -> int:
+def _lacking(rec_id: str, attribute: str) -> EmptyGroup:
+    return EmptyGroup(f"record {rec_id!r} lacks attribute {attribute!r}")
+
+
+def binary_label(name: str, value) -> int:
     if value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
     return int(value)
@@ -65,7 +75,7 @@ def _binary_column(name: str, values: list) -> np.ndarray:
     col = np.array(values)
     if col.dtype.kind in "biuf" and np.isin(col, (0, 1)).all():
         return col.astype(np.intp)
-    return np.array([_binary_label(name, v) for v in values], dtype=np.intp)
+    return np.array([binary_label(name, v) for v in values], dtype=np.intp)
 
 
 @dataclass(frozen=True)
@@ -88,11 +98,15 @@ class GroupColumns:
             try:
                 group = item.groups[attribute]
             except KeyError:
-                raise EmptyGroup(
-                    f"record {item.id!r} lacks attribute {attribute!r}"
-                ) from None
+                raise _lacking(item.id, attribute) from None
             first_seen.append(index.setdefault(group, len(index)))
             y_true.append(item.y_true)
+        return cls._coded(attribute, index, first_seen, y_true)
+
+    @classmethod
+    def _coded(cls, attribute, index, first_seen, y_true) -> "GroupColumns":
+        """index maps each group to the order it first appeared in;
+        first_seen[i] is that order for item i's group."""
         names = sorted(index)
         rank = np.empty(len(names), dtype=np.intp)
         rank[[index[g] for g in names]] = np.arange(len(names))
@@ -373,44 +387,95 @@ def evaluate(
     return columns.report(_binary_column("y_pred", [r.y_pred for r in records]))
 
 
+def string_map(name: str, value) -> dict[str, str]:
+    """value, or ValueError unless it is an object of string values."""
+    if not isinstance(value, dict) or not all(isinstance(v, str) for v in value.values()):
+        raise ValueError(f"{name} must map names to strings, got {value!r}")
+    return value
+
+
+def parse_jsonl(lines, path, parse):
+    """parse(obj) for the JSON object on each non-blank line of lines (an
+    open text file); ValueError naming path:line for bad JSON, a missing
+    field (named) or a value parse rejects with AttributeError, TypeError or
+    ValueError."""
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            fields = parse(json.loads(line))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+        yield fields
+
+
+def _prediction(obj) -> tuple[str, int, float, int | None, dict[str, str]]:
+    """A log line's (id, y_true, score, y_pred or None, groups)."""
+    score = float(obj["score"])
+    y_pred = obj.get("y_pred")
+    y_pred = None if y_pred is None else binary_label("y_pred", y_pred)
+    rec_id, y_true = str(obj["id"]), binary_label("y_true", obj["y_true"])
+    groups = string_map("groups", obj["groups"])
+    if not math.isfinite(score):
+        raise ValueError("non-finite score")
+    return rec_id, y_true, score, y_pred, groups
+
+
 def load_predictions(
     path: str | os.PathLike, threshold: float = DEFAULT_THRESHOLD
 ) -> list[PredictionRecord]:
     """Read a JSONL prediction log; derive y_pred from score when absent."""
     check_threshold(threshold)
-    records = []
     with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-                score = float(obj["score"])
-                y_pred = obj.get("y_pred")
-                y_pred = None if y_pred is None else _binary_label("y_pred", y_pred)
-                rec_id, y_true = str(obj["id"]), _binary_label("y_true", obj["y_true"])
-                groups = obj["groups"]
-                if not isinstance(groups, dict) or not all(
-                    isinstance(v, str) for v in groups.values()
-                ):
-                    raise ValueError(f"groups must map names to strings, got {groups!r}")
-            except KeyError as exc:
-                raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-            except (AttributeError, TypeError, ValueError) as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from None
-            if not math.isfinite(score):
-                raise ValueError(f"{path}:{lineno}: non-finite score")
-            records.append(
-                PredictionRecord(
-                    id=rec_id,
-                    y_true=y_true,
-                    score=score,
-                    y_pred=y_pred if y_pred is not None else binarize(score, threshold),
-                    groups=groups,
-                )
+        return [
+            PredictionRecord(
+                id=rec_id,
+                y_true=y_true,
+                score=score,
+                y_pred=y_pred if y_pred is not None else binarize(score, threshold),
+                groups=groups,
             )
-    return records
+            for rec_id, y_true, score, y_pred, groups in parse_jsonl(
+                fh, path, _prediction
+            )
+        ]
+
+
+def prediction_columns(
+    lines, attribute: str, threshold: float = DEFAULT_THRESHOLD, path="<log>"
+) -> tuple[GroupColumns, np.ndarray]:
+    """A JSONL prediction log (lines: an open text file) as the columns and
+    the y_pred array that GroupColumns.report takes; its report equals
+    evaluate(load_predictions(...)). Where a line has no y_pred it is
+    score >= threshold.
+
+    Every line is validated before EmptyGroup is raised for a record that
+    lacks the attribute, so a malformed line anywhere is reported first.
+    """
+    check_threshold(threshold)
+    index: dict[str, int] = {}
+    first_seen, y_true, scores, y_pred = [], [], [], []
+    lacking = None
+    for rec_id, label, score, pred, groups in parse_jsonl(lines, path, _prediction):
+        group = groups.get(attribute)
+        if group is None:
+            lacking = lacking or _lacking(rec_id, attribute)
+            continue
+        first_seen.append(index.setdefault(group, len(index)))
+        y_true.append(label)
+        scores.append(score)
+        y_pred.append(-1 if pred is None else pred)
+    if lacking is not None:
+        raise lacking
+    given = np.array(y_pred, dtype=np.intp)
+    derived = np.array(scores, dtype=np.float64) >= threshold
+    return (
+        GroupColumns._coded(attribute, index, first_seen, y_true),
+        np.where(given < 0, derived, given),
+    )
 
 
 def dump_predictions(records, path: str | os.PathLike) -> None:

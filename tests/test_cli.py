@@ -1,4 +1,7 @@
+import hashlib
 import json
+import shutil
+import threading
 from pathlib import Path
 
 import pytest
@@ -294,3 +297,141 @@ def test_eval_malformed_line_names_location(tmp_path, line, reason):
     assert proc.stderr.startswith("error: invalid input: p.jsonl:3: ")
     assert reason in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+
+
+def _sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "argv, inputs",
+    [
+        (["diff", "subA.ckpt", "base.ckpt", "-o", "out.ckpt"], ["subA.ckpt", "base.ckpt"]),
+        (["apply", "base.ckpt", "vA.ckpt", "--lambda", "0.5", "-o", "out.ckpt"],
+         ["base.ckpt", "vA.ckpt"]),
+        (["merge", "base.ckpt", "--vec", "vA.ckpt:0.3", "--vec", "subA.ckpt:0.2",
+          "-o", "out.ckpt"], ["base.ckpt", "vA.ckpt", "subA.ckpt"]),
+        (["inject", "fft.ckpt", "vA.ckpt", "--lambda", "0.4", "-o", "out.ckpt"],
+         ["fft.ckpt", "vA.ckpt"]),
+        (["eval", "--preds", "hand.jsonl", "--attribute", "g", "-o", "out.ckpt"],
+         ["hand.jsonl"]),
+    ],
+)
+def test_manifest_digests_are_of_the_inputs(workdir, tmp_path, argv, inputs):
+    for name in ("subA.ckpt", "base.ckpt", "vA.ckpt", "fft.ckpt"):
+        shutil.copy(workdir / name, tmp_path / name)
+    write_hand_built_preds(tmp_path / "hand.jsonl")
+    before = {p: _sha256(tmp_path / p) for p in inputs}
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((tmp_path / "out.ckpt.manifest.json").read_text())
+    assert manifest["input_digests"] == before
+
+
+def test_manifest_digest_of_an_input_the_output_overwrites(workdir, tmp_path):
+    shutil.copy(workdir / "subA.ckpt", tmp_path / "t.ckpt")
+    shutil.copy(workdir / "base.ckpt", tmp_path / "b.ckpt")
+    before = {p: _sha256(tmp_path / p) for p in ("t.ckpt", "b.ckpt")}
+    proc = run_cli(["diff", "t.ckpt", "b.ckpt", "-o", "t.ckpt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert _sha256(tmp_path / "t.ckpt") != before["t.ckpt"]
+    manifest = json.loads((tmp_path / "t.ckpt.manifest.json").read_text())
+    assert manifest["input_digests"] == before
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["diff", "subA.ckpt", "base.ckpt", "-o", "out.ckpt"], 0),
+        (["diff", "bad.ckpt", "base.ckpt", "-o", "out.ckpt"], 1),
+        (["merge", "base.ckpt", "--vec", "vA.ckpt:0.3", "--vec", "bad.ckpt:0.1",
+          "-o", "out.ckpt"], 1),
+        (["eval", "--preds", "bad.ckpt", "--attribute", "g"], 2),
+    ],
+)
+def test_no_thread_outlives_main(workdir, tmp_path, monkeypatch, capsys, argv, code):
+    for name in ("subA.ckpt", "base.ckpt", "vA.ckpt"):
+        shutil.copy(workdir / name, tmp_path / name)
+    (tmp_path / "bad.ckpt").write_bytes(b"{" * 4096)
+    monkeypatch.chdir(tmp_path)
+    before = threading.enumerate()
+    assert main(argv) == code
+    assert threading.enumerate() == before
+
+
+def test_eval_malformed_line_wins_over_missing_attribute(tmp_path):
+    lines = ['{"id": "a", "y_true": 0, "score": 0.9, "groups": {"h": "A"}}',
+             '{"id": "b", "y_true": 0, "score": 0.9, "groups": {"g": "A"}}',
+             '{"id": "c", "y_true": 0, "score": 0.9}']
+    (tmp_path / "p.jsonl").write_text("\n".join(lines) + "\n")
+    proc = run_cli(["eval", "--preds", "p.jsonl", "--attribute", "g"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: invalid input: p.jsonl:3: missing field 'groups'\n"
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"id": "a", "y_true": 0, "score": 0.9, "groups": {"g": "A"}}\n'
+         '{"id": "b", "y_true": 0, "score": 0.9, "groups": {"h": "A"}}\n',
+         "record 'b' lacks attribute 'g'"),
+        ("", "no records to evaluate"),
+        ("\n  \r\n\n", "no records to evaluate"),
+    ],
+)
+def test_eval_empty_group_exit_1(tmp_path, text, reason):
+    (tmp_path / "p.jsonl").write_text(text)
+    proc = run_cli(
+        ["eval", "--preds", "p.jsonl", "--attribute", "g", "-o", "report.json"], tmp_path
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: EmptyGroup: {reason}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_eval_crlf_and_u2028_lines(tmp_path):
+    lines = [{"id": "a\u2028b", "y_true": 1, "score": 0.5, "groups": {"g": "A"}},
+             {"id": "c", "y_true": 0, "score": 0.2, "groups": {"g": "B\u2028"}}]
+    text = "\r\n\r\n".join(json.dumps(x, ensure_ascii=False) for x in lines)
+    (tmp_path / "p.jsonl").write_bytes(text.encode("utf-8"))
+    proc = run_cli(["eval", "--preds", "p.jsonl", "--attribute", "g"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert [(r["group"], r["n"], r["selection_rate"]) for r in doc["rows"]] == [
+        ("A", 1, 1.0), ("B\u2028", 1, 0.0)]
+
+
+@pytest.mark.parametrize(
+    "line, reason",
+    [
+        ('{"id": "x", "tokens": ["a"], "y_true": 2, "groups": {"g": "A"}}',
+         "y_true must be 0 or 1, got 2"),
+        ('{"id": "x", "tokens": ["a"], "groups": {"g": "A"}}', "missing field 'y_true'"),
+        ('{"tokens": ["a"], "y_true": 1, "groups": {"g": "A"}}', "missing field 'id'"),
+        ('{"id": "x", "tokens": ["a"], "y_true": 1', "Expecting"),
+        ('{"id": "x", "tokens": "ab", "y_true": 1, "groups": {"g": "A"}}',
+         "tokens must be a list of strings"),
+        ('{"id": "x", "tokens": ["a", 3], "y_true": 1, "groups": {"g": "A"}}',
+         "tokens must be a list of strings"),
+        ('{"id": "x", "tokens": ["a"], "y_true": 1, "groups": {"g": 1}}',
+         "groups must map names to strings"),
+        ('{"id": "x", "tokens": ["a"], "y_true": 1, "groups": ["g"]}',
+         "groups must map names to strings"),
+    ],
+)
+def test_train_toy_bad_corpus_line_exit_2(workdir, tmp_path, line, reason):
+    data = tmp_path / "data"
+    data.mkdir()
+    shutil.copy(workdir / "data" / "spec.json", data / "spec.json")
+    first = (workdir / "data" / "train.jsonl").read_text().splitlines()[0]
+    (data / "train.jsonl").write_text(first + "\n\n" + line + "\n")
+    proc = run_cli(
+        ["train-toy", "--data", "data", "--seed", "13", "--dim", "16", "--hidden", "2",
+         "--epochs", "1", "-o", "never.ckpt"],
+        tmp_path,
+    )
+    assert proc.returncode == 2
+    prefix = f"error: invalid input: {Path('data', 'train.jsonl')}:3: "
+    assert proc.stderr.startswith(prefix) and reason in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "never.ckpt").exists()

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -17,6 +18,7 @@ from fairvec.metrics import (
     evaluate,
     group_accuracy,
     load_predictions,
+    prediction_columns,
     selection_rate,
 )
 
@@ -300,3 +302,88 @@ def test_report_json_and_csv(rng):
     # numbers survive the decimal round-trip at full precision
     macro = lines[-1].split(",")[2]
     assert float(macro) == report.macro_accuracy
+
+
+# One log line: id (raw U+2028 and non-ASCII kept unescaped), labels, a score
+# that may sit exactly on the threshold, y_pred present or absent, and groups
+# under several attributes, any of which may be missing.
+_log_lines = st.lists(
+    st.tuples(
+        st.sampled_from(["r", "x\u2028y", "caf\u00e9", "a b"]),
+        st.integers(0, 1),
+        st.one_of(st.floats(0, 1), st.just("threshold")),
+        st.sampled_from([None, 0, 1]),
+        st.fixed_dictionaries(
+            {},
+            optional={"a": st.sampled_from(["A", "B", "C"]),
+                      "b": st.sampled_from(["X", "Y\u2028Z"])},
+        ),
+        st.sampled_from(["\n", "\r\n", "\n\n", "\r\n  \r\n"]),
+    ),
+    max_size=25,
+)
+
+
+def _log_bytes(lines, threshold) -> bytes:
+    out = []
+    for i, (name, y_true, score, y_pred, groups, end) in enumerate(lines):
+        obj = {"id": f"{name}{i}", "y_true": y_true, "groups": groups,
+               "score": threshold if score == "threshold" else score}
+        if y_pred is not None:
+            obj["y_pred"] = y_pred
+        out.append(json.dumps(obj, ensure_ascii=False) + end)
+    return "".join(out).encode("utf-8")
+
+
+def _outcome(fn):
+    try:
+        return fn().to_dict()
+    except EmptyGroup as exc:
+        return ("EmptyGroup", str(exc))
+
+
+@pytest.fixture(scope="module")
+def log_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("logs") / "preds.jsonl"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    lines=_log_lines,
+    attribute=st.sampled_from(["a", "b"]),
+    threshold=st.sampled_from([0.5, 0.25, 0.7, 0.1 + 0.2]),
+)
+def test_prediction_columns_report_equals_evaluate(log_path, lines, attribute, threshold):
+    data = _log_bytes(lines, threshold)
+    log_path.write_bytes(data)
+
+    def columnar():
+        text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+        columns, y_pred = prediction_columns(text, attribute, threshold, str(log_path))
+        return columns.report(y_pred)
+
+    assert _outcome(columnar) == _outcome(
+        lambda: evaluate(load_predictions(log_path, threshold), attribute, threshold)
+    )
+
+
+def test_prediction_columns_derive_y_pred_at_threshold():
+    lines = [
+        {"id": "a", "y_true": 1, "score": 0.5, "groups": {"g": "A"}},
+        {"id": "b", "y_true": 0, "score": 0.4999, "groups": {"g": "A"}},
+        {"id": "c", "y_true": 0, "score": 0.9, "y_pred": 0, "groups": {"g": "B"}},
+    ]
+    text = io.StringIO("".join(json.dumps(x) + "\n" for x in lines))
+    columns, y_pred = prediction_columns(text, "g", 0.5)
+    assert y_pred.tolist() == [1, 0, 0]
+    assert columns.names == ["A", "B"] and columns.codes.tolist() == [0, 0, 1]
+    assert columns.y_true.tolist() == [1, 0, 0]
+
+
+def test_prediction_columns_check_every_line_before_empty_group():
+    lines = ['{"id": "a", "y_true": 1, "score": 0.5, "groups": {}}',
+             '{"id": "b", "y_true": 2, "score": 0.5, "groups": {"g": "A"}}']
+    with pytest.raises(ValueError, match="^log:2: y_true must be 0 or 1"):
+        prediction_columns(io.StringIO("\n".join(lines)), "g", path="log")
+    with pytest.raises(EmptyGroup, match="record 'a' lacks attribute 'g'"):
+        prediction_columns(io.StringIO(lines[0]), "g")
