@@ -141,7 +141,6 @@ def scale(tv: TaskVector, coefficient: float) -> TaskVector:
 def merge(
     base: Checkpoint,
     parts: list[WeightedVector | tuple[TaskVector, float]],
-    out_dtype: Dtype = Dtype.F32,
 ) -> Checkpoint:
     """theta_0 + sum_i lambda_i * delta_i, folded left-to-right in caller order.
 
@@ -174,14 +173,14 @@ def merge(
     meta = dict(base.metadata)
     meta["edited"] = "merge[" + ",".join(repr(p.coefficient) for p in parts) + "]"
     return Checkpoint(
-        tensors={n: Tensor.from_numpy(a, out_dtype) for n, a in acc.items()},
+        tensors={n: Tensor.from_numpy(a) for n, a in acc.items()},
         metadata=meta,
     )
 
 
-def apply(base: Checkpoint, tv: TaskVector, out_dtype: Dtype = Dtype.F32) -> Checkpoint:
+def apply(base: Checkpoint, tv: TaskVector) -> Checkpoint:
     """theta_base + delta."""
-    ck = merge(base, [WeightedVector(tv, 1.0)], out_dtype=out_dtype)
+    ck = merge(base, [WeightedVector(tv, 1.0)])
     ck.metadata["edited"] = "apply"
     return ck
 

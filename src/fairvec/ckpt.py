@@ -110,11 +110,6 @@ class Checkpoint:
     def names(self) -> list[str]:
         return list(self.tensors)
 
-    def __eq__(self, other):
-        if not isinstance(other, Checkpoint):
-            return NotImplemented
-        return self.tensors == other.tensors and self.metadata == other.metadata
-
 
 def tensor_names(ckpt: Checkpoint) -> list[str]:
     return ckpt.names()

@@ -1,15 +1,14 @@
 """Command-line interface: one binary, stable subcommands, machine-readable
 exit codes (0 success, 1 runtime error, 2 validation error).
 
-Every file-producing command writes its outputs atomically and drops a JSON
-run manifest recording the resolved configuration, input digests, tool
-version, and wall-clock duration.
-
-A command reads each input file once, as bytes, and hashes those bytes on
-one worker thread while it parses them and does its work, so a manifest
-records the digest of each input as the command read it, even when the
-command's output overwrites that input. ``eval`` reads its log straight into
-columns (``metrics.prediction_columns``) and builds no per-record objects.
+A command reads every input file through its ``_Run``, once, as bytes: a
+missing file is a usage error at that read, and the bytes are hashed on one
+worker thread while the command parses them. Every file-producing command
+writes its outputs atomically and drops a JSON run manifest recording the
+command, the resolved configuration, the digest of each file it read (of the
+bytes as read, even when the output overwrites that input), the tool version
+and the wall-clock duration. ``eval`` reads its log straight into columns
+(``metrics.prediction_columns``) and builds no per-record objects.
 """
 
 from __future__ import annotations
@@ -42,34 +41,32 @@ class UsageError(Exception):
     pass
 
 
-def _require_files(*paths):
-    for p in paths:
-        if not os.path.exists(p):
-            raise UsageError(f"no such file: {p}")
-
-
 def _sha256(blob: bytes) -> str:
     return hashlib.sha256(blob).hexdigest()
 
 
 class _Run:
-    """One command's start time and input files. Each read starts the sha256
-    of the bytes read on one worker thread (hashlib releases the GIL on large
-    buffers); the first read of a path is the one its digest records."""
+    """One command's name, start time and input files. Each read starts the
+    sha256 of the bytes read on one worker thread (hashlib releases the GIL on
+    large buffers); the first read of a path is the one its digest records."""
 
-    def __init__(self):
+    def __init__(self, command):
         # imported here, not at the top: the import adds ~0.5 MB of RSS to
         # every process that imports this module without running a command
         from concurrent.futures import ThreadPoolExecutor
 
+        self.command = command
         self.started = time.monotonic()
         self._pool = ThreadPoolExecutor(max_workers=1)
         self._digests = {}
         self._last = None
 
     def read(self, path) -> bytes:
-        with open(path, "rb") as fh:
-            blob = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                blob = fh.read()
+        except FileNotFoundError:
+            raise UsageError(f"no such file: {path}") from None
         if path not in self._digests:
             # Hash one file at a time: a queue of unhashed files would hold
             # all their bytes at once (merge reads the base and every vector
@@ -90,11 +87,12 @@ class _Run:
     def digests(self, paths) -> dict[str, str]:
         return {p: self._digests[p].result() for p in paths}
 
-    def write_manifest(self, path, command, config, inputs):
+    def write_manifest(self, path, config):
+        """The manifest records the digest of every file this run read."""
         manifest = {
-            "command": command,
+            "command": self.command,
             "config": config,
-            "input_digests": self.digests(inputs),
+            "input_digests": self.digests(self._digests),
             "version": __version__,
             "duration_s": time.monotonic() - self.started,
         }
@@ -118,67 +116,48 @@ def _parse_vec_arg(text):
 
 
 def cmd_diff(args, run):
-    _require_files(args.task, args.base)
     task = run.checkpoint(args.task)
     base = run.checkpoint(args.base)
     tv = arith.diff(task, base, intersect=args.intersect)
     write_checkpoint(tv.to_checkpoint(), args.output)
-    run.write_manifest(
-        args.output + ".manifest.json", "diff", {"intersect": args.intersect},
-        [args.task, args.base],
-    )
+    run.write_manifest(args.output + ".manifest.json", {"intersect": args.intersect})
     return EXIT_OK
 
 
 def cmd_apply(args, run):
-    _require_files(args.base, args.vector)
     base = run.checkpoint(args.base)
     tv = arith.TaskVector.from_checkpoint(run.checkpoint(args.vector))
     out = arith.merge(base, [arith.WeightedVector(tv, args.lam)])
     write_checkpoint(out, args.output)
-    run.write_manifest(
-        args.output + ".manifest.json", "apply", {"lambda": args.lam},
-        [args.base, args.vector],
-    )
+    run.write_manifest(args.output + ".manifest.json", {"lambda": args.lam})
     return EXIT_OK
 
 
 def cmd_merge(args, run):
-    _require_files(args.base)
-    parts = []
-    inputs = [args.base]
-    for spec in args.vec or []:
-        path, lam = _parse_vec_arg(spec)
-        _require_files(path)
-        inputs.append(path)
-        tv = arith.TaskVector.from_checkpoint(run.checkpoint(path))
-        parts.append(arith.WeightedVector(tv, lam))
+    vecs = [_parse_vec_arg(spec) for spec in args.vec or []]
     base = run.checkpoint(args.base)
+    parts = [
+        arith.WeightedVector(arith.TaskVector.from_checkpoint(run.checkpoint(path)), lam)
+        for path, lam in vecs
+    ]
     out = arith.merge(base, parts)
     write_checkpoint(out, args.output)
     run.write_manifest(
-        args.output + ".manifest.json", "merge",
-        {"vectors": [list(_parse_vec_arg(v)) for v in args.vec or []]},
-        inputs,
+        args.output + ".manifest.json", {"vectors": [list(v) for v in vecs]}
     )
     return EXIT_OK
 
 
 def cmd_inject(args, run):
-    _require_files(args.sft, args.vector)
     sft = run.checkpoint(args.sft)
     tv = arith.TaskVector.from_checkpoint(run.checkpoint(args.vector))
     out = arith.inject(sft, tv, args.lam)
     write_checkpoint(out, args.output)
-    run.write_manifest(
-        args.output + ".manifest.json", "inject", {"lambda": args.lam},
-        [args.sft, args.vector],
-    )
+    run.write_manifest(args.output + ".manifest.json", {"lambda": args.lam})
     return EXIT_OK
 
 
 def cmd_eval(args, run):
-    _require_files(args.preds)
     columns, y_pred = metrics.prediction_columns(
         run.text(args.preds), args.attribute, args.threshold, args.preds
     )
@@ -188,9 +167,8 @@ def cmd_eval(args, run):
         with atomic_open(args.output) as fh:
             fh.write(text + "\n")
         run.write_manifest(
-            args.output + ".manifest.json", "eval",
+            args.output + ".manifest.json",
             {"attribute": args.attribute, "threshold": args.threshold},
-            [args.preds],
         )
     else:
         print(text)
@@ -201,26 +179,23 @@ def cmd_eval(args, run):
 
 
 def cmd_gen_data(args, run):
-    _require_files(args.spec)
     spec = corpus.CorpusSpec.from_json(run.text(args.spec).read())
     train, test = corpus.gen_corpus(spec)
     corpus.save_corpus(spec, train, test, args.output)
     run.write_manifest(
-        os.path.join(args.output, "manifest.json"), "gen-data",
-        json.loads(spec.to_json()), [args.spec],
+        os.path.join(args.output, "manifest.json"), json.loads(spec.to_json())
     )
     return EXIT_OK
 
 
 def cmd_train_toy(args, run):
     train_path = os.path.join(args.data, "train.jsonl")
-    _require_files(train_path)
-    spec = corpus.load_spec(args.data)
-    train_ex = corpus.parse_examples(run.text(train_path), train_path)
+    lines = run.text(train_path)
+    spec = corpus.load_spec(args.data)  # not via run: a missing spec.json exits 1
+    train_ex = corpus.parse_examples(lines, train_path)
     hyper = toymodel.Hyper(
         epochs=args.epochs, lr=args.lr, batch_size=args.batch_size, seed=args.seed
     )
-    inputs = [train_path]
     config = {
         "seed": args.seed, "epochs": args.epochs, "lr": args.lr,
         "batch_size": args.batch_size, "dim": args.dim, "hidden": args.hidden,
@@ -231,10 +206,7 @@ def cmd_train_toy(args, run):
             {"seed": str(args.seed), "subset": "init"}
         )
     else:
-        base = None
-        if args.base:
-            base = run.checkpoint(args.base)
-            inputs.append(args.base)
+        base = run.checkpoint(args.base) if args.base else None
         if args.lora:
             if base is None:
                 base = toymodel.init_model(args.dim, args.hidden, args.seed).to_checkpoint()
@@ -252,34 +224,46 @@ def cmd_train_toy(args, run):
                 train_ex, hyper, dim=args.dim, hidden=args.hidden, base=base
             )
     write_checkpoint(ckpt, args.output)
-    run.write_manifest(args.output + ".manifest.json", "train-toy", config, inputs)
+    run.write_manifest(args.output + ".manifest.json", config)
     return EXIT_OK
 
 
+_KINDS = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _config_field(cfg, key, kind, default=None):
+    """cfg[key] (default if absent); UsageError unless it is a kind."""
+    value = cfg.get(key, default)
+    if not isinstance(value, kind):
+        raise UsageError(f"sweep config {key!r} must be {_KINDS[kind]}, got {value!r}")
+    return value
+
+
 def cmd_sweep(args, run):
-    _require_files(args.config)
     cfg = json.load(run.text(args.config))
+    if not isinstance(cfg, dict):
+        raise UsageError(f"sweep config must be a JSON object, got {cfg!r}")
     mode = args.mode or cfg.get("mode")
     if mode not in ("merge", "inject"):
         raise UsageError(f"sweep mode must be merge or inject, got {mode!r}")
 
-    grid = cfg.get("grid") or (
+    grid = _config_field(cfg, "grid", list, []) or (
         sweep_mod.MERGE_GRID if mode == "merge" else sweep_mod.INJECT_GRID
     )
+    seeds = _config_field(cfg, "seeds", list, sweep_mod.DEFAULT_SEEDS)
     config = SweepConfig(
         grid=[float(v) for v in grid],
-        seeds=[int(s) for s in cfg.get("seeds", sweep_mod.DEFAULT_SEEDS)],
+        seeds=[int(s) for s in seeds],
         attribute=cfg.get("attribute", "gender"),
         threshold=float(cfg.get("threshold", 0.5)),
         criterion=cfg.get("criterion", "macro_accuracy"),
         split=cfg.get("split", "train"),
     )
-    data_dir = cfg["data_dir"]
-    _require_files(os.path.join(data_dir, "train.jsonl"))
-    _, train_ex, test_ex = corpus.load_corpus(data_dir)
-    eval_data = train_ex if config.split == "train" else test_ex
+    data_dir = _config_field(cfg, "data_dir", str)
+    split_path = os.path.join(data_dir, f"{config.split}.jsonl")
+    eval_data = corpus.parse_examples(run.text(split_path), split_path)
 
-    runs = cfg["runs"]
+    runs = _config_field(cfg, "runs", dict)
     run_seeds = {int(s) for s in runs}
     for seed in config.seeds:
         if seed not in run_seeds:
@@ -289,7 +273,6 @@ def cmd_sweep(args, run):
         bases, vectors = {}, {}
         for seed_str, paths in runs.items():
             seed = int(seed_str)
-            _require_files(paths["base"], *paths["vectors"])
             bases[seed] = run.checkpoint(paths["base"])
             vectors[seed] = [
                 arith.TaskVector.from_checkpoint(run.checkpoint(p))
@@ -301,7 +284,6 @@ def cmd_sweep(args, run):
         sfts, worst = {}, {}
         for seed_str, paths in runs.items():
             seed = int(seed_str)
-            _require_files(paths["sft"], paths["vector"])
             sfts[seed] = run.checkpoint(paths["sft"])
             worst[seed] = arith.TaskVector.from_checkpoint(
                 run.checkpoint(paths["vector"])
@@ -310,9 +292,7 @@ def cmd_sweep(args, run):
         result = sweep_mod.inject_sweep(sfts, worst, config, eval_data)
 
     sweep_mod.emit(result, args.output, input_digests=run.digests(checkpoints))
-    run.write_manifest(
-        os.path.join(args.output, "run_manifest.json"), "sweep", cfg, [args.config]
-    )
+    run.write_manifest(os.path.join(args.output, "run_manifest.json"), cfg)
     best = sweep_mod.select_lambda(result)
     print(json.dumps({"selected_lambda": best}))
     return EXIT_OK
@@ -398,7 +378,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    run = _Run()
+    run = _Run(args.command)
     try:
         return args.fn(args, run)
     except UsageError as exc:

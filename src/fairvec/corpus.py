@@ -14,6 +14,7 @@ dominant group, one small catch-all "Other", and several small groups.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -96,7 +97,29 @@ class CorpusSpec:
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
-        return cls(**json.loads(text))
+        """InvalidSpec unless text is a JSON object whose every key is a field
+        and whose every value has that field's type."""
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise InvalidSpec(f"spec must be a JSON object, got {obj!r}")
+        defaults = asdict(cls())
+        for key, value in obj.items():
+            if key not in defaults:
+                raise InvalidSpec(f"unknown spec field {key!r}")
+            per_group = key in ("base_rates", "bias") and _like(value, {})
+            if not (per_group or _like(value, defaults[key])):
+                raise InvalidSpec(f"spec field {key!r} has the wrong type: {value!r}")
+        return cls(**obj)
+
+
+def _like(value, default) -> bool:
+    """Whether a JSON value has the type of a field whose default is default:
+    a float field takes any finite number, a dict one an object of them."""
+    if isinstance(default, dict):
+        return isinstance(value, dict) and all(_like(v, 0.0) for v in value.values())
+    if isinstance(default, float):
+        return type(value) is int or type(value) is float and math.isfinite(value)
+    return type(value) is type(default)
 
 
 @dataclass(frozen=True)

@@ -374,9 +374,7 @@ def _report(attribute: str, names: list[str], table) -> GroupReport:
     )
 
 
-def evaluate(
-    records, attribute: str, threshold: float = DEFAULT_THRESHOLD
-) -> GroupReport:
+def evaluate(records, attribute: str) -> GroupReport:
     """Assemble accuracy, selection rates, DPD, and EOD into one report.
 
     EmptyGroup for no records or a record that lacks the attribute;

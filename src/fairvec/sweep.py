@@ -60,6 +60,8 @@ class SweepConfig:
                 f"criterion must be one of {', '.join(OVERALL_METRICS)}, "
                 f"got {self.criterion!r}"
             )
+        if self.split not in ("train", "test"):
+            raise ValueError(f"split must be train or test, got {self.split!r}")
 
     def canonical_json(self) -> str:
         return json.dumps(asdict(self), sort_keys=True, separators=(",", ":"))

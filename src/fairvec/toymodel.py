@@ -358,9 +358,8 @@ def train_lora(
     hyper: Hyper,
     rank: int = 8,
     alpha: float = 16.0,
-    train_bias: bool = True,
 ) -> tuple[Checkpoint, LoraAdapter]:
-    """Low-rank analogue: W1 frozen, only the (A, B) factors are trained.
+    """Low-rank analogue: W1 frozen, the (A, B) factors and b2 are trained.
 
     A starts from zero-mean N(0, 0.01) draws and B from zero, so the initial
     delta is exactly zero. The merged checkpoint carries W1 + (alpha/r) A B.
@@ -396,8 +395,7 @@ def train_lora(
                 (A - lr * scaling * (grads["W1"] @ B.T)).astype(np.float32),
                 (B - lr * scaling * (A.T @ grads["W1"])).astype(np.float32),
             )
-            if train_bias:
-                arrays["b2"] = (arrays["b2"] - lr * grads["b2"]).astype(np.float32)
+            arrays["b2"] = (arrays["b2"] - lr * grads["b2"]).astype(np.float32)
 
     adapter = LoraAdapter(A=A, B=B, rank=rank, alpha=alpha)
     merged_arrays = dict(arrays)

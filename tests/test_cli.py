@@ -165,6 +165,11 @@ def test_sweep_cli(workdir):
         ({"criterion": "bogus"}, "criterion must be one of"),
         ({"threshold": 1.5}, "threshold must lie in (0,1)"),
         ({"seeds": [13, 14]}, "seed 14 has no entry in runs"),
+        ({"grid": 5}, "sweep config 'grid' must be a list, got 5"),
+        ({"seeds": 13}, "sweep config 'seeds' must be a list, got 13"),
+        ({"runs": [13]}, "sweep config 'runs' must be an object, got [13]"),
+        ({"data_dir": 7}, "sweep config 'data_dir' must be a string, got 7"),
+        ({"split": "dev"}, "split must be train or test, got 'dev'"),
     ],
 )
 def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
@@ -184,6 +189,46 @@ def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
     assert proc.stderr.startswith("error: ") and reason in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_sweep_config_not_an_object_exit_2(tmp_path):
+    (tmp_path / "sweep.json").write_text("[1]")
+    proc = run_cli(["sweep", "--config", "sweep.json", "-o", "run"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: sweep config must be a JSON object, got [1]\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_sweep_manifest_digests_are_of_what_it_read(workdir, tmp_path):
+    """run_manifest.json holds the config, the evaluated split and every
+    checkpoint; the corpus's spec.json and other split are not read."""
+    (tmp_path / "data").mkdir()
+    shutil.copy(workdir / "data" / "train.jsonl", tmp_path / "data" / "train.jsonl")
+    for name in ("base.ckpt", "vA.ckpt"):
+        shutil.copy(workdir / name, tmp_path / name)
+    cfg = {"mode": "merge", "grid": [0.0, 1.0], "seeds": [13], "attribute": "g",
+           "data_dir": "data",
+           "runs": {"13": {"base": "base.ckpt", "vectors": ["vA.ckpt"]}}}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    proc = run_cli(["sweep", "--config", "sweep.json", "-o", "run"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    checkpoints = {p: _sha256(tmp_path / p) for p in ("base.ckpt", "vA.ckpt")}
+    manifest = json.loads((tmp_path / "run" / "run_manifest.json").read_text())
+    assert manifest["command"] == "sweep"
+    assert manifest["input_digests"] == {
+        "sweep.json": _sha256(tmp_path / "sweep.json"),
+        str(Path("data", "train.jsonl")): _sha256(tmp_path / "data" / "train.jsonl"),
+        **checkpoints,
+    }
+    emitted = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    assert emitted["input_digests"] == checkpoints
+
+    cfg["split"] = "test"
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    proc = run_cli(["sweep", "--config", "sweep.json", "-o", "run2"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: no such file: {Path('data', 'test.jsonl')}\n"
+    assert not (tmp_path / "run2").exists()
 
 
 def test_sweep_bad_mode(workdir):
@@ -435,3 +480,55 @@ def test_train_toy_bad_corpus_line_exit_2(workdir, tmp_path, line, reason):
     assert proc.stderr.startswith(prefix) and reason in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "never.ckpt").exists()
+
+
+def test_apply_missing_vector_exit_2(workdir):
+    proc = run_cli(["apply", "base.ckpt", "absent.ckpt", "-o", "x.ckpt"], workdir)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: no such file: absent.ckpt\n"
+    assert not (workdir / "x.ckpt").exists()
+
+
+def test_apply_non_checkpoint_exit_1(workdir):
+    write_hand_built_preds(workdir / "hand.jsonl")
+    proc = run_cli(["apply", "base.ckpt", "hand.jsonl", "-o", "x.ckpt"], workdir)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: MalformedHeader: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (workdir / "x.ckpt").exists()
+
+
+def test_gen_data_missing_spec_exit_2(tmp_path):
+    proc = run_cli(["gen-data", "--spec", "absent.json", "-o", "data"], tmp_path)
+    assert proc.returncode == 2
+    assert proc.stderr == "error: no such file: absent.json\n"
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"bogus": 1}', "unknown spec field 'bogus'"),
+        ("[1]", "spec must be a JSON object, got [1]"),
+        ('{"total": "many"}', "spec field 'total' has the wrong type: 'many'"),
+        ('{"proportions": {"A": 0.5, "B": 0.6}}', "proportions sum to"),
+    ],
+)
+def test_gen_data_invalid_spec_exit_1(tmp_path, text, reason):
+    (tmp_path / "spec.json").write_text(text)
+    proc = run_cli(["gen-data", "--spec", "spec.json", "-o", "data"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: InvalidSpec: ") and reason in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "data").exists()
+
+
+def test_train_toy_missing_base_exit_2(workdir):
+    proc = run_cli(
+        ["train-toy", "--data", "data", "--seed", "13", "--dim", "16", "--hidden", "2",
+         "--epochs", "1", "--base", "absent.ckpt", "-o", "never.ckpt"],
+        workdir,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == "error: no such file: absent.ckpt\n"
+    assert not (workdir / "never.ckpt").exists()

@@ -105,6 +105,39 @@ def test_invalid_specs(kw):
         small_spec(**kw)
 
 
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        ('{"bogus": 1}', "unknown spec field 'bogus'"),
+        ("[1]", "spec must be a JSON object, got [1]"),
+        ('"spec"', "spec must be a JSON object, got 'spec'"),
+        ('{"total": "many"}', "spec field 'total' has the wrong type: 'many'"),
+        ('{"total": 1.5}', "spec field 'total' has the wrong type: 1.5"),
+        ('{"seed": true}', "spec field 'seed' has the wrong type: True"),
+        ('{"attribute": 3}', "spec field 'attribute' has the wrong type: 3"),
+        ('{"proportions": [1]}', "spec field 'proportions' has the wrong type: [1]"),
+        ('{"proportions": {"A": "half"}}', "spec field 'proportions' has the wrong type"),
+        ('{"signal_frac": NaN}', "spec field 'signal_frac' has the wrong type: nan"),
+        ('{"bias": {"A": null}}', "spec field 'bias' has the wrong type"),
+        ('{"base_rates": "0.3"}', "spec field 'base_rates' has the wrong type"),
+    ],
+)
+def test_spec_from_json_rejects_bad_fields(text, reason):
+    with pytest.raises(InvalidSpec) as info:
+        CorpusSpec.from_json(text)
+    assert reason in str(info.value)
+
+
+def test_spec_from_json_types():
+    with pytest.raises(InvalidSpec, match="proportions must be positive"):
+        CorpusSpec.from_json('{"proportions": {"A": 1, "B": 0}, "total": 40}')
+    spec = CorpusSpec.from_json(
+        '{"proportions": {"A": 0.5, "B": 0.5}, "total": 40, "signal_frac": 1,'
+        ' "base_rates": {"A": 0.2}, "bias": 2}'
+    )
+    assert spec.signal_frac == 1 and spec.base_rates == {"A": 0.2} and spec.bias == 2
+
+
 def test_spec_json_roundtrip():
     spec = small_spec(bias={"A": 2.0, "B": 0.0})
     back = CorpusSpec.from_json(spec.to_json())

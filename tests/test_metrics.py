@@ -363,7 +363,7 @@ def test_prediction_columns_report_equals_evaluate(log_path, lines, attribute, t
         return columns.report(y_pred)
 
     assert _outcome(columnar) == _outcome(
-        lambda: evaluate(load_predictions(log_path, threshold), attribute, threshold)
+        lambda: evaluate(load_predictions(log_path, threshold), attribute)
     )
 
 
