@@ -61,7 +61,9 @@ class _Run:
         self._digests = {}
         self._last = None
 
-    def read(self, path) -> bytes:
+    def read(self, path: str) -> bytes:
+        if not isinstance(path, str):
+            raise UsageError(f"input path must be a string, got {path!r}")
         try:
             with open(path, "rb") as fh:
                 blob = fh.read()
@@ -228,15 +230,34 @@ def cmd_train_toy(args, run):
     return EXIT_OK
 
 
-_KINDS = {dict: "an object", list: "a list", str: "a string"}
+_KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
+          float: "a number"}
 
 
-def _config_field(cfg, key, kind, default=None):
-    """cfg[key] (default if absent); UsageError unless it is a kind."""
-    value = cfg.get(key, default)
-    if not isinstance(value, kind):
-        raise UsageError(f"sweep config {key!r} must be {_KINDS[kind]}, got {value!r}")
+def _config_value(value, kind, name):
+    """value; UsageError unless it is a kind (float: any JSON number; no kind
+    takes a bool)."""
+    kinds = (int, float) if kind is float else kind
+    if isinstance(value, bool) or not isinstance(value, kinds):
+        raise UsageError(f"sweep config {name} must be {_KINDS[kind]}, got {value!r}")
     return value
+
+
+def _config_field(cfg, key, kind, default=None, within=""):
+    """cfg[key] (default if absent); UsageError unless it is a kind. within
+    names cfg's place in the config ("" at the top level)."""
+    return _config_value(cfg.get(key, default), kind, _config_name(key, within))
+
+
+def _config_list(cfg, key, kind, default=None, within=""):
+    """cfg[key] (default if absent); UsageError unless it is a list of kinds."""
+    name = _config_name(key, within)
+    items = _config_value(cfg.get(key, default), list, name)
+    return [_config_value(v, kind, f"{name}[{j}]") for j, v in enumerate(items)]
+
+
+def _config_name(key, within):
+    return f"{within}[{key!r}]" if within else repr(key)
 
 
 def cmd_sweep(args, run):
@@ -247,49 +268,48 @@ def cmd_sweep(args, run):
     if mode not in ("merge", "inject"):
         raise UsageError(f"sweep mode must be merge or inject, got {mode!r}")
 
-    grid = _config_field(cfg, "grid", list, []) or (
+    grid = _config_list(cfg, "grid", float, []) or (
         sweep_mod.MERGE_GRID if mode == "merge" else sweep_mod.INJECT_GRID
     )
-    seeds = _config_field(cfg, "seeds", list, sweep_mod.DEFAULT_SEEDS)
     config = SweepConfig(
         grid=[float(v) for v in grid],
-        seeds=[int(s) for s in seeds],
-        attribute=cfg.get("attribute", "gender"),
-        threshold=float(cfg.get("threshold", 0.5)),
+        seeds=_config_list(cfg, "seeds", int, sweep_mod.DEFAULT_SEEDS),
+        attribute=_config_field(cfg, "attribute", str, "gender"),
+        threshold=float(_config_field(cfg, "threshold", float, 0.5)),
         criterion=cfg.get("criterion", "macro_accuracy"),
         split=cfg.get("split", "train"),
     )
     data_dir = _config_field(cfg, "data_dir", str)
+    runs = _config_field(cfg, "runs", dict)
+    # each seed's checkpoint paths: (base, [vectors]) or (sft, [vector])
+    first, rest = ("base", "vectors") if mode == "merge" else ("sft", "vector")
+    paths = {}
+    for seed_str, entry in runs.items():
+        within = f"'runs'[{seed_str!r}]"
+        _config_value(entry, dict, within)
+        paths[int(seed_str)] = (
+            _config_field(entry, first, str, within=within),
+            _config_list(entry, rest, str, within=within) if mode == "merge"
+            else [_config_field(entry, rest, str, within=within)],
+        )
+    for seed in config.seeds:
+        if seed not in paths:
+            raise UsageError(f"seed {seed} has no entry in runs")
     split_path = os.path.join(data_dir, f"{config.split}.jsonl")
     eval_data = corpus.parse_examples(run.text(split_path), split_path)
 
-    runs = _config_field(cfg, "runs", dict)
-    run_seeds = {int(s) for s in runs}
-    for seed in config.seeds:
-        if seed not in run_seeds:
-            raise UsageError(f"seed {seed} has no entry in runs")
-    checkpoints = []
+    models, vectors, checkpoints = {}, {}, []
+    for seed, (one, many) in paths.items():
+        models[seed] = run.checkpoint(one)
+        vectors[seed] = [
+            arith.TaskVector.from_checkpoint(run.checkpoint(p)) for p in many
+        ]
+        checkpoints += [one, *many]
     if mode == "merge":
-        bases, vectors = {}, {}
-        for seed_str, paths in runs.items():
-            seed = int(seed_str)
-            bases[seed] = run.checkpoint(paths["base"])
-            vectors[seed] = [
-                arith.TaskVector.from_checkpoint(run.checkpoint(p))
-                for p in paths["vectors"]
-            ]
-            checkpoints += [paths["base"], *paths["vectors"]]
-        result = sweep_mod.lambda_sweep(bases, vectors, config, eval_data)
+        result = sweep_mod.lambda_sweep(models, vectors, config, eval_data)
     else:
-        sfts, worst = {}, {}
-        for seed_str, paths in runs.items():
-            seed = int(seed_str)
-            sfts[seed] = run.checkpoint(paths["sft"])
-            worst[seed] = arith.TaskVector.from_checkpoint(
-                run.checkpoint(paths["vector"])
-            )
-            checkpoints += [paths["sft"], paths["vector"]]
-        result = sweep_mod.inject_sweep(sfts, worst, config, eval_data)
+        worst = {seed: vecs[0] for seed, vecs in vectors.items()}
+        result = sweep_mod.inject_sweep(models, worst, config, eval_data)
 
     sweep_mod.emit(result, args.output, input_digests=run.digests(checkpoints))
     run.write_manifest(os.path.join(args.output, "run_manifest.json"), cfg)

@@ -7,6 +7,20 @@ positive examples, making the marker predictive of the label inside that
 group and thereby inducing measurable subgroup disparities. With bias 0 the
 markers carry no label information.
 
+Example ``index`` is defined by the draws of its own generator,
+``np.random.default_rng([seed, index])`` (``_gen_example``). ``gen_corpus``
+reads those draws off the generator's raw PCG64 words, as arrays over many
+examples at once. ``random()`` is ``(word >> 11) * 2**-53``; ``integers(n)``
+takes a 32-bit half (low half first, the high half kept for the next one)
+and maps it by Lemire's rule (arXiv 1805.10941). So word 0 gives the group,
+word 1 the label and word 2's low half the length, and token t takes its
+double from word ``3 + t + t // 2`` and its integer from the high half of
+the word before (t even) or the low half of the word after (t odd). A row
+for which Lemire's rule rejects a draw it uses, or a positive row in a group
+with bias > 0 (a ``poisson`` draw), comes from ``_gen_example``; so does
+every row of a spec with an integer range of size 1 (which draws no word)
+or of 2**32 or more.
+
 Default subgroup proportions follow a 7-group gender-style split with one
 dominant group, one small catch-all "Other", and several small groups.
 """
@@ -163,23 +177,86 @@ def _gen_example(spec: CorpusSpec, index: int) -> Example:
     )
 
 
+# Raw words per block of rows, so gen_corpus's transient arrays stay small
+# (170 rows at the defaults). Blocks of 1365 rows were no faster and left
+# ~0.3 MB more resident after a README-scale run.
+_BLOCK_WORDS = 1 << 13
+_LOW32 = np.uint64(0xFFFFFFFF)
+
+
+def _unit(words):
+    """Generator.random() from each raw word."""
+    return (words >> np.uint64(11)) * 2.0**-53
+
+
+def _lemire(draws, n):
+    """Generator.integers(n) from each 32-bit draw, and whether Lemire's rule
+    rejects the draw (numpy would then draw again)."""
+    m = draws * n
+    return m >> np.uint64(32), (m & _LOW32) < (2**32 - n) % n
+
+
+def _gen_examples(spec: CorpusSpec) -> list[Example]:
+    """[_gen_example(spec, i) for i in range(spec.total)], read off raw words."""
+    n_sig = max(1, int(spec.vocab_size * spec.signal_frac))
+    n_len = spec.tokens_max - spec.tokens_min + 1
+    if 1 in (n_sig, n_len) or max(n_sig, n_len, spec.vocab_size) >= 2**32:
+        return [_gen_example(spec, i) for i in range(spec.total)]
+    groups = spec.groups()
+    cum = np.cumsum([spec.proportions[g] for g in groups])
+    rates = np.array([spec.rate_for_all()[g] for g in groups])
+    biased = np.array([spec.bias_for_all()[g] > 0 for g in groups])
+    markers = [(f"grp={g}", f"grp={g}#2") for g in groups]
+    t = np.arange(spec.tokens_max)  # token t's words, as in the module docstring
+    double_at = 3 + t + t // 2
+    int_at = np.where(t % 2, double_at + 1, double_at - 1)
+    int_shift = np.where(t % 2, 0, 32).astype(np.uint64)
+    nw = 3 + spec.tokens_max + spec.tokens_max // 2
+    step = max(1, _BLOCK_WORDS // nw)
+    examples = []
+    for lo in range(0, spec.total, step):
+        idx = range(lo, min(lo + step, spec.total))
+        w = np.array([np.random.PCG64([spec.seed, i]).random_raw(nw) for i in idx])
+        g = np.searchsorted(cum, _unit(w[:, 0]), side="right")
+        y = _unit(w[:, 1]) < rates[g]
+        length, bad = _lemire(w[:, 2] & _LOW32, n_len)
+        length = length.astype(np.int64) + spec.tokens_min
+        p_sig = np.where(y, spec.p_signal_pos, spec.p_signal_neg)
+        sig = _unit(w[:, double_at]) < p_sig[:, None]
+        n = np.where(sig, np.uint64(n_sig), np.uint64(spec.vocab_size))
+        value, rejected = _lemire((w[:, int_at] >> int_shift) & _LOW32, n)
+        bad |= (rejected & (t < length[:, None])).any(axis=1) | y & biased[g]
+        rows = zip(idx, bad.tolist(), g.tolist(), y.tolist(), length.tolist(),
+                   sig.tolist(), value.tolist())
+        for i, b, gi, yi, k, s, v in rows:
+            if b:
+                examples.append(_gen_example(spec, i))
+                continue
+            tokens = [f"sig{x}" if si else f"tok{x}" for si, x in zip(s[:k], v[:k])]
+            examples.append(Example(f"ex{i:06d}", (*tokens, *markers[gi]), int(yi),
+                                    {spec.attribute: groups[gi]}))
+    return examples
+
+
 def gen_corpus(spec: CorpusSpec) -> tuple[list[Example], list[Example]]:
     """Generate examples and a stratified 80/20 train/test split per subgroup."""
-    examples = [_gen_example(spec, i) for i in range(spec.total)]
-
+    examples = _gen_examples(spec)
+    members: dict[str, list[int]] = {}
+    for i, ex in enumerate(examples):
+        members.setdefault(ex.groups[spec.attribute], []).append(i)
+    in_test = [False] * len(examples)
+    for gi, group in enumerate(spec.groups()):
+        rows = members.get(group, [])
+        if len(rows) > 1:
+            rng = np.random.default_rng([spec.seed, 1_000_000 + gi])
+            order = rng.permutation(len(rows))
+            for j in order[: max(1, round(0.2 * len(rows)))].tolist():
+                in_test[rows[j]] = True
     train: list[Example] = []
     test: list[Example] = []
-    groups = spec.groups()
-    for gi, group in enumerate(groups):
-        members = [ex for ex in examples if ex.groups[spec.attribute] == group]
-        if not members:
-            continue
-        rng = np.random.default_rng([spec.seed, 1_000_000 + gi])
-        order = rng.permutation(len(members))
-        n_test = max(1, round(0.2 * len(members))) if len(members) > 1 else 0
-        picked = set(order[:n_test].tolist())
-        for j, ex in enumerate(members):
-            (test if j in picked else train).append(ex)
+    for ex, is_test in zip(examples, in_test):
+        (test if is_test else train).append(ex)
+    # index order is id order only below index 10**6 ("ex1000000" < "ex100001")
     train.sort(key=lambda ex: ex.id)
     test.sort(key=lambda ex: ex.id)
     return train, test
@@ -220,11 +297,6 @@ def parse_examples(lines, path="<corpus>") -> list[Example]:
     return list(parse_jsonl(lines, path, _example))
 
 
-def load_examples(path: str | os.PathLike) -> list[Example]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_examples(fh, path)
-
-
 def save_corpus(spec: CorpusSpec, train, test, out_dir: str | os.PathLike) -> None:
     os.makedirs(out_dir, exist_ok=True)
     save_examples(train, os.path.join(out_dir, "train.jsonl"))
@@ -237,9 +309,3 @@ def load_spec(data_dir: str | os.PathLike) -> CorpusSpec:
     with open(os.path.join(data_dir, "spec.json"), "r", encoding="utf-8") as fh:
         return CorpusSpec.from_json(fh.read())
 
-
-def load_corpus(data_dir: str | os.PathLike):
-    spec = load_spec(data_dir)
-    train = load_examples(os.path.join(data_dir, "train.jsonl"))
-    test = load_examples(os.path.join(data_dir, "test.jsonl"))
-    return spec, train, test

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import run_cli
 from fairvec import TaskVector, read_checkpoint
-from fairvec.cli import build_parser, main
+from fairvec.cli import UsageError, _Run, build_parser, main
 
 DATA = Path(__file__).parent / "data"
 
@@ -170,6 +170,19 @@ def test_sweep_cli(workdir):
         ({"runs": [13]}, "sweep config 'runs' must be an object, got [13]"),
         ({"data_dir": 7}, "sweep config 'data_dir' must be a string, got 7"),
         ({"split": "dev"}, "split must be train or test, got 'dev'"),
+        ({"runs": {"13": ["b.ckpt"]}},
+         "sweep config 'runs'['13'] must be an object, got ['b.ckpt']"),
+        ({"grid": [0.0, None]}, "sweep config 'grid'[1] must be a number, got None"),
+        ({"seeds": [None]}, "sweep config 'seeds'[0] must be an integer, got None"),
+        ({"threshold": None}, "sweep config 'threshold' must be a number, got None"),
+        ({"attribute": ["g"]}, "sweep config 'attribute' must be a string, got ['g']"),
+        # a number would otherwise be opened as a file descriptor (0: stdin)
+        ({"runs": {"13": {"base": 0, "vectors": []}}},
+         "sweep config 'runs'['13']['base'] must be a string, got 0"),
+        ({"runs": {"13": {"base": "b.ckpt", "vectors": [1]}}},
+         "sweep config 'runs'['13']['vectors'][0] must be a string, got 1"),
+        ({"mode": "inject", "runs": {"13": {"sft": "s.ckpt", "vector": 3}}},
+         "sweep config 'runs'['13']['vector'] must be a string, got 3"),
     ],
 )
 def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
@@ -229,6 +242,15 @@ def test_sweep_manifest_digests_are_of_what_it_read(workdir, tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == f"error: no such file: {Path('data', 'test.jsonl')}\n"
     assert not (tmp_path / "run2").exists()
+
+
+def test_run_reads_only_string_paths():
+    run = _Run("test")
+    try:
+        with pytest.raises(UsageError, match="input path must be a string, got 0"):
+            run.read(0)
+    finally:
+        run.close()
 
 
 def test_sweep_bad_mode(workdir):

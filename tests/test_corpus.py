@@ -1,10 +1,16 @@
+import hashlib
+
+import numpy as np
 import pytest
 
+from fairvec import corpus
 from fairvec.corpus import (
     CorpusSpec,
+    _gen_example,
     default_proportions,
     gen_corpus,
-    load_corpus,
+    load_spec,
+    parse_examples,
     save_corpus,
 )
 from fairvec.errors import InvalidSpec
@@ -148,5 +154,115 @@ def test_save_load_corpus(tmp_path):
     spec = small_spec(total=100)
     train, test = gen_corpus(spec)
     save_corpus(spec, train, test, tmp_path / "data")
-    spec2, train2, test2 = load_corpus(tmp_path / "data")
+    spec2 = load_spec(tmp_path / "data")
+    train2, test2 = (_read_examples(tmp_path / "data" / f"{name}.jsonl")
+                     for name in ("train", "test"))
     assert spec2 == spec and train2 == train and test2 == test
+
+
+def _read_examples(path):
+    with open(path, encoding="utf-8") as fh:
+        return parse_examples(fh, path)
+
+
+# sha256 of save_corpus's train.jsonl and test.jsonl for the default 7-group
+# spec at seed 13 (the paper scale and the README scale)
+@pytest.mark.parametrize(
+    "total, train_sha, test_sha",
+    [
+        (3546, "65422728b7c5caf05a8b6e4859e14e48a71e60ce99e50aba6b6b68748903d657",
+         "663470fa8f6d75cc91a555546b2b82fabb0acaad1dc8130326b14aa3372614d0"),
+        (700, "0fd9cc6463eb26fcaf04a307150edd45c3d17c0c6767cb0fa53f5611d6e3e569",
+         "56b587bfadffa34e3b6fbc3c2b220957b44d16f30040f8bb3c2137bc5d3d055e"),
+    ],
+)
+def test_corpus_bytes_pinned(tmp_path, total, train_sha, test_sha):
+    spec = CorpusSpec(total=total, seed=13)
+    save_corpus(spec, *gen_corpus(spec), tmp_path)
+    digests = [hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in ("train.jsonl", "test.jsonl")]
+    assert digests == [train_sha, test_sha]
+
+
+def scalar_corpus(spec):
+    """gen_corpus by its definition: every example from its own generator,
+    then each group's members split by that group's permutation."""
+    examples = [_gen_example(spec, i) for i in range(spec.total)]
+    train, test = [], []
+    for gi, group in enumerate(spec.groups()):
+        members = [ex for ex in examples if ex.groups[spec.attribute] == group]
+        rng = np.random.default_rng([spec.seed, 1_000_000 + gi])
+        order = rng.permutation(len(members))
+        n_test = max(1, round(0.2 * len(members))) if len(members) > 1 else 0
+        picked = set(order[:n_test].tolist())
+        for j, ex in enumerate(members):
+            (test if j in picked else train).append(ex)
+    return sorted(train, key=lambda ex: ex.id), sorted(test, key=lambda ex: ex.id)
+
+
+def random_spec(case):
+    """A valid spec drawn from case: 2-7 groups, any token range, signal
+    sizes, label rates and biases."""
+    rng = np.random.default_rng([7, case])
+    k = int(rng.integers(2, 8))
+    weights = rng.random(k) + 0.1
+    tokens_min = int(rng.integers(1, 12))
+    base_rates = {f"G{j}": float(rng.uniform(0.05, 0.95)) for j in range(k)}
+    return CorpusSpec(
+        attribute="g",
+        proportions={f"G{j}": float(w) for j, w in enumerate(weights / weights.sum())},
+        total=int(rng.integers(10 * k, 300)),
+        base_rates=base_rates if rng.random() < 0.5 else float(rng.uniform(0.1, 0.9)),
+        bias=[0.0, float(rng.uniform(0.1, 3.0)), {"G0": 1.5}][int(rng.integers(3))],
+        vocab_size=int(rng.integers(10, 5000)),
+        tokens_min=tokens_min,
+        tokens_max=tokens_min + int(rng.integers(0, 40)),
+        signal_frac=float(rng.uniform(0.0, 1.0)),
+        p_signal_pos=float(rng.random()),
+        p_signal_neg=float(rng.random()),
+        seed=int(rng.integers(0, 2**31)),
+    )
+
+
+# Each case names which rows the raw-word layout reads: "all" of them, "none"
+# (the whole spec runs _gen_example) or "some" (rows with a rejected or a
+# poisson draw run _gen_example).
+PROPERTY_CASES = [
+    (dict(seed=13), "all"),
+    (dict(seed=21, total=700), "all"),
+    (dict(seed=14, bias=1.0), "some"),
+    (dict(seed=15, bias={"Women": 2.0, "Other": 0.5}), "some"),
+    (dict(seed=16, tokens_min=7, tokens_max=7), "none"),
+    (dict(seed=17, vocab_size=11, signal_frac=0.05), "none"),
+    (dict(seed=18, tokens_min=1, tokens_max=1, vocab_size=11, signal_frac=0.05), "none"),
+    (dict(seed=19, proportions={"A": 0.3, "B": 0.7}, attribute="g"), "all"),
+    (dict(seed=20, tokens_min=1, tokens_max=2), "all"),
+    # ~25% of the token draws are rejected, so nearly every row falls back
+    (dict(seed=22, vocab_size=3 * 2**30), "some"),
+    # ~1% of the draws are rejected: the two paths share most blocks
+    (dict(seed=23, vocab_size=4_250_000_000), "some"),
+    (dict(seed=24, vocab_size=2**32), "none"),
+]
+
+
+@pytest.mark.parametrize("kw, layout", PROPERTY_CASES)
+def test_gen_corpus_equals_scalar_definition(monkeypatch, kw, layout):
+    spec = CorpusSpec(**{"total": 400, **kw})
+    expected = scalar_corpus(spec)
+    fallback = []
+    monkeypatch.setattr(
+        corpus, "_gen_example", lambda s, i: fallback.append(i) or _gen_example(s, i)
+    )
+    assert gen_corpus(spec) == expected
+    if layout == "all":
+        assert fallback == []
+    elif layout == "none":
+        assert fallback == list(range(spec.total))
+    else:
+        assert 0 < len(fallback) < spec.total
+
+
+@pytest.mark.parametrize("case", range(40))
+def test_gen_corpus_equals_scalar_definition_random_specs(case):
+    spec = random_spec(case)
+    assert gen_corpus(spec) == scalar_corpus(spec)
