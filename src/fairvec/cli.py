@@ -209,21 +209,21 @@ def cmd_train_toy(args, run):
         )
     else:
         base = run.checkpoint(args.base) if args.base else None
+        meta = None
+        if args.group:
+            train_ex = toymodel.subgroup(train_ex, spec.attribute, args.group)
+            meta = {"subset": args.group}
         if args.lora:
             if base is None:
                 base = toymodel.init_model(args.dim, args.hidden, args.seed).to_checkpoint()
             ckpt, _ = toymodel.train_lora(
-                train_ex, base, hyper, rank=args.rank, alpha=args.alpha
+                train_ex, base, hyper, rank=args.rank, alpha=args.alpha, metadata=meta
             )
             config.update({"rank": args.rank, "alpha": args.alpha})
-        elif args.group:
-            ckpt = toymodel.train_subgroup(
-                train_ex, spec.attribute, args.group, hyper, dim=args.dim,
-                hidden=args.hidden, base=base,
-            )
         else:
             ckpt = toymodel.train(
-                train_ex, hyper, dim=args.dim, hidden=args.hidden, base=base
+                train_ex, hyper, dim=args.dim, hidden=args.hidden, base=base,
+                metadata=meta,
             )
     write_checkpoint(ckpt, args.output)
     run.write_manifest(args.output + ".manifest.json", config)

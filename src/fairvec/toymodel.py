@@ -6,6 +6,17 @@ initialization, the shuffle stream, and the LoRA init are all derived from
 independent substreams of the same seed, so pooled and per-subgroup runs
 share an identical starting point.
 
+A step (``loss_and_grads``) builds each intermediate in one fresh array
+and works on it in place: the hidden activations, the logits, their
+gradient and dZ. Its sigmoid takes one ``exp(-|z|)`` for both signs, and
+its loss is the sum of the per-row terms over the row count. Each gives the
+bytes of the plain expressions it replaces (``tests/step_reference.py``),
+and the loss is finite exactly when their mean is. A diverging run
+overflows and makes NaNs before its loss turns non-finite, so each
+training call runs under one ``np.errstate`` that ignores "over" and
+"invalid", and the non-finite loss raises ``DivergedTraining`` naming the
+epoch and step.
+
 Hashed features are sparse: a subgroup's examples touch only a few hundred
 of the 4096 buckets, and while the loss is finite a W1 row whose bucket no
 example touches gets an exact +0 gradient at every step. ``train`` therefore
@@ -125,6 +136,8 @@ class Hyper:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
 
 
 def init_model(dim: int = DEFAULT_DIM, hidden: int = DEFAULT_HIDDEN, seed: int = 13) -> ToyModel:
@@ -151,18 +164,23 @@ def _product(X: np.ndarray, W1: np.ndarray, panels) -> np.ndarray:
 
 
 def _forward(arrays: dict[str, np.ndarray], X: np.ndarray, panels=None):
-    Z = _product(X, arrays["W1"], panels) + arrays["b1"]
-    H = np.tanh(Z)
-    logit = H @ arrays["w2"] + arrays["b2"]
-    return Z, H, logit
+    """The hidden activations H and the logits of the rows of X, each built
+    in place in one fresh array."""
+    H = _product(X, arrays["W1"], panels)
+    H += arrays["b1"]
+    np.tanh(H, out=H)
+    logit = H @ arrays["w2"]
+    logit += arrays["b2"]
+    return H, logit
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, in z's
+    dtype: the one exp(-|z|) serves both, so no exp overflows."""
+    e = np.exp(-np.abs(z))
+    out = np.where(z >= 0, z.dtype.type(1), e)
+    e += 1
+    out /= e
     return out
 
 
@@ -176,19 +194,35 @@ def loss_and_grads(
 
     With panels, X holds the touched columns only and arrays["W1"] their
     rows (see _compact_panels); the W1 gradient is then of those rows.
+    The loss is the dtype's sum of the per-row terms over the row count, so
+    it is finite exactly when np.mean of the terms is. A diverging model
+    sets numpy's "over" and "invalid" flags (logaddexp(0, nan) is invalid);
+    the training loops ignore both.
     """
-    _, H, logit = _forward(arrays, X, panels)
+    H, logit = _forward(arrays, X, panels)
     # softplus(z) - y*z is BCE-with-logits, stable for large |z|
-    with np.errstate(invalid="ignore"):
-        loss = float(np.mean(np.logaddexp(0.0, logit) - y * logit))
-    dlogit = (_sigmoid(logit) - y) / len(y)
+    terms = np.logaddexp(0.0, logit)
+    terms -= y * logit
+    loss = float(np.add.reduce(terms)) / len(y)
+    dlogit = _sigmoid(logit)
+    dlogit -= y
+    dlogit /= len(y)
     dw2 = H.T @ dlogit
     db2 = dlogit.sum(dtype=dlogit.dtype).reshape(())
-    dH = np.outer(dlogit, arrays["w2"])
-    dZ = dH * (1.0 - H * H)
+    # dZ = (1 - H*H) * outer(dlogit, w2), built in one array
+    dZ = H * H
+    np.subtract(1.0, dZ, out=dZ)
+    dZ *= np.outer(dlogit, arrays["w2"])
     dW1 = X.T @ dZ
     db1 = dZ.sum(axis=0)
     return loss, {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
+
+
+def _check_loss(loss: float, epoch: int, step: int) -> None:
+    if not math.isfinite(loss):
+        raise DivergedTraining(
+            f"non-finite training loss {loss} at epoch {epoch}, step {step}"
+        )
 
 
 def _labels(examples) -> np.ndarray:
@@ -306,18 +340,16 @@ def train(
         arrays["W1"] = model.W1[cols]
     shuffle = np.random.default_rng([hyper.seed, 1])
     lr = np.float32(hyper.lr)
-    for epoch in range(hyper.epochs):
-        order = shuffle.permutation(len(examples))
-        for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
-            idx = order[start : start + hyper.batch_size]
-            panels = None if plan is None else plan[len(idx)]
-            loss, grads = loss_and_grads(arrays, X[idx], y[idx], panels)
-            if not math.isfinite(loss):
-                raise DivergedTraining(
-                    f"non-finite training loss {loss} at epoch {epoch}, step {step}"
-                )
-            for name in TENSOR_NAMES:
-                arrays[name] -= lr * grads[name]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            order = shuffle.permutation(len(examples))
+            for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
+                idx = order[start : start + hyper.batch_size]
+                panels = None if plan is None else plan[len(idx)]
+                loss, grads = loss_and_grads(arrays, X[idx], y[idx], panels)
+                _check_loss(loss, epoch, step)
+                for name in TENSOR_NAMES:
+                    arrays[name] -= lr * grads[name]
     if plan is not None:
         model.W1[cols] = arrays["W1"]
     return model.to_checkpoint(meta)
@@ -332,13 +364,18 @@ def train_subgroup(
     hidden: int = DEFAULT_HIDDEN,
     base: Checkpoint | None = None,
 ) -> Checkpoint:
+    return train(
+        subgroup(examples, attribute, group), hyper, dim=dim, hidden=hidden,
+        base=base, metadata={"subset": group},
+    )
+
+
+def subgroup(examples, attribute: str, group: str) -> list:
+    """The examples whose attribute is group; EmptyGroup when there are none."""
     subset = [ex for ex in examples if ex.groups.get(attribute) == group]
     if not subset:
         raise EmptyGroup(f"no training examples for {attribute}={group!r}")
-    return train(
-        subset, hyper, dim=dim, hidden=hidden, base=base,
-        metadata={"subset": group},
-    )
+    return subset
 
 
 @dataclass
@@ -358,14 +395,18 @@ def train_lora(
     hyper: Hyper,
     rank: int = 8,
     alpha: float = 16.0,
+    metadata: dict[str, str] | None = None,
 ) -> tuple[Checkpoint, LoraAdapter]:
     """Low-rank analogue: W1 frozen, the (A, B) factors and b2 are trained.
 
     A starts from zero-mean N(0, 0.01) draws and B from zero, so the initial
     delta is exactly zero. The merged checkpoint carries W1 + (alpha/r) A B.
+    Every operand is float32, so every update stays float32.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
+    if not math.isfinite(alpha):
+        raise ValueError(f"alpha must be finite, got {alpha}")
     if not examples:
         raise EmptyGroup("cannot train on an empty dataset")
     model = ToyModel.from_checkpoint(base).copy()
@@ -380,34 +421,32 @@ def train_lora(
     shuffle = np.random.default_rng([hyper.seed, 3])
     arrays = model.arrays()
     lr = np.float32(hyper.lr)
-    for epoch in range(hyper.epochs):
-        order = shuffle.permutation(len(examples))
-        for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
-            idx = order[start : start + hyper.batch_size]
-            eff = dict(arrays)
-            eff["W1"] = arrays["W1"] + scaling * (A @ B)
-            loss, grads = loss_and_grads(eff, X[idx], y[idx])
-            if not math.isfinite(loss):
-                raise DivergedTraining(
-                    f"non-finite training loss {loss} at epoch {epoch}, step {step}"
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            order = shuffle.permutation(len(examples))
+            for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
+                idx = order[start : start + hyper.batch_size]
+                eff = dict(arrays)
+                eff["W1"] = arrays["W1"] + scaling * (A @ B)
+                loss, grads = loss_and_grads(eff, X[idx], y[idx])
+                _check_loss(loss, epoch, step)
+                A, B = (
+                    A - lr * scaling * (grads["W1"] @ B.T),
+                    B - lr * scaling * (A.T @ grads["W1"]),
                 )
-            A, B = (
-                (A - lr * scaling * (grads["W1"] @ B.T)).astype(np.float32),
-                (B - lr * scaling * (A.T @ grads["W1"])).astype(np.float32),
-            )
-            arrays["b2"] = (arrays["b2"] - lr * grads["b2"]).astype(np.float32)
+                arrays["b2"] = arrays["b2"] - lr * grads["b2"]
 
     adapter = LoraAdapter(A=A, B=B, rank=rank, alpha=alpha)
     merged_arrays = dict(arrays)
-    merged_arrays["W1"] = (arrays["W1"] + scaling * (A @ B)).astype(np.float32)
-    merged = ToyModel(*(merged_arrays[n] for n in TENSOR_NAMES)).to_checkpoint(
-        {
-            "seed": str(hyper.seed),
-            "subset": "all",
-            "lora_rank": str(rank),
-            "lora_alpha": repr(float(alpha)),
-        }
-    )
+    merged_arrays["W1"] = arrays["W1"] + scaling * (A @ B)
+    meta = {
+        "seed": str(hyper.seed),
+        "subset": "all",
+        "lora_rank": str(rank),
+        "lora_alpha": repr(float(alpha)),
+    }
+    meta.update(metadata or {})
+    merged = ToyModel(*(merged_arrays[n] for n in TENSOR_NAMES)).to_checkpoint(meta)
     return merged, adapter
 
 
@@ -437,7 +476,7 @@ def score_features(
     arrays = model.arrays()
     if cols is not None:
         arrays["W1"] = model.W1[cols]
-    _, _, logit = _forward(arrays, X, panels)
+    _, logit = _forward(arrays, X, panels)
     return _sigmoid(logit.astype(np.float64))
 
 
@@ -502,32 +541,32 @@ def grad_check(
     X = featurize_all(examples, model.dim).astype(np.float64)
     y = _labels(examples).astype(np.float64)
     arrays = {n: a.astype(np.float64) for n, a in model.arrays().items()}
-    _, analytic = loss_and_grads(arrays, X, y)
-    if grads_override is not None:
-        analytic = grads_override
-
     rng = np.random.default_rng(seed)
     sizes = {n: arrays[n].size for n in TENSOR_NAMES}
     total = sum(sizes.values())
     picks = rng.choice(total, size=min(max(n_params, 100), total), replace=False)
 
     worst = 0.0
-    for flat in np.sort(picks):
-        offset = int(flat)
-        for name in TENSOR_NAMES:
-            if offset < sizes[name]:
-                break
-            offset -= sizes[name]
-        view = arrays[name].reshape(-1)
-        orig = view[offset]
-        view[offset] = orig + eps
-        lo_hi = [loss_and_grads(arrays, X, y)[0]]
-        view[offset] = orig - eps
-        lo_hi.append(loss_and_grads(arrays, X, y)[0])
-        view[offset] = orig
-        fd = (lo_hi[0] - lo_hi[1]) / (2 * eps)
-        g = float(analytic[name].reshape(-1)[offset])
-        # denominator floored: FD noise on near-zero gradients is ~1e-12
-        rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
-        worst = max(worst, rel)
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, analytic = loss_and_grads(arrays, X, y)
+        if grads_override is not None:
+            analytic = grads_override
+        for flat in np.sort(picks):
+            offset = int(flat)
+            for name in TENSOR_NAMES:
+                if offset < sizes[name]:
+                    break
+                offset -= sizes[name]
+            view = arrays[name].reshape(-1)
+            orig = view[offset]
+            view[offset] = orig + eps
+            lo_hi = [loss_and_grads(arrays, X, y)[0]]
+            view[offset] = orig - eps
+            lo_hi.append(loss_and_grads(arrays, X, y)[0])
+            view[offset] = orig
+            fd = (lo_hi[0] - lo_hi[1]) / (2 * eps)
+            g = float(analytic[name].reshape(-1)[offset])
+            # denominator floored: FD noise on near-zero gradients is ~1e-12
+            rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
+            worst = max(worst, rel)
     return worst

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import shutil
 import threading
 from pathlib import Path
@@ -304,6 +305,10 @@ def test_train_toy_missing_spec_exit_1(workdir, tmp_path):
         ("--hidden", "0", "dim and hidden must be >= 1"),
         ("--batch-size", "0", "batch size must be >= 1"),
         ("--epochs", "-3", "epochs must be >= 0"),
+        ("--lr", "nan", "learning rate must be finite and > 0"),
+        ("--lr", "inf", "learning rate must be finite and > 0"),
+        ("--lr", "0", "learning rate must be finite and > 0"),
+        ("--lr", "-1", "learning rate must be finite and > 0"),
     ],
 )
 def test_train_toy_bad_size_exit_2(workdir, flag, value, reason):
@@ -554,3 +559,58 @@ def test_train_toy_missing_base_exit_2(workdir):
     assert proc.returncode == 2
     assert proc.stderr == "error: no such file: absent.ckpt\n"
     assert not (workdir / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_train_toy_lora_bad_alpha_exit_2(workdir, alpha):
+    proc = run_cli(
+        ["train-toy", "--data", "data", "--seed", "13", "--dim", "16", "--hidden", "2",
+         "--epochs", "1", "--lora", "--alpha", alpha, "-o", "never.ckpt"],
+        workdir,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: invalid input: alpha must be finite, got {alpha}\n"
+    assert not (workdir / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize("lora", [[], ["--lora"]])
+def test_train_toy_diverging_exit_1_one_line(workdir, lora):
+    """A learning rate that overflows the weights fails with the one
+    DivergedTraining line and no numpy warning before it."""
+    proc = run_cli(
+        ["train-toy", "--data", "data", "--seed", "13", "--dim", "128", "--hidden", "8",
+         "--epochs", "3", "--lr", "1e38", *lora, "-o", "never.ckpt"],
+        workdir,
+    )
+    assert proc.returncode == 1
+    assert re.fullmatch(
+        r"error: DivergedTraining: non-finite training loss \S+ at epoch \d+, step \d+\n",
+        proc.stderr,
+    ), proc.stderr
+    assert not (workdir / "never.ckpt").exists()
+
+
+def test_train_toy_lora_trains_on_its_group(workdir, tmp_path):
+    from fairvec import corpus, toymodel
+
+    common = ["train-toy", "--data", str(workdir / "data"), "--seed", "13",
+              "--dim", "128", "--hidden", "8", "--epochs", "2", "--lora"]
+    for name, group in [("all", []), ("A", ["--group", "A"])]:
+        proc = run_cli([*common, *group, "-o", f"{name}.ckpt"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+    got = read_checkpoint(str(tmp_path / "A.ckpt"))
+    assert got.metadata["subset"] == "A"
+    assert got.tensors != read_checkpoint(str(tmp_path / "all.ckpt")).tensors
+
+    lines = (workdir / "data" / "train.jsonl").read_bytes().decode().splitlines()
+    examples = corpus.parse_examples(lines, "train.jsonl")
+    want, _ = toymodel.train_lora(
+        toymodel.subgroup(examples, "g", "A"), toymodel.init_model(128, 8, 13).to_checkpoint(),
+        toymodel.Hyper(epochs=2, seed=13),
+    )
+    assert got.tensors == want.tensors
+
+    proc = run_cli([*common, "--group", "NoSuchGroup", "-o", "never.ckpt"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: EmptyGroup: no training examples for g='NoSuchGroup'\n"
+    assert not (tmp_path / "never.ckpt").exists()

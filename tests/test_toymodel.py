@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import step_reference as ref
 from fairvec.ckpt import Checkpoint, Tensor
 from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
@@ -15,9 +16,11 @@ from fairvec.toymodel import (
     init_model,
     TENSOR_NAMES,
     _compact_panels,
+    _forward,
     _labels,
     _panels,
     _product,
+    _sigmoid,
     loss_and_grads,
     predict,
     score_features,
@@ -80,6 +83,12 @@ def test_diverged_training():
         train(ex, Hyper(epochs=1, seed=1), base=Checkpoint(tensors=bad))
     with pytest.raises(DivergedTraining, match="epoch 0, step 0"):
         train_lora(ex, Checkpoint(tensors=bad), Hyper(epochs=1, seed=1))
+
+
+@pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_bad_learning_rate(lr):
+    with pytest.raises(ValueError, match="learning rate must be finite and > 0"):
+        Hyper(lr=lr)
 
 
 def test_empty_dataset():
@@ -149,6 +158,20 @@ class TestLora:
         base = init_model(DIM, HID, 13).to_checkpoint()
         with pytest.raises(ValueError):
             train_lora(tr, base, Hyper(epochs=1), rank=0)
+
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    def test_non_finite_alpha(self, corpus, alpha):
+        _, tr, _ = corpus
+        base = init_model(DIM, HID, 13).to_checkpoint()
+        with pytest.raises(ValueError, match="alpha must be finite"):
+            train_lora(tr, base, Hyper(epochs=1), alpha=alpha)
+
+    def test_updates_stay_float32(self, corpus):
+        _, tr, _ = corpus
+        base = init_model(DIM, HID, 13).to_checkpoint()
+        merged, adapter = train_lora(tr, base, Hyper(epochs=2, seed=13), metadata={"subset": "A"})
+        assert adapter.A.dtype == adapter.B.dtype == np.float32
+        assert merged.metadata["subset"] == "A"
 
 
 class TestPredict:
@@ -228,7 +251,8 @@ class TestGradCheck:
 
 def dense_train_reference(examples, hyper, dim, hidden, base=None):
     """The dense training loop that compact training must reproduce:
-    a full X.T @ dZ gradient and a fresh copy of every tensor per step."""
+    the reference step (a full X.T @ dZ gradient) and a fresh copy of every
+    tensor per step."""
     model = (
         ToyModel.from_checkpoint(base) if base is not None
         else init_model(dim, hidden, hyper.seed)
@@ -242,7 +266,7 @@ def dense_train_reference(examples, hyper, dim, hidden, base=None):
         order = shuffle.permutation(len(examples))
         for start in range(0, len(examples), hyper.batch_size):
             idx = order[start : start + hyper.batch_size]
-            loss, grads = loss_and_grads(arrays, X[idx], y[idx])
+            loss, grads = ref.loss_and_grads(arrays, X[idx], y[idx])
             for name in TENSOR_NAMES:
                 arrays[name] = (arrays[name] - lr * grads[name]).astype(np.float32)
     return ToyModel(*(arrays[n] for n in TENSOR_NAMES)).to_checkpoint()
@@ -387,3 +411,116 @@ class TestScoringPanels:
         poisoned.W1[:] = np.nan
         got = SplitScorer(tr, poisoned).scores(later)
         assert got.tobytes() == score_features(later, dense).tobytes()
+
+
+# logits at the edges of the sigmoid and the loss: signed zeros, tiny values,
+# where float32 exp(-|z|) nears its smallest normal, near float32's largest
+# value, infinities and NaN
+SPECIAL_LOGITS = (0.0, -0.0, 1e-30, -1e-30, 88.0, -88.0, 1e38, -1e38,
+                  np.inf, -np.inf, np.nan)
+
+
+def same_bits(a, b):
+    """a and b have one dtype and shape and the same bytes, except that a NaN
+    may be any NaN."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (
+        a.dtype == b.dtype and a.shape == b.shape
+        and np.array_equal(nan, np.isnan(b))
+        and a[~nan].tobytes() == b[~nan].tobytes()
+    )
+
+
+class TestLeanStep:
+    """The package's step (in place, one exp per sigmoid, the loss as a sum
+    over the row count) gives the reference step's gradient bytes and loss
+    (tests/step_reference.py), and its loss is finite exactly when the
+    reference's is."""
+
+    DIM, HIDDEN = 64, 8
+
+    @staticmethod
+    def assert_same_step(arrays, X, y, panels=None):
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grads = loss_and_grads(arrays, X, y, panels)
+            want_loss, want = ref.loss_and_grads(arrays, X, y, panels)
+        assert np.isfinite(loss) == np.isfinite(want_loss)
+        if np.isfinite(loss):
+            # the float32 mean and the float64 quotient of the float32 sum
+            # round to the same float32
+            assert np.dtype(X.dtype).type(loss) == np.dtype(X.dtype).type(want_loss)
+        for name in TENSOR_NAMES:
+            assert same_bits(grads[name], want[name]), name
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_sigmoid_bytes(self, dtype):
+        tiny = np.finfo(dtype).smallest_subnormal
+        rng = np.random.default_rng(0)
+        z = np.concatenate([
+            np.array(SPECIAL_LOGITS + (tiny, -tiny, 5 * tiny, -5 * tiny), dtype),
+            rng.standard_normal(200).astype(dtype) * dtype(30),
+        ])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = _sigmoid(z)
+        assert same_bits(got, ref._sigmoid(z))
+        assert not np.signbit(got[~np.isnan(got)]).any()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("compact", [False, True])
+    @pytest.mark.parametrize("b2", [None, *SPECIAL_LOGITS])
+    def test_step_bytes(self, dtype, compact, b2):
+        """Random models at batch sizes 1-32; b2 sets every logit to a
+        special value (w2 = 0) or shifts random ones."""
+        rng = np.random.default_rng(int(compact))
+        arrays = {
+            "W1": rng.standard_normal((self.DIM, self.HIDDEN)).astype(dtype),
+            "b1": rng.standard_normal(self.HIDDEN).astype(dtype),
+            "w2": rng.standard_normal(self.HIDDEN).astype(dtype) * dtype(4),
+            "b2": np.array(0.0 if b2 is None else b2, dtype),
+        }
+        if b2 is not None and abs(b2) < 1:
+            arrays["w2"][:] = 0
+        X = rng.poisson(0.3, (32, self.DIM)).astype(dtype)
+        y = (rng.random(32) < 0.5).astype(dtype)
+        panels = _panels(self.DIM, np.arange(self.DIM), 16) if compact else None
+        for rows in range(1, 33):
+            self.assert_same_step(arrays, X[:rows], y[:rows], panels)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_step_bytes_on_given_logits(self, dtype, monkeypatch):
+        """Every special logit in one batch, next to finite ones, and hidden
+        activations at exactly 0 and +-1: the forward is replaced by one
+        that returns them, for both steps."""
+        rng = np.random.default_rng(1)
+        logit = np.concatenate([
+            np.array(SPECIAL_LOGITS, dtype), rng.standard_normal(21).astype(dtype)
+        ])
+        H = np.tanh(rng.standard_normal((32, self.HIDDEN)) * 3).astype(dtype)
+        H[:3] = [[0.0], [1.0], [-1.0]]
+        arrays = {"W1": None, "b1": None, "w2": rng.standard_normal(self.HIDDEN).astype(dtype)}
+        X = rng.poisson(0.3, (32, self.DIM)).astype(dtype)
+        y = (rng.random(32) < 0.5).astype(dtype)
+        for rows in range(1, 33):
+            order = rng.permutation(32)[:rows]
+            monkeypatch.setattr(
+                "fairvec.toymodel._forward",
+                lambda *_: (H[order].copy(), logit[order].copy()),
+            )
+            monkeypatch.setattr(
+                ref, "_forward",
+                lambda *_: (None, H[order].copy(), logit[order].copy()),
+            )
+            self.assert_same_step(arrays, X[order], y[order])
+
+    def test_float32_sum_overflow_diverges(self):
+        """Finite logits whose float32 sum of losses overflows: every row's
+        loss is 1.1e37, and 32 of them pass float32's 3.4e38."""
+        ex = [ex for ex in separable_examples(80) if ex.y_true == 0]
+        model = init_model(DIM, HID, 1)
+        model.w2[:] = 0
+        model.b2[...] = 1.1e37
+        _, logit = _forward(model.arrays(), featurize_all(ex[:32], DIM))
+        assert np.isfinite(logit).all()
+        with pytest.raises(DivergedTraining, match=r"loss inf at epoch 0, step 0"):
+            train(ex, Hyper(epochs=1, seed=1), base=model.to_checkpoint())
