@@ -126,11 +126,11 @@ def cmd_diff(args, run):
     return EXIT_OK
 
 
-def cmd_apply(args, run):
-    base = run.checkpoint(args.base)
+def cmd_edit(args, run):
+    """apply and inject: model + lambda * vector, one-part merge."""
+    model = run.checkpoint(args.model)
     tv = arith.TaskVector.from_checkpoint(run.checkpoint(args.vector))
-    out = arith.merge(base, [arith.WeightedVector(tv, args.lam)])
-    write_checkpoint(out, args.output)
+    write_checkpoint(arith.inject(model, tv, args.lam), args.output)
     run.write_manifest(args.output + ".manifest.json", {"lambda": args.lam})
     return EXIT_OK
 
@@ -147,15 +147,6 @@ def cmd_merge(args, run):
     run.write_manifest(
         args.output + ".manifest.json", {"vectors": [list(v) for v in vecs]}
     )
-    return EXIT_OK
-
-
-def cmd_inject(args, run):
-    sft = run.checkpoint(args.sft)
-    tv = arith.TaskVector.from_checkpoint(run.checkpoint(args.vector))
-    out = arith.inject(sft, tv, args.lam)
-    write_checkpoint(out, args.output)
-    run.write_manifest(args.output + ".manifest.json", {"lambda": args.lam})
     return EXIT_OK
 
 
@@ -200,8 +191,8 @@ def cmd_train_toy(args, run):
     )
     config = {
         "seed": args.seed, "epochs": args.epochs, "lr": args.lr,
-        "batch_size": args.batch_size, "dim": args.dim, "hidden": args.hidden,
-        "group": args.group, "lora": args.lora, "init_only": args.init_only,
+        "batch_size": args.batch_size, "group": args.group, "lora": args.lora,
+        "init_only": args.init_only,
     }
     if args.init_only:
         ckpt = toymodel.init_model(args.dim, args.hidden, args.seed).to_checkpoint(
@@ -225,6 +216,8 @@ def cmd_train_toy(args, run):
                 train_ex, hyper, dim=args.dim, hidden=args.hidden, base=base,
                 metadata=meta,
             )
+    # the written model's shape: with --base it is the base's, not --dim/--hidden
+    config["dim"], config["hidden"] = ckpt.tensors["W1"].shape
     write_checkpoint(ckpt, args.output)
     run.write_manifest(args.output + ".manifest.json", config)
     return EXIT_OK
@@ -335,11 +328,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("apply", help="base + lambda * vector")
-    p.add_argument("base")
+    p.add_argument("model", metavar="base")
     p.add_argument("vector")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_apply)
+    p.set_defaults(fn=cmd_edit)
 
     p = sub.add_parser("merge", help="base + sum_i lambda_i * vector_i")
     p.add_argument("base")
@@ -349,11 +342,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_merge)
 
     p = sub.add_parser("inject", help="sft + lambda * worst-subgroup vector")
-    p.add_argument("sft")
+    p.add_argument("model", metavar="sft")
     p.add_argument("vector")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("-o", "--output", required=True)
-    p.set_defaults(fn=cmd_inject)
+    p.set_defaults(fn=cmd_edit)
 
     p = sub.add_parser("eval", help="fairness report from a prediction log")
     p.add_argument("--preds", required=True)

@@ -48,6 +48,8 @@ class SweepConfig:
     def __post_init__(self):
         if not self.seeds:
             raise ValueError("seeds must be nonempty")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if not self.grid:
             raise ValueError("grid must be nonempty")
         if any(not math.isfinite(v) for v in self.grid):
@@ -207,7 +209,8 @@ def inject_sweep(
 
 
 def select_lambda(result: SweepResult, criterion=None) -> float:
-    """Grid value maximizing the across-seed mean criterion; ties go low."""
+    """Grid value maximizing the across-seed mean criterion; ties go low. As in
+    aggregates(), a point where any seed's value is None is skipped."""
     if criterion is None:
         criterion = result.config.criterion
     if callable(criterion):
@@ -218,9 +221,14 @@ def select_lambda(result: SweepResult, criterion=None) -> float:
     best_lam, best_mean = None, None
     for lam in result.config.grid:
         values = [key(r.report) for r in result.rows_at(lam)]
+        if any(v is None for v in values):
+            continue
         mean = statistics.fmean(values)
         if best_mean is None or mean > best_mean:
             best_lam, best_mean = lam, mean
+    if best_lam is None:
+        name = getattr(criterion, "__name__", criterion)
+        raise InsufficientGroups(f"{name} is undefined at every grid point")
     return best_lam
 
 

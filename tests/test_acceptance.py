@@ -19,6 +19,7 @@ from fairvec.arith import add, apply, diff, inject, merge, negate, scale
 from fairvec.arith import WeightedVector
 from fairvec.ckpt import read_checkpoint, write_checkpoint
 from fairvec.corpus import CorpusSpec, gen_corpus
+from fairvec import protocol
 from fairvec.errors import CheckpointError
 from fairvec.metrics import (
     PredictionRecord,
@@ -34,10 +35,8 @@ from fairvec.sweep import (
     MERGE_GRID,
     SweepConfig,
     emit,
-    inject_sweep,
     lambda_sweep,
     select_lambda,
-    worst_subgroups,
 )
 from fairvec.toymodel import (
     Hyper,
@@ -255,77 +254,54 @@ def test_criterion_5_lora_rank_bound():
             assert int((sv > 1e-5 * sv[0]).sum()) <= 8
 
 
-def test_criterion_6_protocol_reproduction():
+def test_criterion_6_protocol_reproduction(tmp_path):
     with criterion(6, "end-to-end protocol reproduction"):
         started = time.perf_counter()
-        DIM, HID = 512, 16
         seeds = [13, 14, 15]
-        attr = "gender"
-
-        bases, vectors, ffts, trains, group_lists = {}, {}, {}, {}, {}
-        for seed in seeds:
-            spec = CorpusSpec(total=700, seed=seed)
-            tr, _ = gen_corpus(spec)
-            hy = Hyper(epochs=200, seed=seed)
-            bases[seed] = init_model(DIM, HID, seed).to_checkpoint()
-            group_lists[seed] = spec.groups()
-            vectors[seed] = [
-                diff(
-                    train_subgroup(tr, attr, g, hy, dim=DIM, hidden=HID),
-                    bases[seed],
-                )
-                for g in spec.groups()
-            ]
-            ffts[seed] = train(tr, hy, dim=DIM, hidden=HID)
-            trains[seed] = tr
+        attr = protocol.ATTRIBUTE
+        out = protocol.run(tmp_path, seeds, total=700, dim=512, hidden=16, epochs=200)
+        runs, res, inj = out.seeds, out.merge, out.inject
+        assert list(runs) == seeds
 
         # (b) grid shapes
         assert len(MERGE_GRID) == 11 and MERGE_GRID[1] - MERGE_GRID[0] == 0.1
         assert len(INJECT_GRID) == 6 and INJECT_GRID[1] - INJECT_GRID[0] == 0.2
 
-        cfg = SweepConfig(grid=MERGE_GRID, seeds=seeds, attribute=attr)
-        res = lambda_sweep(bases, vectors, cfg, trains)
-
         # (a) the zero-coefficient rows reproduce the base evaluation exactly
         for seed in seeds:
-            base_eval = evaluate(predict(bases[seed], trains[seed]), attr)
+            base_eval = evaluate(predict(runs[seed].base, runs[seed].train), attr)
             row = [r for r in res.rows if r.lam == 0.0 and r.seed == seed][0]
             assert row.report == base_eval
 
         # (c) selected merge stays within 2 points of full fine-tuning
         lam_star = select_lambda(res)
         merged_mean = res.aggregates()[lam_star]["macro_accuracy"]["mean"]
-        fft_reports = {
-            s: evaluate(predict(ffts[s], trains[s]), attr) for s in seeds
-        }
-        fft_mean = statistics.fmean(
-            r.macro_accuracy for r in fft_reports.values()
-        )
+        for seed in seeds:
+            fft_eval = evaluate(predict(runs[seed].fft, runs[seed].train), attr)
+            assert runs[seed].report == fft_eval
+        fft_mean = statistics.fmean(r.report.macro_accuracy for r in runs.values())
         assert fft_mean - merged_mean < 0.02
 
         # (d) worst-subgroup selection: catch-all excluded, top 2 by disparity
         for seed in seeds:
-            worst = worst_subgroups(fft_reports[seed], k=2)
+            worst = runs[seed].worst
             assert len(worst) == 2 and "Other" not in worst
             scores = {
                 r.group: (r.dpd_ovr + r.eod_ovr) / 2
-                for r in fft_reports[seed].rows
+                for r in runs[seed].report.rows
                 if r.group != "Other" and r.eod_ovr is not None
             }
             floor = min(scores[g] for g in worst)
             assert all(scores[g] <= floor or g in worst for g in scores)
 
         # injection grid against each seed's worst subgroup vector
-        worst_vec = {
-            s: vectors[s][group_lists[s].index(worst_subgroups(fft_reports[s])[0])]
-            for s in seeds
-        }
-        inj_cfg = SweepConfig(grid=INJECT_GRID, seeds=seeds, attribute=attr)
-        inj = inject_sweep(ffts, worst_vec, inj_cfg, trains)
         assert len(inj.rows) == 6 * len(seeds)
-        for seed in seeds:
+        for seed, run in runs.items():
             zero = [r for r in inj.rows if r.lam == 0.0 and r.seed == seed][0]
-            assert zero.report == fft_reports[seed]
+            assert zero.report == run.report
+            one = [r for r in inj.rows if r.lam == 1.0 and r.seed == seed][0]
+            edited = inject(run.fft, run.vectors[run.worst[0]], 1.0)
+            assert one.report == evaluate(predict(edited, run.train), attr)
 
         assert time.perf_counter() - started < 120.0
 

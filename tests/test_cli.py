@@ -61,6 +61,16 @@ def test_inject_and_apply(workdir):
         workdir,
     ).returncode == 0
     assert (workdir / "inj.ckpt.manifest.json").exists()
+    # both are model + lambda * vector: the same inputs give the same bytes
+    assert run_cli(
+        ["apply", "fft.ckpt", "vA.ckpt", "--lambda", "0.4", "-o", "applied04.ckpt"],
+        workdir,
+    ).returncode == 0
+    assert (workdir / "applied04.ckpt").read_bytes() == (workdir / "inj.ckpt").read_bytes()
+    manifests = [json.loads((workdir / f"{name}.ckpt.manifest.json").read_text())
+                 for name in ("inj", "applied04")]
+    assert [m["command"] for m in manifests] == ["inject", "apply"]
+    assert [m["config"] for m in manifests] == [{"lambda": 0.4}] * 2
 
 
 def write_hand_built_preds(path):
@@ -184,6 +194,7 @@ def test_sweep_cli(workdir):
          "sweep config 'runs'['13']['vectors'][0] must be a string, got 1"),
         ({"mode": "inject", "runs": {"13": {"sft": "s.ckpt", "vector": 3}}},
          "sweep config 'runs'['13']['vector'] must be a string, got 3"),
+        ({"seeds": [13, 13]}, "invalid input: seeds must be distinct, got [13, 13]"),
     ],
 )
 def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
@@ -203,6 +214,30 @@ def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
     assert proc.stderr.startswith("error: ") and reason in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+def test_sweep_undefined_criterion_exit_1_one_line(workdir, tmp_path):
+    """Group A has only positives and B only negatives, so no grid point has
+    an overall EOD; the run directory is written, then selection fails."""
+    (tmp_path / "data").mkdir()
+    examples = [
+        {"id": f"{g}{i}", "tokens": [f"tok{i}"], "y_true": y, "groups": {"g": g}}
+        for g, y in (("A", 1), ("B", 0)) for i in range(4)
+    ]
+    (tmp_path / "data" / "train.jsonl").write_text(
+        "".join(json.dumps(ex) + "\n" for ex in examples)
+    )
+    cfg = {"mode": "merge", "grid": [0.0, 1.0], "seeds": [13], "attribute": "g",
+           "criterion": "overall_eod", "data_dir": "data",
+           "runs": {"13": {"base": str(workdir / "base.ckpt"),
+                           "vectors": [str(workdir / "vA.ckpt")]}}}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    proc = run_cli(["sweep", "--config", "sweep.json", "-o", "run"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: InsufficientGroups: overall_eod is undefined at every grid point\n"
+    )
+    assert (tmp_path / "run" / "result.json").exists()
 
 
 def test_sweep_config_not_an_object_exit_2(tmp_path):
@@ -559,6 +594,25 @@ def test_train_toy_missing_base_exit_2(workdir):
     assert proc.returncode == 2
     assert proc.stderr == "error: no such file: absent.ckpt\n"
     assert not (workdir / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "extra, shape",
+    [([], [128, 8]), (["--lora"], [128, 8]), (["--init-only"], [16, 2])],
+)
+def test_train_toy_manifest_records_written_shape(workdir, tmp_path, extra, shape):
+    """With --base the model takes the base's shape, and the manifest says so;
+    --init-only ignores --base and writes a --dim x --hidden model."""
+    proc = run_cli(
+        ["train-toy", "--data", str(workdir / "data"), "--seed", "13", "--dim", "16",
+         "--hidden", "2", "--epochs", "1", "--base", str(workdir / "base.ckpt"),
+         *extra, "-o", "t.ckpt"],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert list(read_checkpoint(str(tmp_path / "t.ckpt")).tensors["W1"].shape) == shape
+    config = json.loads((tmp_path / "t.ckpt.manifest.json").read_text())["config"]
+    assert [config["dim"], config["hidden"]] == shape
 
 
 @pytest.mark.parametrize("alpha", ["nan", "inf"])

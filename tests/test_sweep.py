@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,6 +81,9 @@ def test_config_validation():
             SweepConfig(grid=[0.0], threshold=threshold)
     with pytest.raises(ValueError, match="criterion"):
         SweepConfig(grid=[0.0], criterion="bogus")
+    # a repeated seed would duplicate its rows and count twice in every mean
+    with pytest.raises(ValueError, match=r"seeds must be distinct, got \[13, 13\]"):
+        SweepConfig(grid=[0.0], seeds=[13, 13])
 
 
 def test_seed_missing_from_per_seed_mapping(lab):
@@ -163,6 +167,26 @@ def test_select_lambda_row_order_invariant(lab):
 def test_select_lambda_callable_criterion():
     res = fake_result([0.0, 0.5], [0.7, 0.9])
     assert select_lambda(res, lambda rep: -rep.macro_accuracy) == 0.0
+
+
+def test_select_lambda_skips_undefined_points():
+    """A point where any seed's criterion is None is skipped, as in aggregates()."""
+    template = fake_result([0.0, 0.5, 1.0], [0.9, 0.8, 0.7]).rows
+    eods = {13: [None, 0.1, 0.3], 14: [0.5, 0.2, 0.1]}
+    rows = [
+        SweepRow(row.lam, seed, replace(row.report, overall_eod=eod))
+        for seed in (13, 14) for row, eod in zip(template, eods[seed])
+    ]
+    cfg = SweepConfig(grid=[0.0, 0.5, 1.0], seeds=[13, 14], attribute=ATTR,
+                      criterion="overall_eod")
+    res = SweepResult(config=cfg, rows=rows)
+    assert select_lambda(res) == 1.0
+    assert res.aggregates()[0.0]["overall_eod"]["mean"] is None
+
+    for row in res.rows:
+        row.report = replace(row.report, overall_eod=None)
+    with pytest.raises(InsufficientGroups, match="overall_eod is undefined"):
+        select_lambda(res)
 
 
 def test_worst_subgroups_ranking():
