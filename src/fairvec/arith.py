@@ -3,11 +3,18 @@
 All arithmetic runs in float32; half-precision tensors are upcast on entry.
 Operations are pure functions of their inputs and deterministic, including
 the left-to-right accumulation order inside merge.
+
+Inputs are read through ``Tensor.f32``, a read-only view of each F32
+payload, and every result array becomes its tensor's payload without a copy.
+``merge`` takes its parts from any iterable and folds each into one float32
+buffer per tensor as it arrives, so a caller that reads its vectors lazily
+(``fairvec merge``) holds one vector at a time.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,7 +52,7 @@ class TaskVector:
     @classmethod
     def from_checkpoint(cls, ckpt: Checkpoint) -> "TaskVector":
         deltas = {
-            name: t if t.dtype is Dtype.F32 else Tensor.from_numpy(t.to_numpy())
+            name: t if t.dtype is Dtype.F32 else Tensor._own(t.to_numpy())
             for name, t in ckpt.tensors.items()
         }
         source = {
@@ -96,8 +103,8 @@ def diff(task: Checkpoint, base: Checkpoint, intersect: bool = False) -> TaskVec
         task.names(), _shapes(task.tensors), base.names(), _shapes(base.tensors),
         intersect,
     )
-    arrays = {
-        name: task.tensors[name].to_numpy() - base.tensors[name].to_numpy()
+    deltas = {
+        name: Tensor._own(task.tensors[name].f32() - base.tensors[name].f32())
         for name in names
     }
     source = {
@@ -110,22 +117,21 @@ def diff(task: Checkpoint, base: Checkpoint, intersect: bool = False) -> TaskVec
         )
         if skipped:
             source["skipped_names"] = ",".join(skipped)
-    return TaskVector.from_arrays(arrays, source=source)
+    return TaskVector(deltas, source)
 
 
 def add(a: TaskVector, b: TaskVector) -> TaskVector:
     names = _check_compat(
         a.names(), _shapes(a.deltas), b.names(), _shapes(b.deltas), False
     )
-    arrays = {
-        name: a.deltas[name].to_numpy() + b.deltas[name].to_numpy() for name in names
-    }
-    return TaskVector.from_arrays(arrays)
+    return TaskVector(
+        {name: Tensor._own(a.deltas[name].f32() + b.deltas[name].f32()) for name in names}
+    )
 
 
 def negate(tv: TaskVector) -> TaskVector:
-    return TaskVector.from_arrays(
-        {name: -t.to_numpy() for name, t in tv.deltas.items()}, source=tv.source
+    return TaskVector(
+        {name: Tensor._own(-t.f32()) for name, t in tv.deltas.items()}, dict(tv.source)
     )
 
 
@@ -133,48 +139,51 @@ def scale(tv: TaskVector, coefficient: float) -> TaskVector:
     if not math.isfinite(coefficient):
         raise NonFiniteCoefficient(f"coefficient {coefficient!r} not finite")
     lam = np.float32(coefficient)
-    return TaskVector.from_arrays(
-        {name: lam * t.to_numpy() for name, t in tv.deltas.items()}, source=tv.source
+    return TaskVector(
+        {name: Tensor._own(lam * t.f32()) for name, t in tv.deltas.items()},
+        dict(tv.source),
     )
 
 
 def merge(
     base: Checkpoint,
-    parts: list[WeightedVector | tuple[TaskVector, float]],
+    parts: Iterable[WeightedVector | tuple[TaskVector, float]],
 ) -> Checkpoint:
     """theta_0 + sum_i lambda_i * delta_i, folded left-to-right in caller order.
 
-    An empty parts list returns base unchanged bitwise (metadata included).
+    parts may be any iterable, a generator included. Each part is checked
+    against base as it arrives, before the next one is drawn, and is added
+    in place into one float32 buffer per tensor; a part with a zero
+    coefficient is checked but not added. An empty parts list returns base
+    unchanged bitwise (metadata included).
     """
-    parts = [
-        p if isinstance(p, WeightedVector) else WeightedVector(p[0], p[1])
-        for p in parts
-    ]
-    if not parts:
-        return Checkpoint(tensors=dict(base.tensors), metadata=dict(base.metadata))
-
-    base_shapes = _shapes(base.tensors)
+    base_names, base_shapes = base.names(), _shapes(base.tensors)
+    acc = None
+    coefficients = []
     for part in parts:
+        if not isinstance(part, WeightedVector):
+            part = WeightedVector(part[0], part[1])
         _check_compat(
-            base.names(), base_shapes, part.vector.names(), _shapes(part.vector.deltas),
+            base_names, base_shapes, part.vector.names(), _shapes(part.vector.deltas),
             False,
         )
-
-    acc = {name: t.to_numpy() for name, t in base.tensors.items()}
-    for part in parts:
-        if part.coefficient == 0.0:
-            # adding 0*delta would flip -0.0 payloads to +0.0; skip to keep
-            # the zero-coefficient row bitwise identical to the base
-            continue
-        lam = np.float32(part.coefficient)
-        for name in acc:
-            acc[name] = acc[name] + lam * part.vector.deltas[name].to_numpy()
+        coefficients.append(part.coefficient)
+        if acc is None:
+            acc = {name: t.to_numpy() for name, t in base.tensors.items()}
+        # adding 0*delta would flip -0.0 payloads to +0.0; skip to keep
+        # the zero-coefficient row bitwise identical to the base
+        if part.coefficient != 0.0:
+            lam = np.float32(part.coefficient)
+            for name, a in acc.items():
+                a += lam * part.vector.deltas[name].f32()
+        del part  # let this vector go before parts yields the next
+    if acc is None:
+        return Checkpoint(tensors=dict(base.tensors), metadata=dict(base.metadata))
 
     meta = dict(base.metadata)
-    meta["edited"] = "merge[" + ",".join(repr(p.coefficient) for p in parts) + "]"
+    meta["edited"] = "merge[" + ",".join(repr(c) for c in coefficients) + "]"
     return Checkpoint(
-        tensors={n: Tensor.from_numpy(a) for n, a in acc.items()},
-        metadata=meta,
+        tensors={n: Tensor._own(a) for n, a in acc.items()}, metadata=meta
     )
 
 
@@ -194,7 +203,7 @@ def vector_norm(tv: TaskVector) -> float:
     """Global L2 norm over every element of every tensor."""
     total = 0.0
     for t in tv.deltas.values():
-        arr = t.to_numpy().astype(np.float64).ravel()
+        arr = t.f32().astype(np.float64).ravel()
         total += float(arr @ arr)
     return math.sqrt(total)
 
@@ -205,8 +214,8 @@ def vector_cosine(a: TaskVector, b: TaskVector) -> float:
     )
     dot = 0.0
     for name in names:
-        x = a.deltas[name].to_numpy().astype(np.float64).ravel()
-        y = b.deltas[name].to_numpy().astype(np.float64).ravel()
+        x = a.deltas[name].f32().astype(np.float64).ravel()
+        y = b.deltas[name].f32().astype(np.float64).ravel()
         dot += float(x @ y)
     na, nb = vector_norm(a), vector_norm(b)
     if na == 0.0 or nb == 0.0:

@@ -42,11 +42,16 @@ class Dtype(str, Enum):
 
 @dataclass(frozen=True)
 class Tensor:
-    """Dense row-major tensor: dtype, shape, raw little-endian bytes."""
+    """Dense row-major tensor: dtype, shape, raw little-endian payload.
+
+    data is a bytes-like object whose len() is the payload's size in bytes:
+    the bytes from_numpy encodes, or a read-only view into the buffer that
+    parse_checkpoint was given or into a float32 array that arith computed.
+    """
 
     dtype: Dtype
     shape: tuple[int, ...]
-    data: bytes
+    data: bytes | memoryview
 
     def __post_init__(self):
         if any(d < 0 for d in self.shape):
@@ -77,8 +82,15 @@ class Tensor:
             raw = rounded.astype("<u2")
         return cls(dtype, tuple(int(d) for d in arr.shape), raw.tobytes())
 
-    def to_numpy(self) -> np.ndarray:
-        """Materialize as float32 (half-precision payloads are upcast)."""
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> "Tensor":
+        """An F32 tensor whose payload is arr itself, frozen and not copied.
+        For a float32 array its caller has just computed and hands over."""
+        arr = np.require(arr, "<f4", "C")
+        arr.flags.writeable = False
+        return cls(Dtype.F32, arr.shape, memoryview(arr.reshape(-1).view(np.uint8)))
+
+    def _decode(self) -> np.ndarray:
         if self.dtype is Dtype.F32:
             out = np.frombuffer(self.data, dtype="<f4")
         elif self.dtype is Dtype.F16:
@@ -86,7 +98,20 @@ class Tensor:
         else:  # BF16
             bits = np.frombuffer(self.data, dtype="<u2").astype(np.uint32) << 16
             out = bits.view(np.float32)
-        return out.reshape(self.shape).copy()
+        return out.reshape(self.shape)
+
+    def f32(self) -> np.ndarray:
+        """The values as a read-only float32 array: a view of the payload for
+        F32 (no copy, possibly unaligned), a fresh upcast for F16 and BF16."""
+        out = self._decode()
+        out.flags.writeable = False
+        return out
+
+    def to_numpy(self) -> np.ndarray:
+        """The values as a fresh, writable float32 array (half-precision
+        payloads are upcast)."""
+        out = self._decode()
+        return out.copy() if self.dtype is Dtype.F32 else out
 
 
 @dataclass
@@ -134,8 +159,8 @@ def read_checkpoint(path: str | os.PathLike) -> Checkpoint:
 
 
 def parse_checkpoint(blob: bytes) -> Checkpoint:
-    """The checkpoint a file of these bytes holds; each tensor's payload is
-    copied once, out of a view of blob."""
+    """The checkpoint a file of these bytes holds. Each tensor's payload is a
+    read-only view of blob, not a copy, so the tensors keep blob alive."""
     if len(blob) < 8:
         raise MalformedHeader("file shorter than the 8-byte length prefix")
     (header_len,) = struct.unpack("<Q", blob[:8])
@@ -144,7 +169,7 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
             f"declared header length {header_len} exceeds file size"
         )
     header = _parse_header(blob[8 : 8 + header_len])
-    data = memoryview(blob)[8 + header_len :]
+    data = memoryview(blob).toreadonly()[8 + header_len :]
 
     metadata: dict[str, str] = {}
     if METADATA_KEY in header:
@@ -212,14 +237,15 @@ def parse_checkpoint(blob: bytes) -> Checkpoint:
         )
 
     tensors = {
-        name: Tensor(dtype, shape, data[begin:end].tobytes())
+        name: Tensor(dtype, shape, data[begin:end])
         for name, dtype, shape, begin, end in entries
     }
     return Checkpoint(tensors=tensors, metadata=metadata)
 
 
 def write_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
-    """Write atomically (temp file + rename); byte-deterministic."""
+    """Write atomically (temp file + rename); byte-deterministic. Each
+    payload buffer is written as it is."""
     header: dict = {}
     if ckpt.metadata:
         header[METADATA_KEY] = ckpt.metadata

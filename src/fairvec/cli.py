@@ -71,8 +71,7 @@ class _Run:
             raise UsageError(f"no such file: {path}") from None
         if path not in self._digests:
             # Hash one file at a time: a queue of unhashed files would hold
-            # all their bytes at once (merge reads the base and every vector
-            # before it merges).
+            # all their bytes at once.
             if self._last is not None:
                 self._last.result()
             self._digests[path] = self._last = self._pool.submit(_sha256, blob)
@@ -138,10 +137,12 @@ def cmd_edit(args, run):
 def cmd_merge(args, run):
     vecs = [_parse_vec_arg(spec) for spec in args.vec or []]
     base = run.checkpoint(args.base)
-    parts = [
+    # Each vector is read when the fold reaches it and let go once it is
+    # added, so one vector's bytes are live at a time, however many there are.
+    parts = (
         arith.WeightedVector(arith.TaskVector.from_checkpoint(run.checkpoint(path)), lam)
         for path, lam in vecs
-    ]
+    )
     out = arith.merge(base, parts)
     write_checkpoint(out, args.output)
     run.write_manifest(

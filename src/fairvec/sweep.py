@@ -34,6 +34,8 @@ INJECT_GRID = [round(0.2 * i, 1) for i in range(6)]    # 0.0 .. 1.0 step 0.2
 DEFAULT_SEEDS = [13, 14, 15]
 
 OVERALL_METRICS = ("macro_accuracy", "overall_dpd", "overall_eod", "accuracy_parity_gap")
+# the overall metrics for which lower is fairer
+DISPARITY_METRICS = ("overall_dpd", "overall_eod", "accuracy_parity_gap")
 
 
 @dataclass
@@ -209,21 +211,25 @@ def inject_sweep(
 
 
 def select_lambda(result: SweepResult, criterion=None) -> float:
-    """Grid value maximizing the across-seed mean criterion; ties go low. As in
-    aggregates(), a point where any seed's value is None is skipped."""
+    """Grid value with the best across-seed mean criterion; ties go low.
+    The DISPARITY_METRICS (overall_dpd, overall_eod, accuracy_parity_gap) are
+    minimized, since lower is fairer; macro_accuracy and a callable criterion
+    are maximized. As in aggregates(), a point where any seed's value is None
+    is skipped."""
     if criterion is None:
         criterion = result.config.criterion
     if callable(criterion):
-        key = criterion
+        key, sign = criterion, 1.0
     else:
         key = lambda report: getattr(report, criterion)  # noqa: E731
+        sign = -1.0 if criterion in DISPARITY_METRICS else 1.0
 
     best_lam, best_mean = None, None
     for lam in result.config.grid:
         values = [key(r.report) for r in result.rows_at(lam)]
         if any(v is None for v in values):
             continue
-        mean = statistics.fmean(values)
+        mean = sign * statistics.fmean(values)
         if best_mean is None or mean > best_mean:
             best_lam, best_mean = lam, mean
     if best_lam is None:

@@ -1,3 +1,6 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +20,7 @@ from fairvec.arith import (
     vector_norm,
     zero_like,
 )
-from fairvec.ckpt import Checkpoint, Dtype, Tensor
+from fairvec.ckpt import Checkpoint, Dtype, Tensor, parse_checkpoint
 from fairvec.errors import (
     NameSetMismatch,
     NonFiniteCoefficient,
@@ -238,3 +241,84 @@ def test_task_vector_serialization_roundtrip(tmp_path, rng):
     assert as_ckpt.metadata["role"] == "task_vector"
     back = TaskVector.from_checkpoint(as_ckpt)
     assert back.deltas == v.deltas
+
+
+def _unaligned_file(ck, residue):
+    """The bytes of a file holding ck's tensors, its header built by hand and
+    padded with spaces so that the data region starts at residue mod 4."""
+    header, data, cursor = {}, b"", 0
+    for name, t in ck.tensors.items():
+        header[name] = {"dtype": t.dtype.value, "shape": list(t.shape),
+                        "data_offsets": [cursor, cursor + len(t.data)]}
+        data += bytes(t.data)
+        cursor += len(t.data)
+    blob = json.dumps(header).encode()
+    blob += b" " * ((residue - 8 - len(blob)) % 4)
+    return struct.pack("<Q", len(blob)) + blob + data
+
+
+@pytest.mark.parametrize("residue", [1, 2, 3])
+def test_unaligned_payloads_give_the_bytes_of_copies(rng, residue):
+    base, ft = random_checkpoint_pair(rng, n_tensors=4, max_dim=9)
+    other = Checkpoint({
+        n: Tensor.from_numpy(rng.standard_normal(t.shape).astype(np.float32))
+        for n, t in base.tensors.items()
+    })
+    v_ref = {n: ft.tensors[n].to_numpy() - base.tensors[n].to_numpy() for n in base.names()}
+
+    blobs = [_unaligned_file(c, residue) for c in (base, ft)]
+    if residue % 2:
+        assert all(struct.unpack("<Q", b[:8])[0] % 2 for b in blobs)  # odd header length
+    base_u, ft_u = (parse_checkpoint(b) for b in blobs)
+    assert not any(t.f32().flags.aligned for t in base_u.tensors.values())
+
+    v = diff(ft_u, base_u)
+    assert {n: bytes(t.data) for n, t in v.deltas.items()} == {
+        n: a.tobytes() for n, a in v_ref.items()
+    }
+    # the vector read back unaligned, folded twice onto an unaligned model
+    v_u = TaskVector.from_checkpoint(parse_checkpoint(_unaligned_file(v.to_checkpoint(), residue)))
+    model_u = parse_checkpoint(_unaligned_file(other, residue))
+    out = merge(model_u, [(v_u, 0.3), (v_u, -1.5)])
+    for name, t in out.tensors.items():
+        expect = other.tensors[name].to_numpy()
+        for lam in (0.3, -1.5):
+            expect = expect + np.float32(lam) * v_ref[name]
+        assert bytes(t.data) == expect.tobytes()
+
+
+def test_results_are_read_only_and_sized(rng):
+    base, ft = random_checkpoint_pair(rng)
+    v = diff(ft, base)
+    results = [v, add(v, v), negate(v), scale(v, 0.5),
+               TaskVector.from_checkpoint(Checkpoint(
+                   {n: Tensor.from_numpy(t.to_numpy(), Dtype.BF16) for n, t in v.deltas.items()}
+               ))]
+    tensors = [t for r in results for t in r.deltas.values()]
+    tensors += merge(base, [(v, 0.5)]).tensors.values()
+    for t in tensors:
+        assert len(t.data) == t.numel * 4
+        with pytest.raises(ValueError, match="read-only"):
+            t.f32()[...] = 1.0
+
+
+def test_merge_folds_a_generator_like_a_list(rng):
+    base, ft = random_checkpoint_pair(rng)
+    v = diff(ft, base)
+    parts = [(v, 0.3), (negate(v), 0.0), (scale(v, 2.0), -0.7)]
+    assert merge(base, iter(parts)) == merge(base, parts)
+    assert merge(base, iter([])) == base
+
+
+def test_merge_stops_at_an_incompatible_part_before_drawing_the_next():
+    base = ckpt(w=[1.0, 2.0])
+    drawn = []
+
+    def parts():
+        for vec in (tv(w=[1.0, 1.0]), tv(w=[1.0, 1.0, 1.0]), tv(w=[0.0, 0.0])):
+            drawn.append(vec)
+            yield vec, 0.5
+
+    with pytest.raises(ShapeMismatch):
+        merge(base, parts())
+    assert len(drawn) == 2

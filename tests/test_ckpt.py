@@ -138,6 +138,52 @@ def test_tensor_invariants():
     assert scalar.numel == 1 and float(scalar.to_numpy()) == 3.5
 
 
+def _three_dtypes(tmp_path, arr):
+    """arr as an F32, an F16 and a BF16 tensor, each read back from a file."""
+    path = tmp_path / "three.ckpt"
+    tensors = {d.value: Tensor.from_numpy(arr, d) for d in Dtype}
+    write_checkpoint(Checkpoint(tensors=tensors), path)
+    return read_checkpoint(path).tensors
+
+
+def test_f32_is_a_read_only_view(tmp_path):
+    arr = np.array([[0.5, -0.0, 3.0], [1.25, -2.0, 8.0]], np.float32)
+    read = _three_dtypes(tmp_path, arr)
+    for t in (*read.values(), Tensor.from_numpy(arr)):
+        view = t.f32()
+        assert view.dtype == np.float32 and view.shape == (2, 3)
+        assert view.tobytes() == arr.tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            view[0, 0] = 7.0
+    for t in (read["F32"], Tensor.from_numpy(arr)):  # F32 reads copy nothing
+        assert np.shares_memory(t.f32(), np.frombuffer(t.data, np.uint8))
+
+
+def test_to_numpy_is_a_writable_copy(tmp_path):
+    arr = np.array([0.5, -1.25, 3.0], np.float32)
+    for t in _three_dtypes(tmp_path, arr).values():
+        payload = bytes(t.data)
+        out = t.to_numpy()
+        assert out.flags.writeable
+        out[:] = 7.0
+        assert bytes(t.data) == payload
+        assert t.f32().tobytes() == arr.tobytes()
+
+
+def test_from_numpy_copies_its_input():
+    arr = np.array([0.5, -1.25, 3.0], np.float32)
+    tensors = [Tensor.from_numpy(arr, d) for d in Dtype]
+    payloads = [bytes(t.data) for t in tensors]
+    arr[:] = 9.0
+    assert [bytes(t.data) for t in tensors] == payloads
+
+
+def test_len_of_data_is_the_payload_size(tmp_path):
+    arr = np.zeros((3, 5), np.float32)
+    for t in _three_dtypes(tmp_path, arr).values():
+        assert len(t.data) == t.numel * t.dtype.itemsize
+
+
 def test_tensor_names_sorted():
     t = Tensor.from_numpy(np.zeros(1, np.float32))
     ckpt = Checkpoint(tensors={"b": t, "a": t})

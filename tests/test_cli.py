@@ -3,12 +3,14 @@ import json
 import re
 import shutil
 import threading
+import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import run_cli
-from fairvec import TaskVector, read_checkpoint
+from fairvec import Checkpoint, TaskVector, Tensor, read_checkpoint, write_checkpoint
 from fairvec.cli import UsageError, _Run, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -394,6 +396,10 @@ def test_eval_bad_threshold_exit_2(tmp_path, threshold):
          "groups must map names to strings"),
         ('{"id": "x", "y_true": 1, "score": 0.5, "groups": ["x"]}',
          "groups must map names to strings"),
+        pytest.param(
+            '{"id": "x", "y_true": 1, "score": 1' + "0" * 400 + ', "groups": {"g": "A"}}',
+            "int too large to convert to float", id="score-beyond-float",
+        ),
     ],
 )
 def test_eval_malformed_line_names_location(tmp_path, line, reason):
@@ -549,6 +555,57 @@ def test_apply_missing_vector_exit_2(workdir):
     assert proc.returncode == 2
     assert proc.stderr == "error: no such file: absent.ckpt\n"
     assert not (workdir / "x.ckpt").exists()
+
+
+def test_merge_first_bad_vector_decides_the_exit_code(workdir, tmp_path):
+    """Each --vec is read and checked in turn, so an incompatible 2nd vector
+    fails before the missing 3rd is looked for."""
+    for name in ("base.ckpt", "vA.ckpt"):
+        shutil.copy(workdir / name, tmp_path / name)
+    write_checkpoint(Checkpoint({"w": Tensor.from_numpy(np.zeros(2, np.float32))}),
+                     tmp_path / "odd.ckpt")
+    proc = run_cli(
+        ["merge", "base.ckpt", "--vec", "vA.ckpt:0.3", "--vec", "odd.ckpt:0.2",
+         "--vec", "absent.ckpt:0.1", "-o", "out.ckpt"],
+        tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: NameSetMismatch: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "out.ckpt").exists()
+
+
+def test_merge_memory_does_not_grow_with_the_vector_count(tmp_path, monkeypatch):
+    """merge holds one vector at a time: with 8 vectors its traced peak is
+    within one checkpoint's size of the same merge with 2."""
+    rng = np.random.default_rng(5)
+    shapes = {f"t{i}": (128, 512) for i in range(4)}  # 1 MiB of F32 per file
+
+    def write(name, sd):
+        tensors = {n: Tensor.from_numpy(rng.normal(0.0, sd, s).astype(np.float32))
+                   for n, s in shapes.items()}
+        write_checkpoint(Checkpoint(tensors), tmp_path / name)
+
+    write("base.ckpt", 1.0)
+    for i in range(8):
+        write(f"v{i}.ckpt", 0.01)
+    size = (tmp_path / "base.ckpt").stat().st_size
+    monkeypatch.chdir(tmp_path)
+
+    def peak(n):
+        argv = ["merge", "base.ckpt", "-o", "out.ckpt"]
+        for i in range(n):
+            argv += ["--vec", f"v{i}.ckpt:0.25"]
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(2)  # lazy imports and first-call allocations happen here, not traced below
+    two, eight = peak(2), peak(8)
+    assert eight - two < size, (two, eight, size)
 
 
 def test_apply_non_checkpoint_exit_1(workdir):

@@ -1,5 +1,6 @@
 import io
 import json
+import re
 
 import numpy as np
 import pytest
@@ -289,6 +290,16 @@ def test_jsonl_derives_missing_y_pred(tmp_path):
     path.write_text("\n".join(json.dumps(x) for x in lines) + "\n")
     back = load_predictions(path, threshold=0.5)
     assert [r.y_pred for r in back] == [1, 0]
+
+
+def test_load_predictions_names_the_line_of_a_score_beyond_float(tmp_path):
+    path = tmp_path / "preds.jsonl"
+    good = {"id": "a", "y_true": 1, "score": 0.5, "groups": {"attr": "A"}}
+    path.write_text(json.dumps(good) + "\n"
+                    + '{"id": "b", "y_true": 0, "score": 1' + "0" * 400
+                    + ', "groups": {"attr": "B"}}\n')
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:2: int too large"):
+        load_predictions(path)
 
 
 def test_report_json_and_csv(rng):

@@ -180,13 +180,28 @@ def test_select_lambda_skips_undefined_points():
     cfg = SweepConfig(grid=[0.0, 0.5, 1.0], seeds=[13, 14], attribute=ATTR,
                       criterion="overall_eod")
     res = SweepResult(config=cfg, rows=rows)
-    assert select_lambda(res) == 1.0
+    assert select_lambda(res) == 0.5  # mean EOD 0.15 beats 0.2 at 1.0
     assert res.aggregates()[0.0]["overall_eod"]["mean"] is None
 
     for row in res.rows:
         row.report = replace(row.report, overall_eod=None)
     with pytest.raises(InsufficientGroups, match="overall_eod is undefined"):
         select_lambda(res)
+
+
+@pytest.mark.parametrize(
+    "criterion", ["overall_dpd", "overall_eod", "accuracy_parity_gap"]
+)
+def test_select_lambda_minimizes_disparities(criterion):
+    """Lower is fairer: the smallest mean wins, ties go to the lower lambda."""
+    rows = [
+        SweepRow(row.lam, seed, replace(row.report, **{criterion: value}))
+        for seed, values in ((13, [0.3, 0.1, 0.1, 0.4]), (14, [0.5, 0.3, 0.3, 0.0]))
+        for row, value in zip(fake_result([0.0, 0.2, 0.4, 0.6], [0.9] * 4).rows, values)
+    ]
+    cfg = SweepConfig(grid=[0.0, 0.2, 0.4, 0.6], seeds=[13, 14], attribute=ATTR,
+                      criterion=criterion)
+    assert select_lambda(SweepResult(config=cfg, rows=rows)) == 0.2
 
 
 def test_worst_subgroups_ranking():
