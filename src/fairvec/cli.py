@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 import time
@@ -111,9 +112,12 @@ def _parse_vec_arg(text):
     if not sep or not path:
         raise UsageError(f"--vec expects path:lambda, got {text!r}")
     try:
-        return path, float(lam)
+        lam = float(lam)
     except ValueError:
         raise UsageError(f"bad lambda in --vec {text!r}") from None
+    if not math.isfinite(lam):
+        raise UsageError(f"lambda in --vec {text!r} must be finite")
+    return path, lam
 
 
 def cmd_diff(args, run):
@@ -127,6 +131,8 @@ def cmd_diff(args, run):
 
 def cmd_edit(args, run):
     """apply and inject: model + lambda * vector, one-part merge."""
+    if not math.isfinite(args.lam):
+        raise UsageError(f"--lambda must be finite, got {args.lam}")
     model = run.checkpoint(args.model)
     tv = arith.TaskVector.from_checkpoint(run.checkpoint(args.vector))
     write_checkpoint(arith.inject(model, tv, args.lam), args.output)

@@ -92,6 +92,11 @@ class CorpusSpec:
             raise InvalidSpec("bad token count range")
         if self.vocab_size < 10:
             raise InvalidSpec("vocabulary too small")
+        for name in ("signal_frac", "p_signal_pos", "p_signal_neg"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise InvalidSpec(f"{name} {getattr(self, name)} outside [0,1]")
+        if self.seed < 0:
+            raise InvalidSpec(f"seed must be >= 0, got {self.seed}")
 
     def groups(self) -> list[str]:
         return sorted(self.proportions)

@@ -2,11 +2,14 @@
 injection grids across seeds, with deterministic result assembly.
 
 Evaluation is seed-major and columnar. Each seed's eval split is featurized
-once, compactly (``toymodel.SplitScorer``), and its group codes and true
-labels are built once (``metrics.GroupColumns``). Every grid point is then
-arrays only: the edited model's scores, ``y_pred = scores >= threshold``, one
-per-group confusion table and the GroupReport read off it, the same report
+once and its panels are found once, from the split and the base's shape
+alone (``toymodel.SplitScorer``); its group codes and true labels are built
+once (``metrics.GroupColumns``). Every grid point is then arrays only: the
+edited model's scores, ``y_pred = scores >= threshold``, one per-group
+confusion table and the GroupReport read off it, the same report
 ``evaluate(predict(...))`` gives. Only one seed's arrays are alive at a time.
+A base that is not a D->H->1 model raises ``IncompatibleCheckpoint`` before
+its seed is scored.
 Rows are still ordered grid-major then seed. Per-seed artifacts (base
 checkpoint, vectors, eval split) may be one shared object or a dict by seed.
 """
@@ -167,16 +170,17 @@ def _edit_sweep(config: SweepConfig, base, parts_at, eval_data, mode: str) -> Sw
     reports = {}
     for seed in config.seeds:
         examples = _per_seed(eval_data, seed)
-        scorer = None  # drops the previous seed's arrays before featurizing this one
         columns = GroupColumns.of(examples, config.attribute)
+        # from_checkpoint rejects a base that is not a D->H->1 model
+        dim, hidden = toymodel.ToyModel.from_checkpoint(_per_seed(base, seed)).W1.shape
+        scorer = toymodel.SplitScorer(examples, dim, hidden)
         for lam in config.grid:
             model = toymodel.ToyModel.from_checkpoint(
                 merge(_per_seed(base, seed), parts_at(lam, seed))
             )
-            if scorer is None:
-                scorer = toymodel.SplitScorer(examples, model)
             y_pred = scorer.scores(model) >= config.threshold
             reports[lam, seed] = columns.report(y_pred)
+        del scorer  # before the next seed featurizes: one seed's arrays at a time
     grid_major = [(lam, seed) for lam in config.grid for seed in config.seeds]
     rows = [SweepRow(lam, seed, reports[lam, seed]) for lam, seed in grid_major]
     return SweepResult(config=config, rows=rows, provenance={"mode": mode})

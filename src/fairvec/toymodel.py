@@ -19,14 +19,18 @@ epoch and step.
 
 Hashed features are sparse: a subgroup's examples touch only a few hundred
 of the 4096 buckets, and while the loss is finite a W1 row whose bucket no
-example touches gets an exact +0 gradient at every step. ``train`` therefore
-works on the touched columns only (``features.featurize_compact``) when that
-gives the dense loop's bytes: the W1 gradient is ``Xc.T @ dZ`` over the
-compact batch, the touched rows ``W1[cols]`` train in place and are
-scattered back at the end, and untouched rows keep their starting bytes.
+example touches gets an exact +0 gradient at every step. So every product
+over the features runs in a layout: sorted columns, the features over them,
+and the panels its forward sums. The compact layout holds the touched
+columns (``features.featurize_compact``). Dense is the all-columns layout:
+every column, the dense matrix, and one panel, the single product
+``X @ W1``. ``train`` has one loop for both: the rows ``W1[cols]`` train in
+place, the W1 gradient is ``X.T @ dZ`` over the layout's batch, and the
+rows are scattered back at the end, so untouched rows keep their starting
+bytes.
 
-The forward cannot be the single product ``Xc @ W1[cols]``: that is a plain
-left-to-right sum over the touched columns, while OpenBLAS
+The compact forward cannot be the single product ``Xc @ W1[cols]``: that is
+a plain left-to-right sum over the touched columns, while OpenBLAS
 (``driver/level3.c``) cuts the K axis of the dense ``X @ W1`` into panels,
 sums each panel from zero and adds the panel sums in order. ``_panels``
 applies that rule for a panel width q (panels of q; a remainder between q and
@@ -34,25 +38,30 @@ applies that rule for a panel width q (panels of q; a remainder between q and
 panel to its slice of the touched columns, and the forward adds up
 ``Xc[:, p] @ W1[p]`` panel by panel, in the dense order. The width, and
 whether a product is blocked at all, depend on the BLAS build and on the
-shapes, so ``_compact_panels`` probes once per ``train`` call. On random
-data at the call's own touched columns, for the full-batch and for the
-remainder row count, it picks the first of one panel and the widths in
-``_PANEL_WIDTHS`` that gives the dense forward's bytes, and it checks the
-compact backward against the dense one. (With OpenBLAS 0.3.31 on AVX-512, no
-width fits hidden sizes with 1-8 columns past a multiple of 16, and the
-backward matches because batches are row-major: a column-gathered batch
-``X[:, cols]`` is column-major and sums ``X.T @ dZ`` in another order.)
-Training stays fully dense when more than half of the buckets are touched,
-when an untouched W1 row is not finite (the dense forward turns it into a
-NaN loss, ``0 * NaN``, and so reports divergence), or when no width
-reproduces the dense bytes for some row count. Either way the checkpoints
-are byte-identical to dense training.
+shapes. BLAS picks its kernel and blocking by shape, not by value, so one
+matcher, ``_matching_panels``, finds them on random weights: the first of
+one panel and the widths in ``_PANEL_WIDTHS`` whose panel sum gives the
+dense product's bytes.
 
-Scoring runs the same ``_forward``. ``predict`` scores the dense features;
-``SplitScorer`` scores one split under a series of models (the sweep
-points) on its touched columns. Its plan is checked once per split, against
-the first model's dense product on the real rows rather than a probe, and
-every score it returns has the bytes ``predict`` would give.
+``train`` (``_layout``) matches once per call, on random rows at its own
+touched columns, for the full-batch and for the remainder row count, and
+checks the compact backward against the dense one. (With OpenBLAS 0.3.31 on
+AVX-512, no width fits hidden sizes with 1-8 columns past a multiple of 16,
+and the backward matches because batches are row-major: a column-gathered
+batch ``X[:, cols]`` is column-major and sums ``X.T @ dZ`` in another
+order.) It trains in the all-columns layout when more than half of the
+buckets are touched, when an untouched W1 row is not finite (the dense
+forward turns it into a NaN loss, ``0 * NaN``, and so reports divergence),
+or when no panels match some row count. Either way the checkpoints are
+byte-identical to dense training.
+
+Scoring runs the same ``_forward``. ``predict`` scores the dense features,
+the definition. ``SplitScorer`` scores one split under a series of models
+(the sweep points): it matches panels once per split, on the split's real
+compact rows, and the split becomes the all-columns layout when none match.
+For each model, a non-finite untouched W1 row forces the dense product,
+which turns that row into NaN as ``predict`` does. Every score it returns
+has the bytes ``predict`` would give.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ import numpy as np
 from .ckpt import Checkpoint, Dtype, Tensor
 from .errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from .features import featurize_all, featurize_compact
-from .metrics import PredictionRecord, binarize
+from .metrics import PredictionRecord, binarize, check_threshold
 
 TENSOR_NAMES = ("W1", "b1", "w2", "b2")
 
@@ -138,12 +147,16 @@ class Hyper:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def init_model(dim: int = DEFAULT_DIM, hidden: int = DEFAULT_HIDDEN, seed: int = 13) -> ToyModel:
     """Fixed-seed small-variance initialization; biases start at zero."""
     if dim < 1 or hidden < 1:
         raise ValueError(f"dim and hidden must be >= 1, got {dim} and {hidden}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng([seed, 0])
     return ToyModel(
         W1=rng.normal(0.0, 0.01, size=(dim, hidden)).astype(np.float32),
@@ -192,8 +205,8 @@ def loss_and_grads(
 ):
     """Mean BCE on sigmoid(logit) and its gradients w.r.t. all parameters.
 
-    With panels, X holds the touched columns only and arrays["W1"] their
-    rows (see _compact_panels); the W1 gradient is then of those rows.
+    X holds a layout's columns and arrays["W1"] their rows (see _layout),
+    and the W1 gradient is of those rows; panels None is one product.
     The loss is the dtype's sum of the per-row terms over the row count, so
     it is finite exactly when np.mean of the terms is. A diverging model
     sets numpy's "over" and "invalid" flags (logaddexp(0, nan) is invalid);
@@ -259,11 +272,6 @@ def _panels(dim: int, cols: np.ndarray, q: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *edges], edges) if b > a]
 
 
-def _candidate_panels(dim: int, cols: np.ndarray) -> list[list[slice]]:
-    """One panel, then the panels of each width in _PANEL_WIDTHS."""
-    return [_panels(dim, cols, q) for q in (dim, *_PANEL_WIDTHS)]
-
-
 def _dense(cols: np.ndarray, Xc: np.ndarray, dim: int) -> np.ndarray:
     """The N x dim matrix with Xc in the columns cols and zeros elsewhere."""
     X = np.zeros((len(Xc), dim), dtype=np.float32)
@@ -273,40 +281,43 @@ def _dense(cols: np.ndarray, Xc: np.ndarray, dim: int) -> np.ndarray:
     return X
 
 
-def _compact_panels(X: np.ndarray, cols: np.ndarray, W1: np.ndarray, batch_size: int):
-    """{batch rows: panels} for train's compact forward, one entry per batch
-    size a step sees, or None when training must stay dense: more than half
-    of the buckets touched, a non-finite untouched W1 row, or a batch size
-    for which no width makes this BLAS give the compact forward and backward
-    the dense bytes. X is the compact N x len(cols)."""
+def _matching_panels(X: np.ndarray, Xc: np.ndarray, cols: np.ndarray, W: np.ndarray):
+    """The first of one panel and the panels of each width in _PANEL_WIDTHS
+    whose sum of Xc[:, p] @ W[cols][p] has this BLAS's bytes of X @ W, or
+    None. X is Xc in the columns cols of a dense matrix (see _dense)."""
+    dim = len(W)
+    Z, Wc = (X @ W).tobytes(), W[cols]
+    candidates = (_panels(dim, cols, q) for q in (dim, *_PANEL_WIDTHS))
+    return next((p for p in candidates if _product(Xc, Wc, p).tobytes() == Z), None)
+
+
+def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int):
+    """(cols, X, plan): the W1 rows train works on, the features over them,
+    and {batch rows: panels}. Compact, (cols, Xc, plan) with an entry per
+    batch size a step sees, when at most half of the buckets are touched,
+    every untouched W1 row is finite, and for each batch size some panels
+    give this BLAS's dense forward bytes and the compact backward the dense
+    one's. Otherwise all columns: (arange(dim), the dense matrix, {})."""
     dim, hidden = W1.shape
-    if 2 * len(cols) > dim or not np.isfinite(np.delete(W1, cols, axis=0)).all():
-        return None
-    # BLAS picks its kernel and blocking by shape, not by value, so random
-    # data at the call's own columns and batch shapes stands in for X
-    # (row-major, like the batches X[idx] train takes)
-    rng = np.random.default_rng(0)
-    compact = rng.standard_normal((min(batch_size, len(X)), len(cols)), dtype=np.float32)
-    dense = _dense(cols, compact, dim)
-    W = rng.standard_normal((dim, hidden), dtype=np.float32)
-    Wc = W[cols]
-    dZ = rng.standard_normal((len(compact), hidden), dtype=np.float32)
-    candidates = _candidate_panels(dim, cols)
-    plan = {}
-    # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32) as
-    # one panel and blocks a larger one, so the full batch and the remainder
-    # may need different panels
-    for rows in {len(compact), len(X) % batch_size} - {0}:
-        Xb, Xc, dZb = dense[:rows], compact[:rows], dZ[:rows]
-        if (Xb.T @ dZb)[cols].tobytes() != (Xc.T @ dZb).tobytes():
-            return None
-        Z = (Xb @ W).tobytes()
-        plan[rows] = next(
-            (p for p in candidates if _product(Xc, Wc, p).tobytes() == Z), None
-        )
-        if plan[rows] is None:
-            return None
-    return plan
+    if 2 * len(cols) <= dim and np.isfinite(np.delete(W1, cols, axis=0)).all():
+        # random data at the call's own columns and batch shapes stands in
+        # for X (row-major, like the batches X[idx] train takes)
+        rng = np.random.default_rng(0)
+        compact = rng.standard_normal((min(batch_size, len(Xc)), len(cols)), dtype=np.float32)
+        dense = _dense(cols, compact, dim)
+        W = rng.standard_normal((dim, hidden), dtype=np.float32)
+        dZ = rng.standard_normal((len(compact), hidden), dtype=np.float32)
+        # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32)
+        # as one panel and blocks a larger one, so the full batch and the
+        # remainder may need different panels
+        sizes = {len(compact), len(Xc) % batch_size} - {0}
+        plan = {n: _matching_panels(dense[:n], compact[:n], cols, W) for n in sizes}
+        if None not in plan.values() and all(
+            (dense[:n].T @ dZ[:n])[cols].tobytes() == (compact[:n].T @ dZ[:n]).tobytes()
+            for n in sizes
+        ):
+            return cols, Xc, plan
+    return np.arange(dim), _dense(cols, Xc, dim), {}
 
 
 def train(
@@ -332,12 +343,9 @@ def train(
     if _degenerate(y):
         meta["degenerate_labels"] = "true"
 
-    plan = _compact_panels(X, cols, model.W1, hyper.batch_size)
+    cols, X, plan = _layout(cols, X, model.W1, hyper.batch_size)
     arrays = model.arrays()
-    if plan is None:
-        X = _dense(cols, X, model.dim)
-    else:
-        arrays["W1"] = model.W1[cols]
+    arrays["W1"] = model.W1[cols]
     shuffle = np.random.default_rng([hyper.seed, 1])
     lr = np.float32(hyper.lr)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -345,13 +353,11 @@ def train(
             order = shuffle.permutation(len(examples))
             for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
                 idx = order[start : start + hyper.batch_size]
-                panels = None if plan is None else plan[len(idx)]
-                loss, grads = loss_and_grads(arrays, X[idx], y[idx], panels)
+                loss, grads = loss_and_grads(arrays, X[idx], y[idx], plan.get(len(idx)))
                 _check_loss(loss, epoch, step)
                 for name in TENSOR_NAMES:
                     arrays[name] -= lr * grads[name]
-    if plan is not None:
-        model.W1[cols] = arrays["W1"]
+    model.W1[cols] = arrays["W1"]
     return model.to_checkpoint(meta)
 
 
@@ -452,6 +458,7 @@ def train_lora(
 
 def predict(ckpt: Checkpoint, examples, threshold: float = 0.5) -> list[PredictionRecord]:
     """Score examples with a serialized toy model; y_pred via the threshold."""
+    check_threshold(threshold)
     model = ToyModel.from_checkpoint(ckpt)
     scores = score_features(model, featurize_all(examples, model.dim))
     return [
@@ -480,46 +487,31 @@ def score_features(
     return _sigmoid(logit.astype(np.float64))
 
 
-def _scoring_panels(X: np.ndarray, Xc: np.ndarray, cols: np.ndarray, W1: np.ndarray):
-    """The first of _candidate_panels whose sum of Xc[:, p] @ W1[cols][p]
-    gives this BLAS's X @ W1 bytes, or None; also None when X @ W1 is not
-    finite, since a NaN would hide a difference."""
-    Z = X @ W1
-    if not np.isfinite(Z).all():
-        return None
-    Z, Wc = Z.tobytes(), W1[cols]
-    return next(
-        (p for p in _candidate_panels(len(W1), cols) if _product(Xc, Wc, p).tobytes() == Z),
-        None,
-    )
-
-
 class SplitScorer:
-    """Scores one split under a series of models of one shape, such as the
-    edited models of a sweep.
+    """Scores one split under a series of float32 models of one shape, dim x
+    hidden, such as the edited models of a sweep.
 
-    The split is featurized once, compactly. The first model's dense
-    ``X @ W1`` picks the panels (``_scoring_panels``), and the dense matrix
-    is dropped when some panels match. BLAS blocks by shape, not by value,
-    so those panels give every later model's dense bytes too, except for a
+    The split is featurized once, compactly, and _matching_panels finds its
+    panels on its real rows and random weights; when none match, the split
+    becomes the all-columns layout, the dense matrix. BLAS blocks by shape,
+    not by value, so the panels give every model's dense bytes, except for a
     model with a non-finite untouched W1 row: the dense product turns that
-    row into NaN (``0 * NaN``), so such a model is scored densely. When no
-    panels match, every model is scored densely.
+    row into NaN (``0 * NaN``), so such a model is scored on the dense
+    product.
     """
 
-    def __init__(self, examples, model: ToyModel):
-        self.cols, self.Xc = featurize_compact(examples, model.dim)
-        X = _dense(self.cols, self.Xc, model.dim)
-        self.panels = _scoring_panels(X, self.Xc, self.cols, model.W1)
-        self.X = X if self.panels is None else None
+    def __init__(self, examples, dim: int, hidden: int):
+        cols, Xc = featurize_compact(examples, dim)
+        X = _dense(cols, Xc, dim)
+        W = np.random.default_rng(0).standard_normal((dim, hidden), dtype=np.float32)
+        self.panels = _matching_panels(X, Xc, cols, W)
+        self.cols, self.X = (np.arange(dim), X) if self.panels is None else (cols, Xc)
 
     def scores(self, model: ToyModel) -> np.ndarray:
         """score_features of the split under model."""
-        untouched = np.delete(model.W1, self.cols, axis=0)
-        if self.panels is not None and np.isfinite(untouched).all():
-            return score_features(model, self.Xc, self.cols, self.panels)
-        X = self.X if self.X is not None else _dense(self.cols, self.Xc, model.dim)
-        return score_features(model, X)
+        if np.isfinite(np.delete(model.W1, self.cols, axis=0)).all():
+            return score_features(model, self.X, self.cols, self.panels)
+        return score_features(model, _dense(self.cols, self.X, model.dim))
 
 
 def grad_check(

@@ -45,7 +45,7 @@ def loss_and_grads(
     """Mean BCE on sigmoid(logit) and its gradients w.r.t. all parameters.
 
     With panels, X holds the touched columns only and arrays["W1"] their
-    rows (see _compact_panels); the W1 gradient is then of those rows.
+    rows (see _layout); the W1 gradient is then of those rows.
     """
     _, H, logit = _forward(arrays, X, panels)
     # softplus(z) - y*z is BCE-with-logits, stable for large |z|

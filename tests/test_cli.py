@@ -140,6 +140,25 @@ def test_bad_vec_syntax_exit_2(workdir):
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["apply", "absent.ckpt", "vA.ckpt", "--lambda", "nan"],
+         "error: --lambda must be finite, got nan\n"),
+        (["inject", "absent.ckpt", "vA.ckpt", "--lambda=-inf"],
+         "error: --lambda must be finite, got -inf\n"),
+        (["merge", "absent.ckpt", "--vec", "vA.ckpt:0.5", "--vec", "vA.ckpt:inf"],
+         "error: lambda in --vec 'vA.ckpt:inf' must be finite\n"),
+    ],
+)
+def test_non_finite_coefficient_exit_2_before_any_read(workdir, argv, message):
+    """The base does not exist, so a read would fail with no such file."""
+    proc = run_cli([*argv, "-o", "never.ckpt"], workdir)
+    assert proc.returncode == 2
+    assert proc.stderr == message
+    assert not (workdir / "never.ckpt").exists()
+
+
 def test_idempotent_reruns(workdir):
     for out in ("rerun1.ckpt", "rerun2.ckpt"):
         assert run_cli(
@@ -240,6 +259,25 @@ def test_sweep_undefined_criterion_exit_1_one_line(workdir, tmp_path):
         "error: InsufficientGroups: overall_eod is undefined at every grid point\n"
     )
     assert (tmp_path / "run" / "result.json").exists()
+
+
+def test_sweep_base_not_a_toy_model_exit_1(workdir, tmp_path):
+    """A base with the toy model's tensor names whose shapes do not form a
+    D->H->1 model, and a vector that merges with it."""
+    shapes = {"W1": (128, 8), "b1": (8,), "w2": (3,), "b2": ()}
+    for name in ("odd_base.ckpt", "odd_vec.ckpt"):
+        write_checkpoint(Checkpoint({n: Tensor.from_numpy(np.zeros(s, np.float32))
+                                     for n, s in shapes.items()}), tmp_path / name)
+    cfg = {"mode": "merge", "grid": [0.0, 1.0], "seeds": [13], "attribute": "g",
+           "data_dir": str(workdir / "data"),
+           "runs": {"13": {"base": "odd_base.ckpt", "vectors": ["odd_vec.ckpt"]}}}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    proc = run_cli(["sweep", "--config", "sweep.json", "-o", "run"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "error: IncompatibleCheckpoint: tensor shapes do not form a D->H->1 model\n"
+    )
+    assert not (tmp_path / "run").exists()
 
 
 def test_sweep_config_not_an_object_exit_2(tmp_path):
@@ -346,6 +384,7 @@ def test_train_toy_missing_spec_exit_1(workdir, tmp_path):
         ("--lr", "inf", "learning rate must be finite and > 0"),
         ("--lr", "0", "learning rate must be finite and > 0"),
         ("--lr", "-1", "learning rate must be finite and > 0"),
+        ("--seed", "-5", "seed must be >= 0, got -5"),
     ],
 )
 def test_train_toy_bad_size_exit_2(workdir, flag, value, reason):
@@ -631,6 +670,8 @@ def test_gen_data_missing_spec_exit_2(tmp_path):
         ("[1]", "spec must be a JSON object, got [1]"),
         ('{"total": "many"}', "spec field 'total' has the wrong type: 'many'"),
         ('{"proportions": {"A": 0.5, "B": 0.6}}', "proportions sum to"),
+        ('{"total": 200, "p_signal_pos": 7}', "p_signal_pos 7 outside [0,1]"),
+        ('{"total": 200, "seed": -1}', "seed must be >= 0, got -1"),
     ],
 )
 def test_gen_data_invalid_spec_exit_1(tmp_path, text, reason):

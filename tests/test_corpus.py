@@ -104,11 +104,22 @@ def test_label_base_rate():
         dict(bias=-1.0),
         dict(tokens_min=0),
         dict(vocab_size=2),
+        dict(signal_frac=-3.0),
+        dict(signal_frac=1.5),
+        dict(p_signal_pos=7.0),
+        dict(p_signal_neg=-0.1),
+        dict(seed=-1),
     ],
 )
 def test_invalid_specs(kw):
     with pytest.raises(InvalidSpec):
         small_spec(**kw)
+
+
+@pytest.mark.parametrize("value", [0.0, 1.0])
+@pytest.mark.parametrize("name", ["signal_frac", "p_signal_pos", "p_signal_neg"])
+def test_probability_fields_accept_their_bounds(name, value):
+    assert getattr(small_spec(**{name: value}), name) == value
 
 
 @pytest.mark.parametrize(

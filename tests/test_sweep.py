@@ -7,9 +7,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fairvec.arith import diff
+from fairvec.arith import TaskVector, diff
+from fairvec.ckpt import Checkpoint, Tensor
 from fairvec.corpus import CorpusSpec, gen_corpus
-from fairvec.errors import InsufficientGroups
+from fairvec.errors import IncompatibleCheckpoint, InsufficientGroups
 from fairvec.metrics import GroupReport, GroupRow, evaluate
 from fairvec.sweep import (
     INJECT_GRID,
@@ -324,6 +325,20 @@ def test_nan_in_untouched_row_recompute(wide_lab):
         expect = evaluate(predict(inject(ffts[13], nan_vec, r.lam), evals[13]), ATTR)
         assert r.report == expect
     assert res.rows[1].report.rows[0].selection_rate == 0.0  # NaN scores are negative
+
+
+@pytest.mark.parametrize("sweep", [lambda_sweep, inject_sweep])
+def test_base_not_a_toy_model_raises(lab, sweep):
+    """The toy model's tensor names, but w2 does not match W1's hidden size:
+    merging works, scoring must not."""
+    _, _, evals, _, _ = lab
+    shapes = {"W1": (DIM, HID), "b1": (HID,), "w2": (HID + 1,), "b2": ()}
+    zeros = {n: np.zeros(s, np.float32) for n, s in shapes.items()}
+    base = Checkpoint({n: Tensor.from_numpy(a) for n, a in zeros.items()})
+    vec = TaskVector.from_arrays(zeros)
+    cfg = SweepConfig(grid=[0.0, 1.0], seeds=[13], attribute=ATTR)
+    with pytest.raises(IncompatibleCheckpoint, match="D->H->1"):
+        sweep(base, [vec] if sweep is lambda_sweep else vec, cfg, evals)
 
 
 def test_rows_grid_major_with_shared_eval_split(lab):

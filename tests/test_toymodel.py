@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -15,9 +17,9 @@ from fairvec.toymodel import (
     grad_check,
     init_model,
     TENSOR_NAMES,
-    _compact_panels,
     _forward,
     _labels,
+    _layout,
     _panels,
     _product,
     _sigmoid,
@@ -83,6 +85,13 @@ def test_diverged_training():
         train(ex, Hyper(epochs=1, seed=1), base=Checkpoint(tensors=bad))
     with pytest.raises(DivergedTraining, match="epoch 0, step 0"):
         train_lora(ex, Checkpoint(tensors=bad), Hyper(epochs=1, seed=1))
+
+
+def test_negative_seed():
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        Hyper(seed=-5)
+    with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+        init_model(DIM, HID, -5)
 
 
 @pytest.mark.parametrize("lr", [np.nan, np.inf, -np.inf, 0.0, -1.0])
@@ -186,6 +195,13 @@ class TestPredict:
         preds = predict(model.to_checkpoint(), ex)
         assert all(p.score == 0.5 and p.y_pred == 1 for p in preds)
 
+    @pytest.mark.parametrize("examples", [[], separable_examples(2)])
+    def test_bad_threshold_raises_before_scoring(self, examples):
+        ckpt = init_model(DIM, HID, 1).to_checkpoint()
+        with pytest.raises(ValueError, match="threshold must lie in"):
+            predict(ckpt, examples, threshold=7.0)
+        assert predict(ckpt, []) == []
+
     def test_incompatible_checkpoint(self):
         bad = Checkpoint(
             tensors={"weird": Tensor.from_numpy(np.zeros(3, np.float32))}
@@ -252,7 +268,8 @@ class TestGradCheck:
 def dense_train_reference(examples, hyper, dim, hidden, base=None):
     """The dense training loop that compact training must reproduce:
     the reference step (a full X.T @ dZ gradient) and a fresh copy of every
-    tensor per step."""
+    tensor per step. A non-finite loss raises DivergedTraining naming its
+    epoch and step."""
     model = (
         ToyModel.from_checkpoint(base) if base is not None
         else init_model(dim, hidden, hyper.seed)
@@ -262,11 +279,14 @@ def dense_train_reference(examples, hyper, dim, hidden, base=None):
     shuffle = np.random.default_rng([hyper.seed, 1])
     arrays = model.arrays()
     lr = np.float32(hyper.lr)
-    for _ in range(hyper.epochs):
+    for epoch in range(hyper.epochs):
         order = shuffle.permutation(len(examples))
-        for start in range(0, len(examples), hyper.batch_size):
+        for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
             idx = order[start : start + hyper.batch_size]
-            loss, grads = ref.loss_and_grads(arrays, X[idx], y[idx])
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss, grads = ref.loss_and_grads(arrays, X[idx], y[idx])
+            if not np.isfinite(loss):
+                raise DivergedTraining(f"reference loss {loss} at epoch {epoch}, step {step}")
             for name in TENSOR_NAMES:
                 arrays[name] = (arrays[name] - lr * grads[name]).astype(np.float32)
     return ToyModel(*(arrays[n] for n in TENSOR_NAMES)).to_checkpoint()
@@ -275,13 +295,20 @@ def dense_train_reference(examples, hyper, dim, hidden, base=None):
 class TestSparseTraining:
     """train works on the touched columns only when at most half of the
     buckets are touched and BLAS gives the compact forward and backward the
-    dense bytes; either way its bytes equal the dense loop."""
+    dense bytes, and otherwise in the all-columns layout; either way its
+    bytes equal the dense loop."""
 
     SPARSE_DIM = 1024
 
     @staticmethod
     def touched(examples, dim):
         return featurize_all(examples, dim).any(axis=0)
+
+    @pytest.fixture(scope="class")
+    def readme_split(self):
+        """The full training split at the README's scale: the default 7-group
+        mix, 700 examples, dim 512 and hidden 16."""
+        return gen_corpus(CorpusSpec(attribute="gender", total=700, seed=13))[0]
 
     @pytest.mark.parametrize(
         "dim, hidden, group, eligible",
@@ -301,12 +328,15 @@ class TestSparseTraining:
         assert (2 * touched.sum() <= dim) == eligible
         cols, X = featurize_compact(subset, dim)
         assert np.array_equal(cols, np.flatnonzero(touched))
-        plan = _compact_panels(X, cols, init_model(dim, hidden, 13).W1, 32)
-        if plan is not None:
+        layout, _, plan = _layout(cols, X, init_model(dim, hidden, 13).W1, 32)
+        if plan:
             assert eligible and set(plan) == {32, len(subset) % 32} - {0}
+            assert layout is cols
             for panels in plan.values():
                 covered = np.concatenate([np.arange(len(cols))[p] for p in panels])
                 assert np.array_equal(covered, np.arange(len(cols)))
+        else:
+            assert np.array_equal(layout, np.arange(dim))
         hy = Hyper(epochs=4, seed=13)
         got = train(subset, hy, dim=dim, hidden=hidden)
         assert got.tensors == dense_train_reference(subset, hy, dim, hidden).tensors
@@ -341,10 +371,42 @@ class TestSparseTraining:
         with pytest.raises(DivergedTraining, match="epoch 0, step 0"):
             train(subset, Hyper(epochs=1, seed=13), base=model.to_checkpoint())
 
+    def test_readme_full_split_all_columns_bytes(self, readme_split):
+        cols, X = featurize_compact(readme_split, 512)
+        assert 2 * len(cols) > 512
+        layout, dense, plan = _layout(cols, X, init_model(512, 16, 13).W1, 32)
+        assert np.array_equal(layout, np.arange(512)) and plan == {}
+        assert dense.tobytes() == featurize_all(readme_split, 512).tobytes()
+        hy = Hyper(epochs=3, seed=13)
+        got = train(readme_split, hy, dim=512, hidden=16)
+        assert got.tensors == dense_train_reference(readme_split, hy, 512, 16).tensors
+
+    def test_readme_full_split_from_base_bytes(self, readme_split):
+        base = dense_train_reference(readme_split, Hyper(epochs=2, seed=14), 512, 16)
+        hy = Hyper(epochs=3, seed=13)
+        got = train(readme_split, hy, base=base)
+        assert got.tensors == dense_train_reference(readme_split, hy, None, None, base).tensors
+
+    @pytest.mark.parametrize("case", ["untouched nan", "touched nan", "huge lr"])
+    def test_readme_full_split_diverges_where_the_reference_does(self, readme_split, case):
+        model = init_model(512, 16, 13)
+        touched = self.touched(readme_split, 512)
+        assert not touched.all()
+        lr = 1e38 if case == "huge lr" else 0.1
+        if case != "huge lr":
+            model.W1[int(np.flatnonzero(touched == (case == "touched nan"))[0]), 0] = np.nan
+        hy, base = Hyper(epochs=3, lr=lr, seed=13), model.to_checkpoint()
+        with pytest.raises(DivergedTraining) as want:
+            dense_train_reference(readme_split, hy, None, None, base)
+        with pytest.raises(DivergedTraining) as got:
+            train(readme_split, hy, base=base)
+        where = r"at epoch \d+, step \d+$"
+        assert re.search(where, str(got.value))[0] == re.search(where, str(want.value))[0]
+
 
 class TestPanels:
-    """_panels follows OpenBLAS's K-loop rule, and whenever _compact_panels
-    returns panels the panel sum and the compact gradient have the dense
+    """_panels follows OpenBLAS's K-loop rule, and whenever _layout returns a
+    compact plan the panel sum and the compact gradient have the dense
     products' bytes on data the probe never saw."""
 
     @pytest.mark.parametrize(
@@ -374,11 +436,11 @@ class TestPanels:
         rng = np.random.default_rng([dim, hidden, remainder])
         cols = np.sort(rng.choice(dim, dim // 8, replace=False))
         n, batch = 3 * 32 + remainder, 32
-        plan = _compact_panels(
-            np.zeros((n, len(cols)), np.float32), cols,
+        _, _, plan = _layout(
+            cols, np.zeros((n, len(cols)), np.float32),
             rng.standard_normal((dim, hidden), dtype=np.float32), batch,
         )
-        if plan is None:
+        if not plan:
             return
         for rows, panels in plan.items():
             Xc = rng.standard_normal((rows, len(cols)), dtype=np.float32)
@@ -391,10 +453,11 @@ class TestPanels:
 
 
 class TestScoringPanels:
-    """Whichever plan SplitScorer picks, its scores have the bytes
-    score_features gives on the dense features: for the model that picked
-    the plan, for a later model, and for a model with a NaN in an untouched
-    W1 row; and a plan is not picked on a non-finite dense product."""
+    """Whichever layout SplitScorer picks from the split and the shape alone,
+    its scores have the bytes score_features gives on the dense features:
+    for a first model, a later one at 100x its W1, a model with a NaN in an
+    untouched W1 row, and a finite model scored after an all-NaN one. When
+    no panels match, the split is the all-columns layout."""
 
     @pytest.mark.parametrize("dim, hidden", [(4096, 32), (4096, 16), (512, 16), (DIM, HID)])
     def test_scores_bytes_equal_dense(self, corpus, dim, hidden):
@@ -404,13 +467,14 @@ class TestScoringPanels:
         later.W1 *= 100
         nan_row = later.copy()
         nan_row.W1[int(np.flatnonzero(~dense.any(axis=0))[0]), 0] = np.nan
-        scorer = SplitScorer(tr, first)
-        for model in (first, later, nan_row):
-            assert scorer.scores(model).tobytes() == score_features(model, dense).tobytes()
-        poisoned = first.copy()
-        poisoned.W1[:] = np.nan
-        got = SplitScorer(tr, poisoned).scores(later)
-        assert got.tobytes() == score_features(later, dense).tobytes()
+        all_nan = first.copy()
+        all_nan.W1[:] = np.nan
+        scorer = SplitScorer(tr, dim, hidden)
+        if scorer.panels is None:
+            assert np.array_equal(scorer.cols, np.arange(dim))
+            assert scorer.X.tobytes() == dense.tobytes()
+        for model in (first, later, nan_row, all_nan, later):
+            assert same_bits(scorer.scores(model), score_features(model, dense))
 
 
 # logits at the edges of the sigmoid and the loss: signed zeros, tiny values,
