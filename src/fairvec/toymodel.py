@@ -297,27 +297,28 @@ def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int):
     batch size a step sees, when at most half of the buckets are touched,
     every untouched W1 row is finite, and for each batch size some panels
     give this BLAS's dense forward bytes and the compact backward the dense
-    one's. Otherwise all columns: (arange(dim), the dense matrix, {})."""
+    one's. Otherwise all columns: (arange(dim), the dense matrix, and None,
+    the single product, for each batch size)."""
     dim, hidden = W1.shape
+    # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32)
+    # as one panel and blocks a larger one, so the full batch and the
+    # remainder may need different panels
+    sizes = {min(batch_size, len(Xc)), len(Xc) % batch_size} - {0}
     if 2 * len(cols) <= dim and np.isfinite(np.delete(W1, cols, axis=0)).all():
         # random data at the call's own columns and batch shapes stands in
         # for X (row-major, like the batches X[idx] train takes)
         rng = np.random.default_rng(0)
-        compact = rng.standard_normal((min(batch_size, len(Xc)), len(cols)), dtype=np.float32)
+        compact = rng.standard_normal((max(sizes), len(cols)), dtype=np.float32)
         dense = _dense(cols, compact, dim)
         W = rng.standard_normal((dim, hidden), dtype=np.float32)
         dZ = rng.standard_normal((len(compact), hidden), dtype=np.float32)
-        # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32)
-        # as one panel and blocks a larger one, so the full batch and the
-        # remainder may need different panels
-        sizes = {len(compact), len(Xc) % batch_size} - {0}
         plan = {n: _matching_panels(dense[:n], compact[:n], cols, W) for n in sizes}
         if None not in plan.values() and all(
             (dense[:n].T @ dZ[:n])[cols].tobytes() == (compact[:n].T @ dZ[:n]).tobytes()
             for n in sizes
         ):
             return cols, Xc, plan
-    return np.arange(dim), _dense(cols, Xc, dim), {}
+    return np.arange(dim), _dense(cols, Xc, dim), dict.fromkeys(sizes)
 
 
 def train(
@@ -353,7 +354,7 @@ def train(
             order = shuffle.permutation(len(examples))
             for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
                 idx = order[start : start + hyper.batch_size]
-                loss, grads = loss_and_grads(arrays, X[idx], y[idx], plan.get(len(idx)))
+                loss, grads = loss_and_grads(arrays, X[idx], y[idx], plan[len(idx)])
                 _check_loss(loss, epoch, step)
                 for name in TENSOR_NAMES:
                     arrays[name] -= lr * grads[name]

@@ -329,14 +329,15 @@ class TestSparseTraining:
         cols, X = featurize_compact(subset, dim)
         assert np.array_equal(cols, np.flatnonzero(touched))
         layout, _, plan = _layout(cols, X, init_model(dim, hidden, 13).W1, 32)
-        if plan:
-            assert eligible and set(plan) == {32, len(subset) % 32} - {0}
-            assert layout is cols
+        assert set(plan) == {32, len(subset) % 32} - {0}
+        if layout is cols:
+            assert eligible
             for panels in plan.values():
                 covered = np.concatenate([np.arange(len(cols))[p] for p in panels])
                 assert np.array_equal(covered, np.arange(len(cols)))
         else:
             assert np.array_equal(layout, np.arange(dim))
+            assert set(plan.values()) == {None}
         hy = Hyper(epochs=4, seed=13)
         got = train(subset, hy, dim=dim, hidden=hidden)
         assert got.tensors == dense_train_reference(subset, hy, dim, hidden).tensors
@@ -375,7 +376,8 @@ class TestSparseTraining:
         cols, X = featurize_compact(readme_split, 512)
         assert 2 * len(cols) > 512
         layout, dense, plan = _layout(cols, X, init_model(512, 16, 13).W1, 32)
-        assert np.array_equal(layout, np.arange(512)) and plan == {}
+        assert np.array_equal(layout, np.arange(512))
+        assert plan == dict.fromkeys({32, len(readme_split) % 32} - {0})
         assert dense.tobytes() == featurize_all(readme_split, 512).tobytes()
         hy = Hyper(epochs=3, seed=13)
         got = train(readme_split, hy, dim=512, hidden=16)
@@ -436,11 +438,11 @@ class TestPanels:
         rng = np.random.default_rng([dim, hidden, remainder])
         cols = np.sort(rng.choice(dim, dim // 8, replace=False))
         n, batch = 3 * 32 + remainder, 32
-        _, _, plan = _layout(
+        layout, _, plan = _layout(
             cols, np.zeros((n, len(cols)), np.float32),
             rng.standard_normal((dim, hidden), dtype=np.float32), batch,
         )
-        if not plan:
+        if layout is not cols:
             return
         for rows, panels in plan.items():
             Xc = rng.standard_normal((rows, len(cols)), dtype=np.float32)
@@ -474,7 +476,7 @@ class TestScoringPanels:
             assert np.array_equal(scorer.cols, np.arange(dim))
             assert scorer.X.tobytes() == dense.tobytes()
         for model in (first, later, nan_row, all_nan, later):
-            assert same_bits(scorer.scores(model), score_features(model, dense))
+            assert scorer.scores(model).tobytes() == score_features(model, dense).tobytes()
 
 
 # logits at the edges of the sigmoid and the loss: signed zeros, tiny values,
