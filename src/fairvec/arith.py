@@ -78,31 +78,25 @@ class WeightedVector:
             raise NonFiniteCoefficient(f"coefficient {self.coefficient!r} not finite")
 
 
-def _check_compat(a_names, a_shapes, b_names, b_shapes, intersect: bool):
-    """Return the name list to operate on, enforcing shape equality."""
-    a_set, b_set = set(a_names), set(b_names)
+def _check_compat(a: dict[str, Tensor], b: dict[str, Tensor], intersect: bool = False):
+    """The sorted names to operate on, of two name -> tensor dicts: every
+    name, NameSetMismatch unless a and b have the same ones, or with
+    intersect the common ones; ShapeMismatch unless each has one shape."""
     if intersect:
-        names = sorted(a_set & b_set)
+        names = sorted(a.keys() & b.keys())
     else:
-        if a_set != b_set:
-            raise NameSetMismatch(missing=b_set - a_set, extra=a_set - b_set)
-        names = sorted(a_set)
+        if a.keys() != b.keys():
+            raise NameSetMismatch(missing=b.keys() - a.keys(), extra=a.keys() - b.keys())
+        names = sorted(a)
     for name in names:
-        if a_shapes[name] != b_shapes[name]:
-            raise ShapeMismatch(name, a_shapes[name], b_shapes[name])
+        if a[name].shape != b[name].shape:
+            raise ShapeMismatch(name, a[name].shape, b[name].shape)
     return names
-
-
-def _shapes(tensors) -> dict[str, tuple[int, ...]]:
-    return {name: t.shape for name, t in tensors.items()}
 
 
 def diff(task: Checkpoint, base: Checkpoint, intersect: bool = False) -> TaskVector:
     """Task vector: per-element task minus base, in F32."""
-    names = _check_compat(
-        task.names(), _shapes(task.tensors), base.names(), _shapes(base.tensors),
-        intersect,
-    )
+    names = _check_compat(task.tensors, base.tensors, intersect)
     deltas = {
         name: Tensor._own(task.tensors[name].f32() - base.tensors[name].f32())
         for name in names
@@ -121,9 +115,7 @@ def diff(task: Checkpoint, base: Checkpoint, intersect: bool = False) -> TaskVec
 
 
 def add(a: TaskVector, b: TaskVector) -> TaskVector:
-    names = _check_compat(
-        a.names(), _shapes(a.deltas), b.names(), _shapes(b.deltas), False
-    )
+    names = _check_compat(a.deltas, b.deltas)
     return TaskVector(
         {name: Tensor._own(a.deltas[name].f32() + b.deltas[name].f32()) for name in names}
     )
@@ -157,16 +149,12 @@ def merge(
     coefficient is checked but not added. An empty parts list returns base
     unchanged bitwise (metadata included).
     """
-    base_names, base_shapes = base.names(), _shapes(base.tensors)
     acc = None
     coefficients = []
     for part in parts:
         if not isinstance(part, WeightedVector):
             part = WeightedVector(part[0], part[1])
-        _check_compat(
-            base_names, base_shapes, part.vector.names(), _shapes(part.vector.deltas),
-            False,
-        )
+        _check_compat(base.tensors, part.vector.deltas)
         coefficients.append(part.coefficient)
         if acc is None:
             acc = {name: t.to_numpy() for name, t in base.tensors.items()}
@@ -209,9 +197,7 @@ def vector_norm(tv: TaskVector) -> float:
 
 
 def vector_cosine(a: TaskVector, b: TaskVector) -> float:
-    names = _check_compat(
-        a.names(), _shapes(a.deltas), b.names(), _shapes(b.deltas), False
-    )
+    names = _check_compat(a.deltas, b.deltas)
     dot = 0.0
     for name in names:
         x = a.deltas[name].f32().astype(np.float64).ravel()

@@ -191,7 +191,8 @@ def cmd_gen_data(args, run):
 def cmd_train_toy(args, run):
     train_path = os.path.join(args.data, "train.jsonl")
     lines = run.text(train_path)
-    spec = corpus.load_spec(args.data)  # not via run: a missing spec.json exits 1
+    spec_path = os.path.join(args.data, "spec.json")
+    spec = corpus.CorpusSpec.from_json(run.text(spec_path).read())
     train_ex = corpus.parse_examples(lines, train_path)
     hyper = toymodel.Hyper(
         epochs=args.epochs, lr=args.lr, batch_size=args.batch_size, seed=args.seed

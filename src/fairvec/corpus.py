@@ -21,6 +21,9 @@ with bias > 0 (a ``poisson`` draw), comes from ``_gen_example``; so does
 every row of a spec with an integer range of size 1 (which draws no word)
 or of 2**32 or more.
 
+A split is saved as JSONL by ``metrics.write_jsonl`` and read back by
+``parse_examples``.
+
 Default subgroup proportions follow a 7-group gender-style split with one
 dominant group, one small catch-all "Other", and several small groups.
 """
@@ -36,7 +39,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import InvalidSpec
-from .metrics import binary_label, parse_jsonl, string_map
+from .metrics import binary_label, parse_jsonl, string_map, write_jsonl
 
 # 7-subgroup default mix (counts 817/114/178/173/148/2057/59, total 3546)
 DEFAULT_GROUP_COUNTS = {
@@ -268,20 +271,7 @@ def gen_corpus(spec: CorpusSpec) -> tuple[list[Example], list[Example]]:
 
 
 def save_examples(examples, path: str | os.PathLike) -> None:
-    with atomic_open(path) as fh:
-        for ex in examples:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": ex.id,
-                        "tokens": list(ex.tokens),
-                        "y_true": ex.y_true,
-                        "groups": ex.groups,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl((vars(ex) for ex in examples), path)
 
 
 def _example(obj) -> Example:
@@ -308,9 +298,3 @@ def save_corpus(spec: CorpusSpec, train, test, out_dir: str | os.PathLike) -> No
     save_examples(test, os.path.join(out_dir, "test.jsonl"))
     with atomic_open(os.path.join(out_dir, "spec.json")) as fh:
         fh.write(spec.to_json() + "\n")
-
-
-def load_spec(data_dir: str | os.PathLike) -> CorpusSpec:
-    with open(os.path.join(data_dir, "spec.json"), "r", encoding="utf-8") as fh:
-        return CorpusSpec.from_json(fh.read())
-

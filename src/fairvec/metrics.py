@@ -16,7 +16,10 @@ A JSONL prediction log is read either as ``PredictionRecord``s
 (``load_predictions``) or straight into columns (``prediction_columns``,
 which ``fairvec eval`` uses and which builds no per-record objects). Both
 check each line with the one validator ``_prediction`` under
-``parse_jsonl``, which also reads corpus files.
+``parse_jsonl``, which also reads corpus files. ``write_jsonl`` is the one
+writer of both kinds of file: one sorted-key JSON object per line, written
+atomically. Every CSV cell, here and in the sweep CSV, is ``csv_cell``'s
+full-precision ``repr``, or empty for None.
 """
 
 from __future__ import annotations
@@ -273,6 +276,12 @@ def accuracy_parity_gap(records, attribute: str) -> float:
     return max(acc.per_group.values()) - min(acc.per_group.values())
 
 
+def csv_cell(value) -> str:
+    """A CSV cell: the repr of value, full precision for a float, or empty
+    for None."""
+    return "" if value is None else repr(value)
+
+
 @dataclass
 class GroupRow:
     group: str
@@ -281,6 +290,13 @@ class GroupRow:
     selection_rate: float
     dpd_ovr: float | None
     eod_ovr: float | None
+
+    def cells(self) -> list:
+        """The row's CSV cells, in field order."""
+        return [self.group, self.n] + [
+            csv_cell(v)
+            for v in (self.accuracy, self.selection_rate, self.dpd_ovr, self.eod_ovr)
+        ]
 
 
 @dataclass
@@ -331,16 +347,10 @@ class GroupReport:
             ["group", "n", "accuracy", "selection_rate", "dpd_ovr", "eod_ovr"]
         )
         for r in self.rows:
-            writer.writerow(
-                [r.group, r.n, repr(r.accuracy), repr(r.selection_rate)]
-                + [("" if v is None else repr(v)) for v in (r.dpd_ovr, r.eod_ovr)]
-            )
+            writer.writerow(r.cells())
         writer.writerow(
-            ["__overall__", sum(r.n for r in self.rows), repr(self.macro_accuracy), ""]
-            + [
-                ("" if v is None else repr(v))
-                for v in (self.overall_dpd, self.overall_eod)
-            ]
+            ["__overall__", sum(r.n for r in self.rows), csv_cell(self.macro_accuracy), ""]
+            + [csv_cell(v) for v in (self.overall_dpd, self.overall_eod)]
         )
         return buf.getvalue()
 
@@ -410,6 +420,16 @@ def parse_jsonl(lines, path, parse):
         yield fields
 
 
+def write_jsonl(objects, path: str | os.PathLike) -> None:
+    """Each object as one line of sorted-key JSON, written atomically: the
+    files parse_jsonl reads."""
+    # json.dumps(obj, sort_keys=True), without a new encoder per line
+    encode = json.JSONEncoder(sort_keys=True).encode
+    with atomic_open(path) as fh:
+        for obj in objects:
+            fh.write(encode(obj) + "\n")
+
+
 def _prediction(obj) -> tuple[str, int, float, int | None, dict[str, str]]:
     """A log line's (id, y_true, score, y_pred or None, groups)."""
     score = float(obj["score"])
@@ -477,18 +497,4 @@ def prediction_columns(
 
 
 def dump_predictions(records, path: str | os.PathLike) -> None:
-    with atomic_open(path) as fh:
-        for rec in records:
-            fh.write(
-                json.dumps(
-                    {
-                        "id": rec.id,
-                        "y_true": rec.y_true,
-                        "score": rec.score,
-                        "y_pred": rec.y_pred,
-                        "groups": rec.groups,
-                    },
-                    sort_keys=True,
-                )
-                + "\n"
-            )
+    write_jsonl((vars(rec) for rec in records), path)

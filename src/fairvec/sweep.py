@@ -12,6 +12,12 @@ A base that is not a D->H->1 model raises ``IncompatibleCheckpoint`` before
 its seed is scored.
 Rows are still ordered grid-major then seed. Per-seed artifacts (base
 checkpoint, vectors, eval split) may be one shared object or a dict by seed.
+
+``SweepResult.aggregates`` is the one place the across-seed means are
+computed: ``select_lambda`` picks its grid point from them and ``emit``
+charts them. ``emit`` always writes all six files, and the CSV takes its
+cells from ``metrics.csv_cell`` and ``GroupRow.cells``, as ``fairvec eval``'s
+CSV does.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .arith import TaskVector, WeightedVector, merge
 from .atomic import atomic_open
 from .ckpt import Checkpoint
 from .errors import InsufficientGroups, IoFailure
-from .metrics import GroupColumns, GroupReport, check_threshold
+from .metrics import GroupColumns, GroupReport, check_threshold, csv_cell
 
 MERGE_GRID = [round(0.1 * i, 1) for i in range(11)]    # 0.0 .. 1.0 step 0.1
 INJECT_GRID = [round(0.2 * i, 1) for i in range(6)]    # 0.0 .. 1.0 step 0.2
@@ -131,28 +137,20 @@ class SweepResult:
              "dpd_ovr", "eod_ovr", "macro_accuracy", "overall_dpd",
              "overall_eod", "accuracy_parity_gap"]
         )
-
-        def cell(v):
-            return "" if v is None else repr(v)
-
         for r in self.rows:
+            lam = csv_cell(r.lam)
             for row in r.report.rows:
-                writer.writerow(
-                    [repr(r.lam), r.seed, row.group, row.n, repr(row.accuracy),
-                     repr(row.selection_rate), cell(row.dpd_ovr), cell(row.eod_ovr),
-                     "", "", "", ""]
-                )
+                writer.writerow([lam, r.seed, *row.cells(), "", "", "", ""])
             writer.writerow(
-                [repr(r.lam), r.seed, "__overall__", sum(g.n for g in r.report.rows),
-                 "", "", "", "", repr(r.report.macro_accuracy),
-                 cell(r.report.overall_dpd), cell(r.report.overall_eod),
-                 cell(r.report.accuracy_parity_gap)]
+                [lam, r.seed, "__overall__", sum(g.n for g in r.report.rows),
+                 "", "", "", ""]
+                + [csv_cell(getattr(r.report, m)) for m in OVERALL_METRICS]
             )
         for lam, metrics in self.aggregates().items():
             for stat in ("mean", "stderr"):
                 writer.writerow(
-                    [repr(lam), stat, "__overall__", "", "", "", "", ""]
-                    + [cell(metrics[m][stat]) for m in OVERALL_METRICS]
+                    [csv_cell(lam), stat, "__overall__", "", "", "", "", ""]
+                    + [csv_cell(metrics[m][stat]) for m in OVERALL_METRICS]
                 )
         return buf.getvalue()
 
@@ -214,32 +212,20 @@ def inject_sweep(
     )
 
 
-def select_lambda(result: SweepResult, criterion=None) -> float:
-    """Grid value with the best across-seed mean criterion; ties go low.
-    The DISPARITY_METRICS (overall_dpd, overall_eod, accuracy_parity_gap) are
-    minimized, since lower is fairer; macro_accuracy and a callable criterion
-    are maximized. As in aggregates(), a point where any seed's value is None
-    is skipped."""
-    if criterion is None:
-        criterion = result.config.criterion
-    if callable(criterion):
-        key, sign = criterion, 1.0
-    else:
-        key = lambda report: getattr(report, criterion)  # noqa: E731
-        sign = -1.0 if criterion in DISPARITY_METRICS else 1.0
-
-    best_lam, best_mean = None, None
-    for lam in result.config.grid:
-        values = [key(r.report) for r in result.rows_at(lam)]
-        if any(v is None for v in values):
-            continue
-        mean = sign * statistics.fmean(values)
-        if best_mean is None or mean > best_mean:
-            best_lam, best_mean = lam, mean
-    if best_lam is None:
-        name = getattr(criterion, "__name__", criterion)
-        raise InsufficientGroups(f"{name} is undefined at every grid point")
-    return best_lam
+def select_lambda(result: SweepResult) -> float:
+    """Grid value with the best across-seed mean of the config's criterion,
+    aggregates()'s mean; ties go low. The DISPARITY_METRICS (overall_dpd,
+    overall_eod, accuracy_parity_gap) are minimized, since lower is fairer,
+    and macro_accuracy is maximized. A point whose mean is None (a seed's
+    value is undefined) is skipped."""
+    criterion = result.config.criterion
+    sign = -1.0 if criterion in DISPARITY_METRICS else 1.0
+    mean = {lam: agg[criterion]["mean"] for lam, agg in result.aggregates().items()}
+    defined = [lam for lam in mean if mean[lam] is not None]
+    if not defined:
+        raise InsufficientGroups(f"{criterion} is undefined at every grid point")
+    # in grid order, so max keeps the lowest of equal means
+    return max(defined, key=lambda lam: sign * mean[lam])
 
 
 def worst_subgroups(
@@ -277,17 +263,12 @@ def sha256_file(path) -> str:
 def emit(
     result: SweepResult,
     out_dir: str | os.PathLike,
-    formats=("json", "csv", "svg"),
     input_digests: dict[str, str] | None = None,
 ) -> list[str]:
-    """Write result.json / result.csv / per-metric SVGs plus a manifest.
+    """Write result.json, result.csv, the acc/dpd/eod SVGs and a manifest.
 
-    An empty formats list writes nothing. SVG output is byte-deterministic
-    for identical results.
+    Every file is byte-deterministic for identical results.
     """
-    formats = list(formats)
-    if not formats:
-        return []
     os.makedirs(out_dir, exist_ok=True)
     written: list[str] = []
 
@@ -300,34 +281,31 @@ def emit(
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         written.append(path)
 
-    if "json" in formats:
-        write("result.json", json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n")
-    if "csv" in formats:
-        write("result.csv", result.to_csv())
-    if "svg" in formats:
-        agg = result.aggregates()
-        for fname, metric, label in (
-            ("acc.svg", "macro_accuracy", "macro accuracy"),
-            ("dpd.svg", "overall_dpd", "DPD"),
-            ("eod.svg", "overall_eod", "EOD"),
-        ):
-            mean_line = [
-                (lam, agg[lam][metric]["mean"])
-                for lam in result.config.grid
-                if agg[lam][metric]["mean"] is not None
-            ]
-            scatter = [
-                (r.lam, getattr(r.report, metric))
-                for r in result.rows
-                if getattr(r.report, metric) is not None
-            ]
-            write(
-                fname,
-                svg.line_chart(
-                    mean_line, scatter,
-                    title=f"{label} vs lambda", xlabel="lambda", ylabel=label,
-                ),
-            )
+    write("result.json", json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n")
+    write("result.csv", result.to_csv())
+    agg = result.aggregates()
+    for fname, metric, label in (
+        ("acc.svg", "macro_accuracy", "macro accuracy"),
+        ("dpd.svg", "overall_dpd", "DPD"),
+        ("eod.svg", "overall_eod", "EOD"),
+    ):
+        mean_line = [
+            (lam, agg[lam][metric]["mean"])
+            for lam in result.config.grid
+            if agg[lam][metric]["mean"] is not None
+        ]
+        scatter = [
+            (r.lam, getattr(r.report, metric))
+            for r in result.rows
+            if getattr(r.report, metric) is not None
+        ]
+        write(
+            fname,
+            svg.line_chart(
+                mean_line, scatter,
+                title=f"{label} vs lambda", xlabel="lambda", ylabel=label,
+            ),
+        )
 
     manifest = {
         "config_hash": hashlib.sha256(

@@ -4,7 +4,9 @@ Trained with plain mini-batch gradient descent on binary cross-entropy.
 Training is single-threaded and deterministic given the seed: the base
 initialization, the shuffle stream, and the LoRA init are all derived from
 independent substreams of the same seed, so pooled and per-subgroup runs
-share an identical starting point.
+share an identical starting point. One schedule, ``_minibatches``, yields
+each step's epoch, step and batch rows from its substream: 1 for ``train``,
+3 for ``train_lora``.
 
 A step (``loss_and_grads``) builds each intermediate in one fresh array
 and works on it in place: the hidden activations, the logits, their
@@ -231,6 +233,18 @@ def loss_and_grads(
     return loss, {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
 
 
+def _minibatches(n: int, hyper: Hyper, stream: int):
+    """(epoch, step, idx) for each step of training on n rows: every epoch
+    draws a permutation of range(n) from default_rng([hyper.seed, stream])
+    and cuts it into batches of hyper.batch_size, the last one possibly
+    shorter."""
+    shuffle = np.random.default_rng([hyper.seed, stream])
+    for epoch in range(hyper.epochs):
+        order = shuffle.permutation(n)
+        for step, start in enumerate(range(0, n, hyper.batch_size)):
+            yield epoch, step, order[start : start + hyper.batch_size]
+
+
 def _check_loss(loss: float, epoch: int, step: int) -> None:
     if not math.isfinite(loss):
         raise DivergedTraining(
@@ -335,7 +349,7 @@ def train(
     model = (
         ToyModel.from_checkpoint(base) if base is not None
         else init_model(dim, hidden, hyper.seed)
-    ).copy()
+    )
     cols, X = featurize_compact(examples, model.dim)
     y = _labels(examples)
 
@@ -347,17 +361,13 @@ def train(
     cols, X, plan = _layout(cols, X, model.W1, hyper.batch_size)
     arrays = model.arrays()
     arrays["W1"] = model.W1[cols]
-    shuffle = np.random.default_rng([hyper.seed, 1])
     lr = np.float32(hyper.lr)
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(hyper.epochs):
-            order = shuffle.permutation(len(examples))
-            for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
-                idx = order[start : start + hyper.batch_size]
-                loss, grads = loss_and_grads(arrays, X[idx], y[idx], plan[len(idx)])
-                _check_loss(loss, epoch, step)
-                for name in TENSOR_NAMES:
-                    arrays[name] -= lr * grads[name]
+        for epoch, step, idx in _minibatches(len(examples), hyper, 1):
+            loss, grads = loss_and_grads(arrays, X[idx], y[idx], plan[len(idx)])
+            _check_loss(loss, epoch, step)
+            for name in TENSOR_NAMES:
+                arrays[name] -= lr * grads[name]
     model.W1[cols] = arrays["W1"]
     return model.to_checkpoint(meta)
 
@@ -416,7 +426,7 @@ def train_lora(
         raise ValueError(f"alpha must be finite, got {alpha}")
     if not examples:
         raise EmptyGroup("cannot train on an empty dataset")
-    model = ToyModel.from_checkpoint(base).copy()
+    model = ToyModel.from_checkpoint(base)
     X = featurize_all(examples, model.dim)
     y = _labels(examples)
 
@@ -425,23 +435,19 @@ def train_lora(
     B = np.zeros((rank, model.hidden), dtype=np.float32)
     scaling = np.float32(alpha / rank)
 
-    shuffle = np.random.default_rng([hyper.seed, 3])
     arrays = model.arrays()
     lr = np.float32(hyper.lr)
     with np.errstate(over="ignore", invalid="ignore"):
-        for epoch in range(hyper.epochs):
-            order = shuffle.permutation(len(examples))
-            for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
-                idx = order[start : start + hyper.batch_size]
-                eff = dict(arrays)
-                eff["W1"] = arrays["W1"] + scaling * (A @ B)
-                loss, grads = loss_and_grads(eff, X[idx], y[idx])
-                _check_loss(loss, epoch, step)
-                A, B = (
-                    A - lr * scaling * (grads["W1"] @ B.T),
-                    B - lr * scaling * (A.T @ grads["W1"]),
-                )
-                arrays["b2"] = arrays["b2"] - lr * grads["b2"]
+        for epoch, step, idx in _minibatches(len(examples), hyper, 3):
+            eff = dict(arrays)
+            eff["W1"] = arrays["W1"] + scaling * (A @ B)
+            loss, grads = loss_and_grads(eff, X[idx], y[idx])
+            _check_loss(loss, epoch, step)
+            A, B = (
+                A - lr * scaling * (grads["W1"] @ B.T),
+                B - lr * scaling * (A.T @ grads["W1"]),
+            )
+            arrays["b2"] = arrays["b2"] - lr * grads["b2"]
 
     adapter = LoraAdapter(A=A, B=B, rank=rank, alpha=alpha)
     merged_arrays = dict(arrays)

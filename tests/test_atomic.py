@@ -41,14 +41,16 @@ def test_failed_replace_leaves_no_temp(tmp_path, rng):
         write_checkpoint(init_model(4, 2).to_checkpoint(), tmp_path / "out.ckpt")
     (tmp_path / "run" / "result.json").mkdir(parents=True)
     with pytest.raises(IoFailure):
-        emit(small_result(rng), tmp_path / "run", formats=("json",))
+        emit(small_result(rng), tmp_path / "run")
     assert temp_files(tmp_path) == [] and temp_files(tmp_path / "run") == []
 
 
 def test_emit_ignores_a_directory_named_like_a_temp_file(tmp_path, rng):
     (tmp_path / "result.json.tmp").mkdir()
-    written = emit(small_result(rng), tmp_path, formats=("json",))
-    assert [os.path.basename(p) for p in written] == ["result.json", "manifest.json"]
+    written = emit(small_result(rng), tmp_path)
+    assert [os.path.basename(p) for p in written] == [
+        "result.json", "result.csv", "acc.svg", "dpd.svg", "eod.svg", "manifest.json"
+    ]
     assert json.loads((tmp_path / "result.json").read_text())["rows"]
     assert temp_files(tmp_path) == ["result.json.tmp"]
 
@@ -58,7 +60,7 @@ def test_outputs_get_the_mode_open_gives(tmp_path, rng, umask):
     old = os.umask(umask)
     try:
         write_checkpoint(init_model(4, 2).to_checkpoint(), tmp_path / "m.ckpt")
-        emit(small_result(rng), tmp_path / "run", formats=("json",))
+        emit(small_result(rng), tmp_path / "run")
         spec = CorpusSpec(attribute="g", proportions={"A": 0.5, "B": 0.5}, total=20)
         save_corpus(spec, *gen_corpus(spec), tmp_path / "data")
         dump_predictions(random_records(rng, 3), tmp_path / "preds.jsonl")

@@ -75,6 +75,17 @@ def test_inject_and_apply(workdir):
     assert [m["config"] for m in manifests] == [{"lambda": 0.4}] * 2
 
 
+def test_apply_negative_exponent_lambda_equals_form(workdir, tmp_path):
+    """argparse can take "-1e-3" after a space for an option, so the README
+    gives the "=" form; it writes the bytes of "--lambda -0.001"."""
+    common = ["apply", str(workdir / "base.ckpt"), str(workdir / "vA.ckpt")]
+    proc = run_cli([*common, "--lambda=-1e-3", "-o", "eq.ckpt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    proc = run_cli([*common, "--lambda", "-0.001", "-o", "sp.ckpt"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "eq.ckpt").read_bytes() == (tmp_path / "sp.ckpt").read_bytes()
+
+
 def write_hand_built_preds(path):
     """The two-group counting fixture: rates 0.75 vs 0.25 -> DPD 0.5."""
     lines = (
@@ -360,17 +371,32 @@ def test_help_enumerates_every_flag():
                 assert opt in text, (name, opt)
 
 
-def test_train_toy_missing_spec_exit_1(workdir, tmp_path):
+def test_train_toy_missing_spec_exit_2(workdir, tmp_path):
     (tmp_path / "train.jsonl").write_bytes((workdir / "data" / "train.jsonl").read_bytes())
     proc = run_cli(
         ["train-toy", "--data", str(tmp_path), "--seed", "13", "--dim", "16",
          "--hidden", "2", "--epochs", "1", "-o", "never.ckpt"],
         tmp_path,
     )
-    assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "spec.json" in proc.stderr
-    assert len(proc.stderr.splitlines()) == 1
-    assert not (tmp_path / "never.ckpt").exists()
+    assert proc.returncode == 2
+    assert proc.stderr == f"error: no such file: {tmp_path / 'spec.json'}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["train.jsonl"]
+
+
+def test_train_toy_manifest_digests_spec(workdir, tmp_path):
+    """The manifest records the digest of each file train-toy reads:
+    train.jsonl, spec.json and --base."""
+    shutil.copytree(workdir / "data", tmp_path / "data")
+    shutil.copy(workdir / "base.ckpt", tmp_path / "base.ckpt")
+    inputs = [str(Path("data", name)) for name in ("train.jsonl", "spec.json")]
+    proc = run_cli(
+        ["train-toy", "--data", "data", "--seed", "13", "--epochs", "1",
+         "--base", "base.ckpt", "-o", "t.ckpt"],
+        tmp_path,
+    )
+    assert proc.returncode == 0, proc.stderr
+    digests = json.loads((tmp_path / "t.ckpt.manifest.json").read_text())["input_digests"]
+    assert digests == {p: _sha256(tmp_path / p) for p in [*inputs, "base.ckpt"]}
 
 
 @pytest.mark.parametrize(

@@ -9,7 +9,6 @@ from fairvec.corpus import (
     _gen_example,
     default_proportions,
     gen_corpus,
-    load_spec,
     parse_examples,
     save_corpus,
 )
@@ -165,7 +164,7 @@ def test_save_load_corpus(tmp_path):
     spec = small_spec(total=100)
     train, test = gen_corpus(spec)
     save_corpus(spec, train, test, tmp_path / "data")
-    spec2 = load_spec(tmp_path / "data")
+    spec2 = CorpusSpec.from_json((tmp_path / "data" / "spec.json").read_text(encoding="utf-8"))
     train2, test2 = (_read_examples(tmp_path / "data" / f"{name}.jsonl")
                      for name in ("train", "test"))
     assert spec2 == spec and train2 == train and test2 == test

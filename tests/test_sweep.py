@@ -6,6 +6,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from fairvec.arith import TaskVector, diff
 from fairvec.ckpt import Checkpoint, Tensor
@@ -13,8 +15,10 @@ from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import IncompatibleCheckpoint, InsufficientGroups
 from fairvec.metrics import GroupReport, GroupRow, evaluate
 from fairvec.sweep import (
+    DISPARITY_METRICS,
     INJECT_GRID,
     MERGE_GRID,
+    OVERALL_METRICS,
     SweepConfig,
     SweepResult,
     SweepRow,
@@ -165,11 +169,6 @@ def test_select_lambda_row_order_invariant(lab):
     assert select_lambda(res) == select_lambda(shuffled)
 
 
-def test_select_lambda_callable_criterion():
-    res = fake_result([0.0, 0.5], [0.7, 0.9])
-    assert select_lambda(res, lambda rep: -rep.macro_accuracy) == 0.0
-
-
 def test_select_lambda_skips_undefined_points():
     """A point where any seed's criterion is None is skipped, as in aggregates()."""
     template = fake_result([0.0, 0.5, 1.0], [0.9, 0.8, 0.7]).rows
@@ -188,6 +187,57 @@ def test_select_lambda_skips_undefined_points():
         row.report = replace(row.report, overall_eod=None)
     with pytest.raises(InsufficientGroups, match="overall_eod is undefined"):
         select_lambda(res)
+
+
+def select_lambda_reference(result):
+    """select_lambda written out with its own loop over the grid: the best
+    sign * fmean of the config's criterion over the rows at each point, where
+    the sign is -1 for the DISPARITY_METRICS; points with a None value are
+    skipped and ties go to the lower lambda."""
+    criterion = result.config.criterion
+    sign = -1.0 if criterion in DISPARITY_METRICS else 1.0
+    best_lam, best_mean = None, None
+    for lam in result.config.grid:
+        values = [getattr(r.report, criterion) for r in result.rows_at(lam)]
+        if any(v is None for v in values):
+            continue
+        mean = sign * statistics.fmean(values)
+        if best_mean is None or mean > best_mean:
+            best_lam, best_mean = lam, mean
+    if best_lam is None:
+        raise InsufficientGroups(f"{criterion} is undefined at every grid point")
+    return best_lam
+
+
+@st.composite
+def sweep_results(draw):
+    """1-6 grid points and 1-3 seeds, at least one row per point, in any row
+    order; each overall metric is None, a value from a small pool (so means
+    repeat and tie) or any value in [0, 1]."""
+    grid = [k / 10 for k in sorted(draw(st.sets(st.integers(-10, 10), min_size=1, max_size=6)))]
+    seeds = draw(st.lists(st.integers(0, 50), min_size=1, max_size=3, unique=True))
+    value = st.one_of(st.none(), st.sampled_from([0.0, 0.1, 0.25, 0.5, 1.0]), st.floats(0, 1))
+    rows = [
+        SweepRow(lam, seed, GroupReport(ATTR, [], **{m: draw(value) for m in OVERALL_METRICS}))
+        for lam in grid
+        for seed in draw(st.lists(st.sampled_from(seeds), min_size=1, unique=True))
+    ]
+    config = SweepConfig(grid=grid, seeds=seeds, attribute=ATTR,
+                         criterion=draw(st.sampled_from(OVERALL_METRICS)))
+    return SweepResult(config=config, rows=draw(st.permutations(rows)))
+
+
+def _selected(select, result):
+    try:
+        return select(result)
+    except InsufficientGroups as exc:
+        return f"InsufficientGroups: {exc}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(result=sweep_results())
+def test_select_lambda_matches_reference(result):
+    assert _selected(select_lambda, result) == _selected(select_lambda_reference, result)
 
 
 @pytest.mark.parametrize(
@@ -372,19 +422,11 @@ def test_emit_files_and_determinism(tmp_path, lab):
     assert len(manifest["config_hash"]) == 64
 
 
-def test_emit_empty_formats(tmp_path, lab):
-    bases, vectors, evals, _, seeds = lab
-    cfg = SweepConfig(grid=[0.0], seeds=[13], attribute=ATTR)
-    res = lambda_sweep(bases, vectors, cfg, evals)
-    out = emit(res, tmp_path / "nothing", formats=())
-    assert out == [] and not (tmp_path / "nothing").exists()
-
-
 def test_csv_parse_back_full_precision(tmp_path, lab):
     bases, vectors, evals, _, seeds = lab
     cfg = SweepConfig(grid=[0.0, 0.3], seeds=seeds, attribute=ATTR)
     res = lambda_sweep(bases, vectors, cfg, evals)
-    emit(res, tmp_path, formats=("csv",))
+    emit(res, tmp_path)
     with open(tmp_path / "result.csv") as fh:
         parsed = list(csv.DictReader(fh))
 
@@ -406,7 +448,7 @@ def test_json_emission_structure(tmp_path, lab):
     bases, vectors, evals, _, seeds = lab
     cfg = SweepConfig(grid=[0.0, 1.0], seeds=[13], attribute=ATTR)
     res = lambda_sweep(bases, vectors, cfg, evals)
-    emit(res, tmp_path, formats=("json",))
+    emit(res, tmp_path)
     doc = json.loads((tmp_path / "result.json").read_text())
     assert len(doc["rows"]) == 2
     rebuilt = GroupReport.from_dict(doc["rows"][0]["report"])

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import step_reference as ref
-from fairvec.ckpt import Checkpoint, Tensor
+from fairvec.ckpt import Checkpoint, Tensor, write_checkpoint
 from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from fairvec.metrics import evaluate
@@ -26,6 +26,7 @@ from fairvec.toymodel import (
     loss_and_grads,
     predict,
     score_features,
+    subgroup,
     train,
     train_lora,
     train_subgroup,
@@ -181,6 +182,86 @@ class TestLora:
         merged, adapter = train_lora(tr, base, Hyper(epochs=2, seed=13), metadata={"subset": "A"})
         assert adapter.A.dtype == adapter.B.dtype == np.float32
         assert merged.metadata["subset"] == "A"
+
+
+def lora_train_reference(examples, base, hyper, rank=8, alpha=16.0, metadata=None):
+    """The LoRA loop that train_lora must reproduce, written out in full: its
+    own shuffle stream default_rng([seed, 3]), epoch loop and batch slicing.
+    Returns the merged checkpoint, A and B. A non-finite loss raises
+    DivergedTraining naming its epoch and step."""
+    model = ToyModel.from_checkpoint(base).copy()
+    X = featurize_all(examples, model.dim)
+    y = _labels(examples)
+    rng = np.random.default_rng([hyper.seed, 2])
+    A = rng.normal(0.0, 0.01, size=(model.dim, rank)).astype(np.float32)
+    B = np.zeros((rank, model.hidden), dtype=np.float32)
+    scaling = np.float32(alpha / rank)
+    shuffle = np.random.default_rng([hyper.seed, 3])
+    arrays = model.arrays()
+    lr = np.float32(hyper.lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(hyper.epochs):
+            order = shuffle.permutation(len(examples))
+            for step, start in enumerate(range(0, len(examples), hyper.batch_size)):
+                idx = order[start : start + hyper.batch_size]
+                eff = dict(arrays)
+                eff["W1"] = arrays["W1"] + scaling * (A @ B)
+                loss, grads = loss_and_grads(eff, X[idx], y[idx])
+                if not np.isfinite(loss):
+                    raise DivergedTraining(
+                        f"reference loss {loss} at epoch {epoch}, step {step}"
+                    )
+                A, B = (
+                    A - lr * scaling * (grads["W1"] @ B.T),
+                    B - lr * scaling * (A.T @ grads["W1"]),
+                )
+                arrays["b2"] = arrays["b2"] - lr * grads["b2"]
+    arrays["W1"] = arrays["W1"] + scaling * (A @ B)
+    meta = {"seed": str(hyper.seed), "subset": "all", "lora_rank": str(rank),
+            "lora_alpha": repr(float(alpha))}
+    meta.update(metadata or {})
+    return ToyModel(*(arrays[n] for n in TENSOR_NAMES)).to_checkpoint(meta), A, B
+
+
+class TestLoraReference:
+    """train_lora gives the bytes of lora_train_reference: the merged
+    checkpoint, A and B, and the epoch and step of a divergence."""
+
+    @pytest.mark.parametrize(
+        "group, metadata, hyper",
+        [
+            (None, None, Hyper(epochs=3, seed=13)),
+            ("A", None, Hyper(epochs=4, batch_size=24, seed=14)),
+            (None, {"subset": "B", "note": "x"}, Hyper(epochs=2, lr=0.3, seed=15)),
+        ],
+        ids=["seeded init", "group subset", "metadata"],
+    )
+    def test_bytes_equal_reference(self, corpus, tmp_path, group, metadata, hyper):
+        _, tr, _ = corpus
+        examples = tr if group is None else subgroup(tr, "g", group)
+        base = init_model(DIM, HID, hyper.seed).to_checkpoint()
+        want, want_A, want_B = lora_train_reference(
+            examples, base, hyper, rank=4, alpha=8.0, metadata=metadata
+        )
+        got, adapter = train_lora(
+            examples, base, hyper, rank=4, alpha=8.0, metadata=metadata
+        )
+        write_checkpoint(want, tmp_path / "want.ckpt")
+        write_checkpoint(got, tmp_path / "got.ckpt")
+        assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+        assert adapter.A.tobytes() == want_A.tobytes()
+        assert adapter.B.tobytes() == want_B.tobytes()
+
+    def test_diverges_where_the_reference_does(self, corpus):
+        _, tr, _ = corpus
+        hy = Hyper(epochs=3, lr=1e38, seed=13)
+        base = init_model(DIM, HID, 13).to_checkpoint()
+        with pytest.raises(DivergedTraining) as want:
+            lora_train_reference(tr, base, hy)
+        with pytest.raises(DivergedTraining) as got:
+            train_lora(tr, base, hy)
+        where = r"at epoch \d+, step \d+$"
+        assert re.search(where, str(got.value))[0] == re.search(where, str(want.value))[0]
 
 
 class TestPredict:
