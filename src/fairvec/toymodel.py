@@ -51,10 +51,11 @@ checks the compact backward against the dense one. (With OpenBLAS 0.3.31 on
 AVX-512, no width fits hidden sizes with 1-8 columns past a multiple of 16,
 and the backward matches because batches are row-major: a column-gathered
 batch ``X[:, cols]`` is column-major and sums ``X.T @ dZ`` in another
-order.) It trains in the all-columns layout when more than half of the
-buckets are touched, when an untouched W1 row is not finite (the dense
-forward turns it into a NaN loss, ``0 * NaN``, and so reports divergence),
-or when no panels match some row count. Either way the checkpoints are
+order.) It trains in the all-columns layout when an untouched W1 row is not
+finite (the dense forward turns it into a NaN loss, ``0 * NaN``, and so
+reports divergence), when no panels match some row count, or when the
+compact backward does not give the dense bytes, and compact otherwise: no
+other condition, as for ``SplitScorer``. Either way the checkpoints are
 byte-identical to dense training.
 
 Scoring runs the same ``_forward``. ``predict`` scores the dense features,
@@ -105,14 +106,11 @@ class ToyModel:
     def copy(self) -> "ToyModel":
         return ToyModel(*(self.arrays()[n].copy() for n in TENSOR_NAMES))
 
-    def astype(self, dtype) -> "ToyModel":
-        return ToyModel(*(self.arrays()[n].astype(dtype) for n in TENSOR_NAMES))
-
     def to_checkpoint(self, metadata: dict[str, str] | None = None) -> Checkpoint:
         return Checkpoint(
             tensors={
                 name: Tensor.from_numpy(arr, Dtype.F32)
-                for name, arr in self.astype(np.float32).arrays().items()
+                for name, arr in self.arrays().items()
             },
             metadata=dict(metadata or {}),
         )
@@ -308,17 +306,16 @@ def _matching_panels(X: np.ndarray, Xc: np.ndarray, cols: np.ndarray, W: np.ndar
 def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int):
     """(cols, X, plan): the W1 rows train works on, the features over them,
     and {batch rows: panels}. Compact, (cols, Xc, plan) with an entry per
-    batch size a step sees, when at most half of the buckets are touched,
-    every untouched W1 row is finite, and for each batch size some panels
-    give this BLAS's dense forward bytes and the compact backward the dense
-    one's. Otherwise all columns: (arange(dim), the dense matrix, and None,
-    the single product, for each batch size)."""
+    batch size a step sees, when every untouched W1 row is finite and for
+    each batch size some panels give this BLAS's dense forward bytes and the
+    compact backward the dense one's. Otherwise all columns: (arange(dim),
+    the dense matrix, and None, the single product, for each batch size)."""
     dim, hidden = W1.shape
     # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32)
     # as one panel and blocks a larger one, so the full batch and the
     # remainder may need different panels
     sizes = {min(batch_size, len(Xc)), len(Xc) % batch_size} - {0}
-    if 2 * len(cols) <= dim and np.isfinite(np.delete(W1, cols, axis=0)).all():
+    if np.isfinite(np.delete(W1, cols, axis=0)).all():
         # random data at the call's own columns and batch shapes stands in
         # for X (row-major, like the batches X[idx] train takes)
         rng = np.random.default_rng(0)

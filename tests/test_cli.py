@@ -11,6 +11,7 @@ import pytest
 
 from conftest import run_cli
 from fairvec import Checkpoint, TaskVector, Tensor, read_checkpoint, write_checkpoint
+from fairvec import toymodel
 from fairvec.cli import UsageError, _Run, build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -425,6 +426,34 @@ def test_train_toy_bad_size_exit_2(workdir, flag, value, reason):
     assert proc.stderr.startswith("error: invalid input: ") and reason in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert not (workdir / "never.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 3.73 TiB for an array with shape (1000000000, 1024)",
+         "error: Unable to allocate 3.73 TiB for an array with shape (1000000000, 1024)"),
+        ("", "error: out of memory"),
+    ],
+    ids=["numpy", "bare"],
+)
+def test_train_toy_out_of_memory_exit_1_one_line(
+    workdir, tmp_path, monkeypatch, capsys, message, line
+):
+    """A failed allocation exits 1 with one error line and writes no file;
+    the failure is simulated, so nothing large is allocated."""
+    def no_memory(*args):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(toymodel, "init_model", no_memory)
+    shutil.copytree(workdir / "data", tmp_path / "data")
+    monkeypatch.chdir(tmp_path)
+    argv = ["train-toy", "--data", "data", "--seed", "13", "--init-only",
+            "--dim", "1000000000", "-o", "out.ckpt"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["data"]
 
 
 @pytest.mark.parametrize("threshold", ["7", "0", "-0.5", "nan"])

@@ -10,6 +10,7 @@ from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from fairvec.metrics import evaluate
 from fairvec.arith import diff
 from fairvec.features import featurize, featurize_all, featurize_compact
+from fairvec import toymodel
 from fairvec.toymodel import (
     Hyper,
     SplitScorer,
@@ -374,12 +375,16 @@ def dense_train_reference(examples, hyper, dim, hidden, base=None):
 
 
 class TestSparseTraining:
-    """train works on the touched columns only when at most half of the
-    buckets are touched and BLAS gives the compact forward and backward the
-    dense bytes, and otherwise in the all-columns layout; either way its
+    """train works on the touched columns when BLAS gives the compact
+    forward and backward the dense bytes at every batch size, and in the
+    all-columns layout when an untouched W1 row is not finite, some batch
+    size has no panel plan or the compact backward differs; either way its
     bytes equal the dense loop."""
 
     SPARSE_DIM = 1024
+    # the README's scale: the default 7-group mix and 700 examples (with
+    # dim 512 and hidden 16)
+    README = CorpusSpec(attribute="gender", total=700, seed=13)
 
     @staticmethod
     def touched(examples, dim):
@@ -387,12 +392,12 @@ class TestSparseTraining:
 
     @pytest.fixture(scope="class")
     def readme_split(self):
-        """The full training split at the README's scale: the default 7-group
-        mix, 700 examples, dim 512 and hidden 16."""
-        return gen_corpus(CorpusSpec(attribute="gender", total=700, seed=13))[0]
+        """The full training split at the README's scale."""
+        return gen_corpus(self.README)[0]
 
+    # sparse: at most half of the buckets are touched; the cases cover both
     @pytest.mark.parametrize(
-        "dim, hidden, group, eligible",
+        "dim, hidden, group, sparse",
         [
             (DIM, HID, None, False),
             (DIM, 16, "A", False),
@@ -402,17 +407,16 @@ class TestSparseTraining:
             (4096, 32, "A", True),
         ],
     )
-    def test_bytes_equal_dense_reference(self, corpus, dim, hidden, group, eligible):
+    def test_bytes_equal_dense_reference(self, corpus, dim, hidden, group, sparse):
         _, tr, _ = corpus
         subset = [ex for ex in tr if group is None or ex.groups["g"] == group]
         touched = self.touched(subset, dim)
-        assert (2 * touched.sum() <= dim) == eligible
+        assert (2 * touched.sum() <= dim) == sparse
         cols, X = featurize_compact(subset, dim)
         assert np.array_equal(cols, np.flatnonzero(touched))
         layout, _, plan = _layout(cols, X, init_model(dim, hidden, 13).W1, 32)
         assert set(plan) == {32, len(subset) % 32} - {0}
         if layout is cols:
-            assert eligible
             for panels in plan.values():
                 covered = np.concatenate([np.arange(len(cols))[p] for p in panels])
                 assert np.array_equal(covered, np.arange(len(cols)))
@@ -453,16 +457,31 @@ class TestSparseTraining:
         with pytest.raises(DivergedTraining, match="epoch 0, step 0"):
             train(subset, Hyper(epochs=1, seed=13), base=model.to_checkpoint())
 
-    def test_readme_full_split_all_columns_bytes(self, readme_split):
+    def test_readme_full_split_all_columns_bytes(self, readme_split, monkeypatch):
+        """With no panel plan, the all-columns layout trains the full split
+        from the seeded init and from a base with the dense loop's bytes,
+        whichever layout this BLAS would pick."""
+        monkeypatch.setattr(toymodel, "_matching_panels", lambda *args: None)
         cols, X = featurize_compact(readme_split, 512)
-        assert 2 * len(cols) > 512
         layout, dense, plan = _layout(cols, X, init_model(512, 16, 13).W1, 32)
         assert np.array_equal(layout, np.arange(512))
         assert plan == dict.fromkeys({32, len(readme_split) % 32} - {0})
         assert dense.tobytes() == featurize_all(readme_split, 512).tobytes()
         hy = Hyper(epochs=3, seed=13)
-        got = train(readme_split, hy, dim=512, hidden=16)
-        assert got.tensors == dense_train_reference(readme_split, hy, 512, 16).tensors
+        base = dense_train_reference(readme_split, Hyper(epochs=2, seed=14), 512, 16)
+        for start in (None, base):
+            got = train(readme_split, hy, dim=512, hidden=16, base=start)
+            want = dense_train_reference(readme_split, hy, 512, 16, start)
+            assert got.tensors == want.tensors
+
+    @pytest.mark.parametrize("group", [None, *README.groups()])
+    def test_readme_splits_bytes_equal_dense_reference(self, readme_split, group):
+        """The full split and each subgroup of one README-scale seed, in
+        whichever layout _layout picks."""
+        subset = readme_split if group is None else subgroup(readme_split, "gender", group)
+        hy = Hyper(epochs=3, seed=13)
+        got = train(subset, hy, dim=512, hidden=16)
+        assert got.tensors == dense_train_reference(subset, hy, 512, 16).tensors
 
     def test_readme_full_split_from_base_bytes(self, readme_split):
         base = dense_train_reference(readme_split, Hyper(epochs=2, seed=14), 512, 16)
@@ -517,22 +536,24 @@ class TestPanels:
     @pytest.mark.parametrize("remainder", [21, 5])
     def test_panel_sum_is_dense_product(self, dim, hidden, remainder):
         rng = np.random.default_rng([dim, hidden, remainder])
-        cols = np.sort(rng.choice(dim, dim // 8, replace=False))
         n, batch = 3 * 32 + remainder, 32
-        layout, _, plan = _layout(
-            cols, np.zeros((n, len(cols)), np.float32),
-            rng.standard_normal((dim, hidden), dtype=np.float32), batch,
-        )
-        if layout is not cols:
-            return
-        for rows, panels in plan.items():
-            Xc = rng.standard_normal((rows, len(cols)), dtype=np.float32)
-            X = np.zeros((rows, dim), np.float32)
-            X[:, cols] = Xc
-            W = rng.standard_normal((dim, hidden), dtype=np.float32)
-            dZ = rng.standard_normal((rows, hidden), dtype=np.float32)
-            assert _product(Xc, W[cols], panels).tobytes() == (X @ W).tobytes()
-            assert (Xc.T @ dZ).tobytes() == (X.T @ dZ)[cols].tobytes()
+        # an eighth and three quarters of the buckets touched
+        for touched in (dim // 8, 3 * dim // 4):
+            cols = np.sort(rng.choice(dim, touched, replace=False))
+            layout, _, plan = _layout(
+                cols, np.zeros((n, len(cols)), np.float32),
+                rng.standard_normal((dim, hidden), dtype=np.float32), batch,
+            )
+            if layout is not cols:
+                continue
+            for rows, panels in plan.items():
+                Xc = rng.standard_normal((rows, len(cols)), dtype=np.float32)
+                X = np.zeros((rows, dim), np.float32)
+                X[:, cols] = Xc
+                W = rng.standard_normal((dim, hidden), dtype=np.float32)
+                dZ = rng.standard_normal((rows, hidden), dtype=np.float32)
+                assert _product(Xc, W[cols], panels).tobytes() == (X @ W).tobytes()
+                assert (Xc.T @ dZ).tobytes() == (X.T @ dZ)[cols].tobytes()
 
 
 class TestScoringPanels:
