@@ -126,7 +126,6 @@ def cmd_diff(args, run):
     tv = arith.diff(task, base, intersect=args.intersect)
     write_checkpoint(tv.to_checkpoint(), args.output)
     run.write_manifest(args.output + ".manifest.json", {"intersect": args.intersect})
-    return EXIT_OK
 
 
 def cmd_edit(args, run):
@@ -137,7 +136,6 @@ def cmd_edit(args, run):
     tv = arith.TaskVector.from_checkpoint(run.checkpoint(args.vector))
     write_checkpoint(arith.inject(model, tv, args.lam), args.output)
     run.write_manifest(args.output + ".manifest.json", {"lambda": args.lam})
-    return EXIT_OK
 
 
 def cmd_merge(args, run):
@@ -154,7 +152,6 @@ def cmd_merge(args, run):
     run.write_manifest(
         args.output + ".manifest.json", {"vectors": [list(v) for v in vecs]}
     )
-    return EXIT_OK
 
 
 def cmd_eval(args, run):
@@ -175,7 +172,6 @@ def cmd_eval(args, run):
     if args.csv:
         with atomic_open(args.csv) as fh:
             fh.write(report.to_csv())
-    return EXIT_OK
 
 
 def cmd_gen_data(args, run):
@@ -185,7 +181,6 @@ def cmd_gen_data(args, run):
     run.write_manifest(
         os.path.join(args.output, "manifest.json"), json.loads(spec.to_json())
     )
-    return EXIT_OK
 
 
 def cmd_train_toy(args, run):
@@ -228,7 +223,6 @@ def cmd_train_toy(args, run):
     config["dim"], config["hidden"] = ckpt.tensors["W1"].shape
     write_checkpoint(ckpt, args.output)
     run.write_manifest(args.output + ".manifest.json", config)
-    return EXIT_OK
 
 
 _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
@@ -316,7 +310,6 @@ def cmd_sweep(args, run):
     run.write_manifest(os.path.join(args.output, "run_manifest.json"), cfg)
     best = sweep_mod.select_lambda(result)
     print(json.dumps({"selected_lambda": best}))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -401,7 +394,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     run = _Run(args.command)
     try:
-        return args.fn(args, run)
+        args.fn(args, run)
+        return EXIT_OK
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,9 +4,10 @@ Trained with plain mini-batch gradient descent on binary cross-entropy.
 Training is single-threaded and deterministic given the seed: the base
 initialization, the shuffle stream, and the LoRA init are all derived from
 independent substreams of the same seed, so pooled and per-subgroup runs
-share an identical starting point. One schedule, ``_minibatches``, yields
-each step's epoch, step and batch rows from its substream: 1 for ``train``,
-3 for ``train_lora``.
+share an identical starting point. ``train`` and ``train_lora`` step
+through one loop, ``_descend``: one schedule, ``_minibatches``, yields each
+step's epoch, step and batch rows from its substream (1 for ``train``, 3
+for ``train_lora``), and the update is the trainers' only difference.
 
 A step (``loss_and_grads``) builds each intermediate in one fresh array
 and works on it in place: the hidden activations, the logits, their
@@ -14,10 +15,9 @@ gradient and dZ. Its sigmoid takes one ``exp(-|z|)`` for both signs, and
 its loss is the sum of the per-row terms over the row count. Each gives the
 bytes of the plain expressions it replaces (``tests/step_reference.py``),
 and the loss is finite exactly when their mean is. A diverging run
-overflows and makes NaNs before its loss turns non-finite, so each
-training call runs under one ``np.errstate`` that ignores "over" and
-"invalid", and the non-finite loss raises ``DivergedTraining`` naming the
-epoch and step.
+overflows and makes NaNs before its loss turns non-finite, so the loop
+runs under one ``np.errstate`` that ignores "over" and "invalid", and the
+non-finite loss raises ``DivergedTraining`` naming the epoch and step.
 
 Hashed features are sparse: a subgroup's examples touch only a few hundred
 of the 4096 buckets, and while the loss is finite a W1 row whose bucket no
@@ -26,10 +26,13 @@ over the features runs in a layout: sorted columns, the features over them,
 and the panels its forward sums. The compact layout holds the touched
 columns (``features.featurize_compact``). Dense is the all-columns layout:
 every column, the dense matrix, and one panel, the single product
-``X @ W1``. ``train`` has one loop for both: the rows ``W1[cols]`` train in
-place, the W1 gradient is ``X.T @ dZ`` over the layout's batch, and the
-rows are scattered back at the end, so untouched rows keep their starting
-bytes.
+``X @ W1``. The loop is the same for both: the W1 gradient is ``X.T @ dZ``
+over the layout's batch, of the rows ``W1[cols]``. ``train`` trains those
+rows in place and scatters them back at the end, so untouched rows keep
+their starting bytes. ``train_lora`` forms its effective ``W1 + (alpha/r)
+A B`` on those rows only and trains the same rows of A, whose untouched rows
+never change (their dW1 rows are exact zeros); ``dB = A.T @ dW1`` has
+K = dim, so it sums in panels too, ``plan[rank]``.
 
 The compact forward cannot be the single product ``Xc @ W1[cols]``: that is
 a plain left-to-right sum over the touched columns, while OpenBLAS
@@ -45,18 +48,24 @@ matcher, ``_matching_panels``, finds them on random weights: the first of
 one panel and the widths in ``_PANEL_WIDTHS`` whose panel sum gives the
 dense product's bytes.
 
-``train`` (``_layout``) matches once per call, on random rows at its own
-touched columns, for the full-batch and for the remainder row count, and
-checks the compact backward against the dense one. (With OpenBLAS 0.3.31 on
-AVX-512, no width fits hidden sizes with 1-8 columns past a multiple of 16,
-and the backward matches because batches are row-major: a column-gathered
-batch ``X[:, cols]`` is column-major and sums ``X.T @ dZ`` in another
-order.) It trains in the all-columns layout when an untouched W1 row is not
-finite (the dense forward turns it into a NaN loss, ``0 * NaN``, and so
-reports divergence), when no panels match some row count, or when the
-compact backward does not give the dense bytes, and compact otherwise: no
-other condition, as for ``SplitScorer``. Either way the checkpoints are
-byte-identical to dense training.
+Both trainers take their layout from ``_layout``. It matches once per
+call, on random rows at its own touched columns, for the full-batch and for
+the remainder row count and, for ``train_lora``, for the ``rank`` rows of
+the column-major ``A.T``; it checks that the compact rows of the backward
+(and of ``A @ B`` and ``dW1 @ B.T``) are the dense ones. (With OpenBLAS
+0.3.31 on AVX-512, no width fits hidden sizes with 1-8 columns past a
+multiple of 16, and the backward matches because batches are row-major: a
+column-gathered batch ``X[:, cols]`` is column-major and sums ``X.T @ dZ``
+in another order.) A trainer works in the all-columns layout when an
+untouched W1 row is not finite (the dense forward turns it into a NaN loss,
+``0 * NaN``, and so reports divergence), when no panels match some row
+count, or when a compact product does not give the dense bytes, and compact
+otherwise: no other condition, as for ``SplitScorer``. Either way the
+checkpoints are byte-identical to dense training. ``train_lora``'s
+effective untouched rows change as B grows, so a guard checks them at every
+step (a bound, and the rows themselves only when it trips) and makes the
+next loss NaN when one is not finite, as the dense forward's ``0 * inf``
+does.
 
 Scoring runs the same ``_forward``. ``predict`` scores the dense features,
 the definition. ``SplitScorer`` scores one split under a series of models
@@ -102,9 +111,6 @@ class ToyModel:
 
     def arrays(self) -> dict[str, np.ndarray]:
         return {"W1": self.W1, "b1": self.b1, "w2": self.w2, "b2": self.b2}
-
-    def copy(self) -> "ToyModel":
-        return ToyModel(*(self.arrays()[n].copy() for n in TENSOR_NAMES))
 
     def to_checkpoint(self, metadata: dict[str, str] | None = None) -> Checkpoint:
         return Checkpoint(
@@ -243,13 +249,6 @@ def _minibatches(n: int, hyper: Hyper, stream: int):
             yield epoch, step, order[start : start + hyper.batch_size]
 
 
-def _check_loss(loss: float, epoch: int, step: int) -> None:
-    if not math.isfinite(loss):
-        raise DivergedTraining(
-            f"non-finite training loss {loss} at epoch {epoch}, step {step}"
-        )
-
-
 def _labels(examples) -> np.ndarray:
     return np.array([ex.y_true for ex in examples], dtype=np.float32)
 
@@ -303,13 +302,16 @@ def _matching_panels(X: np.ndarray, Xc: np.ndarray, cols: np.ndarray, W: np.ndar
     return next((p for p in candidates if _product(Xc, Wc, p).tobytes() == Z), None)
 
 
-def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int):
-    """(cols, X, plan): the W1 rows train works on, the features over them,
-    and {batch rows: panels}. Compact, (cols, Xc, plan) with an entry per
-    batch size a step sees, when every untouched W1 row is finite and for
-    each batch size some panels give this BLAS's dense forward bytes and the
-    compact backward the dense one's. Otherwise all columns: (arange(dim),
-    the dense matrix, and None, the single product, for each batch size)."""
+def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int, rank: int = 0):
+    """(cols, X, plan): the W1 rows a trainer works on, the features over
+    them, and {rows: panels} for each batch size a step sees and, with a
+    rank, for the rank rows of train_lora's dB = A.T @ dW1. Compact, (cols,
+    Xc, plan), when every untouched W1 row is finite, each entry has panels
+    that give this BLAS's dense bytes, the compact backward gives the dense
+    one's and, with a rank, A[cols] @ B and dW1[cols] @ B.T give the dense
+    products' rows. Otherwise all columns: (arange(dim), the dense matrix,
+    and None, the single product, for each entry). Only W1's untouched rows
+    are tested here: train_lora's guard watches its effective ones."""
     dim, hidden = W1.shape
     # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32)
     # as one panel and blocks a larger one, so the full batch and the
@@ -324,12 +326,65 @@ def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int):
         W = rng.standard_normal((dim, hidden), dtype=np.float32)
         dZ = rng.standard_normal((len(compact), hidden), dtype=np.float32)
         plan = {n: _matching_panels(dense[:n], compact[:n], cols, W) for n in sizes}
+        # (P, Pc, Q): products whose compact rows Pc @ Q must be the rows
+        # cols of P @ Q; the backward's P is a row-major batch's X.T
+        products = [(dense[:n].T, compact[:n].T, dZ[:n]) for n in sizes]
+        if rank:
+            # A.T is column-major too, which BLAS may sum in another order
+            # than a row-major batch of as many rows, so it is matched alone
+            A = np.zeros((dim, rank), dtype=np.float32)
+            A[cols] = rng.standard_normal((len(cols), rank), dtype=np.float32)
+            B = rng.standard_normal((rank, hidden), dtype=np.float32)
+            panels = _matching_panels(A.T, A[cols].T, cols, W)
+            plan[rank] = panels if plan.get(rank, panels) == panels else None
+            products += [(A, A[cols], B), (W, W[cols], B.T)]
         if None not in plan.values() and all(
-            (dense[:n].T @ dZ[:n])[cols].tobytes() == (compact[:n].T @ dZ[:n]).tobytes()
-            for n in sizes
+            (P @ Q)[cols].tobytes() == (Pc @ Q).tobytes() for P, Pc, Q in products
         ):
             return cols, Xc, plan
-    return np.arange(dim), _dense(cols, Xc, dim), dict.fromkeys(sizes)
+    return np.arange(dim), _dense(cols, Xc, dim), dict.fromkeys(sizes | {rank} - {0})
+
+
+def _descend(examples, model: ToyModel, hyper: Hyper, stream: int, updater, rank: int = 0):
+    """The one training loop, of train and train_lora: mini-batch descent on
+    the examples from model in _layout's layout, one loss_and_grads per step
+    of _minibatches(stream). arrays holds model's tensors with W1 narrowed
+    to the layout's rows cols; updater(arrays, cols, plan), called once
+    under the loop's errstate, returns the step's update(grads, lr). Returns
+    (cols, arrays). A non-finite loss raises DivergedTraining naming its
+    epoch and step."""
+    if not examples:
+        raise EmptyGroup("cannot train on an empty dataset")
+    cols, X = featurize_compact(examples, model.dim)
+    y = _labels(examples)
+    cols, X, plan = _layout(cols, X, model.W1, hyper.batch_size, rank)
+    arrays = model.arrays()
+    arrays["W1"] = model.W1[cols]
+    lr = np.float32(hyper.lr)
+    with np.errstate(over="ignore", invalid="ignore"):
+        update = updater(arrays, cols, plan)
+        for epoch, step, idx in _minibatches(len(y), hyper, stream):
+            loss, grads = loss_and_grads(arrays, X[idx], y[idx], plan[len(idx)])
+            if not math.isfinite(loss):
+                raise DivergedTraining(
+                    f"non-finite training loss {loss} at epoch {epoch}, step {step}"
+                )
+            update(grads, lr)
+    return cols, arrays
+
+
+def _metadata(hyper: Hyper, metadata: dict[str, str] | None, **fields) -> dict[str, str]:
+    """A trained checkpoint's metadata: the seed, subset "all" and fields,
+    each overridden by metadata."""
+    return {"seed": str(hyper.seed), "subset": "all", **fields, **(metadata or {})}
+
+
+def _sgd(arrays, cols, plan):
+    """train's update: every tensor steps down its gradient, in place."""
+    def update(grads, lr):
+        for name in TENSOR_NAMES:
+            arrays[name] -= lr * grads[name]
+    return update
 
 
 def train(
@@ -341,31 +396,15 @@ def train(
     metadata: dict[str, str] | None = None,
 ) -> Checkpoint:
     """Full fine-tuning analogue: mini-batch GD on the pooled examples."""
-    if not examples:
-        raise EmptyGroup("cannot train on an empty dataset")
     model = (
         ToyModel.from_checkpoint(base) if base is not None
         else init_model(dim, hidden, hyper.seed)
     )
-    cols, X = featurize_compact(examples, model.dim)
-    y = _labels(examples)
-
-    meta = {"seed": str(hyper.seed), "subset": "all"}
-    meta.update(metadata or {})
-    if _degenerate(y):
-        meta["degenerate_labels"] = "true"
-
-    cols, X, plan = _layout(cols, X, model.W1, hyper.batch_size)
-    arrays = model.arrays()
-    arrays["W1"] = model.W1[cols]
-    lr = np.float32(hyper.lr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch, step, idx in _minibatches(len(examples), hyper, 1):
-            loss, grads = loss_and_grads(arrays, X[idx], y[idx], plan[len(idx)])
-            _check_loss(loss, epoch, step)
-            for name in TENSOR_NAMES:
-                arrays[name] -= lr * grads[name]
+    cols, arrays = _descend(examples, model, hyper, 1, _sgd)
     model.W1[cols] = arrays["W1"]
+    meta = _metadata(hyper, metadata)
+    if _degenerate(_labels(examples)):
+        meta["degenerate_labels"] = "true"
     return model.to_checkpoint(meta)
 
 
@@ -403,6 +442,11 @@ class LoraAdapter:
         return (self.alpha / self.rank) * (self.A @ self.B)
 
 
+# below half of float32's largest value, a bound on an effective W1 row
+# proves the row finite whatever the rounding of its sums
+_HEADROOM = np.finfo(np.float32).max / 2
+
+
 def train_lora(
     examples,
     base: Checkpoint,
@@ -416,48 +460,55 @@ def train_lora(
     A starts from zero-mean N(0, 0.01) draws and B from zero, so the initial
     delta is exactly zero. The merged checkpoint carries W1 + (alpha/r) A B.
     Every operand is float32, so every update stays float32.
+
+    It runs train's loop (_descend) with the adapter update as the only
+    difference. Each step's effective W1 + (alpha/r) A B is formed on the
+    layout's rows only, and dB = A.T @ dW1 sums over them in plan[rank]'s
+    panels. A row no example touches gets a zero dW1 row, so its A row never
+    changes; its effective row still enters the dense forward, where a
+    non-finite one makes the loss NaN (0 * inf). A guard keeps that: when
+    the bound max|W1_u| + (alpha/r) max_i sum_k |A_u[i,k]| max|B| over the
+    untouched rows u reaches _HEADROOM and the exact rows are not finite, it
+    sets b1 to NaN, so the next loss is NaN.
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
     if not math.isfinite(alpha):
         raise ValueError(f"alpha must be finite, got {alpha}")
-    if not examples:
-        raise EmptyGroup("cannot train on an empty dataset")
     model = ToyModel.from_checkpoint(base)
-    X = featurize_all(examples, model.dim)
-    y = _labels(examples)
-
     rng = np.random.default_rng([hyper.seed, 2])
     A = rng.normal(0.0, 0.01, size=(model.dim, rank)).astype(np.float32)
     B = np.zeros((rank, model.hidden), dtype=np.float32)
     scaling = np.float32(alpha / rank)
 
-    arrays = model.arrays()
-    lr = np.float32(hyper.lr)
-    with np.errstate(over="ignore", invalid="ignore"):
-        for epoch, step, idx in _minibatches(len(examples), hyper, 3):
-            eff = dict(arrays)
-            eff["W1"] = arrays["W1"] + scaling * (A @ B)
-            loss, grads = loss_and_grads(eff, X[idx], y[idx])
-            _check_loss(loss, epoch, step)
-            A, B = (
-                A - lr * scaling * (grads["W1"] @ B.T),
-                B - lr * scaling * (A.T @ grads["W1"]),
-            )
-            arrays["b2"] = arrays["b2"] - lr * grads["b2"]
+    def adapter(arrays, cols, plan):
+        # A's rows cols train in arrays["A"], as W1's do in train; W1 keeps
+        # the frozen rows, and arrays["W1"] becomes the effective ones
+        W1, arrays["A"] = arrays["W1"], A[cols]
+        W1u, Au = np.delete(model.W1, cols, axis=0), np.delete(A, cols, axis=0)
+        reach = np.abs(W1u).max(initial=0), np.abs(scaling * Au).sum(axis=1).max(initial=0)
 
-    adapter = LoraAdapter(A=A, B=B, rank=rank, alpha=alpha)
-    merged_arrays = dict(arrays)
-    merged_arrays["W1"] = arrays["W1"] + scaling * (A @ B)
-    meta = {
-        "seed": str(hyper.seed),
-        "subset": "all",
-        "lora_rank": str(rank),
-        "lora_alpha": repr(float(alpha)),
-    }
-    meta.update(metadata or {})
-    merged = ToyModel(*(merged_arrays[n] for n in TENSOR_NAMES)).to_checkpoint(meta)
-    return merged, adapter
+        def effective():
+            arrays["W1"] = W1 + scaling * (arrays["A"] @ B)
+            if not (reach[0] + reach[1] * np.abs(B).max() < _HEADROOM
+                    or np.isfinite(W1u + scaling * (Au @ B)).all()):
+                arrays["b1"] = np.full_like(model.b1, np.nan)
+
+        def update(grads, lr):
+            dB = _product(arrays["A"].T, grads["W1"], plan[rank])
+            arrays["A"] -= lr * scaling * (grads["W1"] @ B.T)
+            B[...] -= lr * scaling * dB
+            arrays["b2"] -= lr * grads["b2"]
+            effective()
+
+        effective()
+        return update
+
+    cols, arrays = _descend(examples, model, hyper, 3, adapter, rank)
+    A[cols] = arrays["A"]
+    meta = _metadata(hyper, metadata, lora_rank=str(rank), lora_alpha=repr(float(alpha)))
+    model.W1 = model.W1 + scaling * (A @ B)
+    return model.to_checkpoint(meta), LoraAdapter(A=A, B=B, rank=rank, alpha=alpha)
 
 
 def predict(ckpt: Checkpoint, examples, threshold: float = 0.5) -> list[PredictionRecord]:

@@ -1,13 +1,18 @@
+import contextlib
 import hashlib
+import io
 import json
 import re
 import shutil
 import threading
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import run_cli
 from fairvec import Checkpoint, TaskVector, Tensor, read_checkpoint, write_checkpoint
@@ -821,3 +826,70 @@ def test_train_toy_lora_trains_on_its_group(workdir, tmp_path):
     assert proc.returncode == 1
     assert proc.stderr == "error: EmptyGroup: no training examples for g='NoSuchGroup'\n"
     assert not (tmp_path / "never.ckpt").exists()
+
+
+class TestCheckpointFuzz:
+    """Corrupted checkpoints (truncated, with a flipped byte or with a bad
+    header length) fed to every command that reads one: each run exits 0, 1
+    or 2, writes at most one stderr line and no warning, and a failing run
+    leaves no -o file."""
+
+    @pytest.fixture(scope="class")
+    def fuzzdir(self, tmp_path_factory):
+        wd = tmp_path_factory.mktemp("fuzz")
+        spec = {"attribute": "g", "proportions": {"A": 0.5, "B": 0.5}, "total": 24, "seed": 1}
+        (wd / "spec.json").write_text(json.dumps(spec))
+        common = ["--data", str(wd / "data"), "--dim", "8", "--hidden", "2", "--seed", "1"]
+        for argv in (
+            ["gen-data", "--spec", str(wd / "spec.json"), "-o", str(wd / "data")],
+            ["train-toy", *common, "--init-only", "-o", str(wd / "base.ckpt")],
+            ["train-toy", *common, "--epochs", "2", "-o", str(wd / "sub.ckpt")],
+            ["diff", str(wd / "sub.ckpt"), str(wd / "base.ckpt"), "-o", str(wd / "vec.ckpt")],
+        ):
+            assert main(argv) == 0
+        return wd
+
+    @staticmethod
+    def commands(wd, bad):
+        """Each command's argv with the corrupted file bad in one input slot."""
+        base, vec = str(wd / "base.ckpt"), str(wd / "vec.ckpt")
+        toy = ["train-toy", "--data", str(wd / "data"), "--seed", "1", "--epochs", "1"]
+        return [
+            ["diff", bad, base], ["diff", base, bad],
+            ["apply", bad, vec], ["apply", base, bad, "--lambda=0.5"],
+            ["inject", bad, vec, "--lambda=2"], ["inject", base, bad, "--lambda=-1"],
+            ["merge", bad, "--vec", f"{vec}:1"], ["merge", base, "--vec", f"{bad}:0.5"],
+            [*toy, "--base", bad], [*toy, "--base", bad, "--lora", "--rank", "2"],
+        ]
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        source=st.sampled_from(["base.ckpt", "vec.ckpt"]),
+        how=st.sampled_from(["truncate", "flip", "header length"]),
+        at=st.integers(min_value=0),
+        value=st.integers(min_value=0, max_value=2**64 - 1),
+        command=st.integers(min_value=0, max_value=9),
+    )
+    def test_corrupt_checkpoint_exit_code_one_line_no_output(
+        self, fuzzdir, source, how, at, value, command
+    ):
+        blob = bytearray((fuzzdir / source).read_bytes())
+        if how == "truncate":
+            blob = blob[: at % len(blob)]
+        elif how == "flip":
+            blob[at % len(blob)] ^= 1 + value % 255
+        else:
+            blob[:8] = value.to_bytes(8, "little")
+        bad, out = fuzzdir / "bad.ckpt", fuzzdir / "out.ckpt"
+        bad.write_bytes(bytes(blob))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main([*self.commands(fuzzdir, str(bad))[command], "-o", str(out)])
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+        assert not [str(w.message) for w in caught]
+        assert out.exists() == (code == 0)
+        for path in fuzzdir.glob("out.ckpt*"):
+            path.unlink()

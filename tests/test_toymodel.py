@@ -1,3 +1,4 @@
+import copy
 import re
 
 import numpy as np
@@ -42,6 +43,17 @@ def corpus():
         attribute="g", proportions={"A": 0.5, "B": 0.5}, total=400, seed=13
     )
     return spec, *gen_corpus(spec)
+
+
+# the README's scale: the default 7-group mix and 700 examples (with dim 512
+# and hidden 16)
+README = CorpusSpec(attribute="gender", total=700, seed=13)
+
+
+@pytest.fixture(scope="module")
+def readme_split():
+    """The full training split at the README's scale."""
+    return gen_corpus(README)[0]
 
 
 def separable_examples(n=50):
@@ -190,7 +202,7 @@ def lora_train_reference(examples, base, hyper, rank=8, alpha=16.0, metadata=Non
     own shuffle stream default_rng([seed, 3]), epoch loop and batch slicing.
     Returns the merged checkpoint, A and B. A non-finite loss raises
     DivergedTraining naming its epoch and step."""
-    model = ToyModel.from_checkpoint(base).copy()
+    model = ToyModel.from_checkpoint(base)
     X = featurize_all(examples, model.dim)
     y = _labels(examples)
     rng = np.random.default_rng([hyper.seed, 2])
@@ -263,6 +275,69 @@ class TestLoraReference:
             train_lora(tr, base, hy)
         where = r"at epoch \d+, step \d+$"
         assert re.search(where, str(got.value))[0] == re.search(where, str(want.value))[0]
+
+    @staticmethod
+    def assert_reference_bytes(examples, base, hyper, tmp_path, rank=8):
+        want, want_A, want_B = lora_train_reference(examples, base, hyper, rank=rank)
+        got, adapter = train_lora(examples, base, hyper, rank=rank)
+        write_checkpoint(want, tmp_path / "want.ckpt")
+        write_checkpoint(got, tmp_path / "got.ckpt")
+        assert (tmp_path / "got.ckpt").read_bytes() == (tmp_path / "want.ckpt").read_bytes()
+        assert adapter.A.tobytes() == want_A.tobytes()
+        assert adapter.B.tobytes() == want_B.tobytes()
+
+    @pytest.mark.parametrize("group", [None, *README.groups()])
+    def test_readme_splits_bytes_equal_reference(self, readme_split, tmp_path, group):
+        """The full split and each subgroup of one README-scale seed, in
+        whichever layout _layout picks for rank 8; the full split's is
+        compact, so the effective W1 is formed on its touched rows and
+        plan[8] sums dB."""
+        subset = readme_split if group is None else subgroup(readme_split, "gender", group)
+        base = init_model(512, 16, 13)
+        if group is None:
+            cols, X = featurize_compact(subset, 512)
+            layout, _, plan = _layout(cols, X, base.W1, 32, 8)
+            assert layout is cols
+            assert set(plan) == {32, len(subset) % 32, 8} - {0}
+        hy = Hyper(epochs=3, seed=13)
+        self.assert_reference_bytes(subset, base.to_checkpoint(), hy, tmp_path)
+
+    def test_readme_full_split_all_columns_bytes(self, readme_split, tmp_path, monkeypatch):
+        """With no panel plan, the all-columns layout is the dense loop."""
+        monkeypatch.setattr(toymodel, "_matching_panels", lambda *args: None)
+        base = init_model(512, 16, 13)
+        cols, X = featurize_compact(readme_split, 512)
+        layout, _, plan = _layout(cols, X, base.W1, 32, 8)
+        assert np.array_equal(layout, np.arange(512))
+        assert plan == dict.fromkeys({32, len(readme_split) % 32, 8})
+        hy = Hyper(epochs=3, seed=13)
+        self.assert_reference_bytes(readme_split, base.to_checkpoint(), hy, tmp_path)
+
+    @pytest.mark.parametrize("dim, hidden, rank", [(1024, 32, 2), (512, 32, 8), (4096, 32, 16)])
+    def test_readme_women_shapes_bytes_equal_reference(
+        self, readme_split, tmp_path, dim, hidden, rank
+    ):
+        """Shapes where BLAS sums some rows of dW1 @ B.T differently from
+        the same rows alone (1024/32/2 here): _layout must then train all
+        columns, and elsewhere plan[rank] must fit."""
+        subset = subgroup(readme_split, "gender", "Women")
+        base = init_model(dim, hidden, 13).to_checkpoint()
+        self.assert_reference_bytes(subset, base, Hyper(epochs=2, seed=13), tmp_path, rank)
+
+    def test_lora_untouched_row_overflow_diverges_where_the_reference_does(self, readme_split):
+        """Untouched W1 rows at 3.4e38 train compact, and a huge alpha and lr
+        grow B until W1_u + (alpha/r) A_u B overflows: the dense forward's
+        0 * inf makes that step's loss NaN, and the guard must too."""
+        subset = subgroup(readme_split, "gender", "Women")
+        model = init_model(512, 16, 13)
+        cols, X = featurize_compact(subset, 512)
+        model.W1[np.delete(np.arange(512), cols)] = 3.4e38
+        assert _layout(cols, X, model.W1, 32, 8)[0] is cols
+        hy, base = Hyper(epochs=2, lr=1e10, seed=13), model.to_checkpoint()
+        with pytest.raises(DivergedTraining, match="epoch 0, step 1$"):
+            lora_train_reference(subset, base, hy, alpha=8e16)
+        with pytest.raises(DivergedTraining, match="epoch 0, step 1$"):
+            train_lora(subset, base, hy, alpha=8e16)
 
 
 class TestPredict:
@@ -355,7 +430,7 @@ def dense_train_reference(examples, hyper, dim, hidden, base=None):
     model = (
         ToyModel.from_checkpoint(base) if base is not None
         else init_model(dim, hidden, hyper.seed)
-    ).copy()
+    )
     X = featurize_all(examples, model.dim)
     y = _labels(examples)
     shuffle = np.random.default_rng([hyper.seed, 1])
@@ -382,18 +457,10 @@ class TestSparseTraining:
     bytes equal the dense loop."""
 
     SPARSE_DIM = 1024
-    # the README's scale: the default 7-group mix and 700 examples (with
-    # dim 512 and hidden 16)
-    README = CorpusSpec(attribute="gender", total=700, seed=13)
 
     @staticmethod
     def touched(examples, dim):
         return featurize_all(examples, dim).any(axis=0)
-
-    @pytest.fixture(scope="class")
-    def readme_split(self):
-        """The full training split at the README's scale."""
-        return gen_corpus(self.README)[0]
 
     # sparse: at most half of the buckets are touched; the cases cover both
     @pytest.mark.parametrize(
@@ -569,9 +636,9 @@ class TestScoringPanels:
         dense = featurize_all(tr, dim)
         first, later = init_model(dim, hidden, 13), init_model(dim, hidden, 14)
         later.W1 *= 100
-        nan_row = later.copy()
+        nan_row = copy.deepcopy(later)
         nan_row.W1[int(np.flatnonzero(~dense.any(axis=0))[0]), 0] = np.nan
-        all_nan = first.copy()
+        all_nan = copy.deepcopy(first)
         all_nan.W1[:] = np.nan
         scorer = SplitScorer(tr, dim, hidden)
         if scorer.panels is None:
