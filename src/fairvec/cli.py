@@ -19,6 +19,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import time
 
@@ -312,8 +313,18 @@ def cmd_sweep(args, run):
     print(json.dumps({"selected_lambda": best}))
 
 
+class _Parser(argparse.ArgumentParser):
+    """Takes "-1e-3", "-inf" and "-nan" after a float flag for its value:
+    argparse's own negative-number test knows only forms like "-1" and
+    "-0.5", and takes any other word that starts with "-" for an option."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fairvec",
         description="Task-vector model editing and subgroup fairness evaluation.",
     )
@@ -399,7 +410,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (KeyError, ValueError) as exc:
+    except (KeyError, ValueError, RecursionError) as exc:
+        # RecursionError: a spec or config whose JSON nests too deeply
         print(f"error: invalid input: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FairvecError as exc:

@@ -405,8 +405,9 @@ def string_map(name: str, value) -> dict[str, str]:
 def parse_jsonl(lines, path, parse):
     """parse(obj) for the JSON object on each non-blank line of lines (an
     open text file); ValueError naming path:line for bad JSON, a missing
-    field (named) or a value parse rejects with AttributeError, TypeError,
-    ValueError or OverflowError (float() of an integer beyond float range)."""
+    field (named), JSON nested beyond the parser's recursion limit, or a
+    value parse rejects with AttributeError, TypeError, ValueError or
+    OverflowError (float() of an integer beyond float range)."""
     for lineno, line in enumerate(lines, 1):
         line = line.strip()
         if not line:
@@ -415,7 +416,7 @@ def parse_jsonl(lines, path, parse):
             fields = parse(json.loads(line))
         except KeyError as exc:
             raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
         yield fields
 

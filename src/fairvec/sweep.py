@@ -2,12 +2,14 @@
 injection grids across seeds, with deterministic result assembly.
 
 Evaluation is seed-major and columnar. Each seed's eval split is featurized
-once and its panels are found once, from the split and the base's shape
-alone (``toymodel.SplitScorer``); its group codes and true labels are built
-once (``metrics.GroupColumns``). Every grid point is then arrays only: the
+once, compactly, and its panels are found once, from the split and the
+base's shape alone (``toymodel.SplitScorer``, the scorer ``predict`` uses
+too); its group codes and true labels are built once
+(``metrics.GroupColumns``). Every grid point is then arrays only: the
 edited model's scores, ``y_pred = scores >= threshold``, one per-group
 confusion table and the GroupReport read off it, the same report
-``evaluate(predict(...))`` gives. Only one seed's arrays are alive at a time.
+``evaluate(predict(...))`` gives. Only one seed's arrays are alive at a
+time, and a compact split holds no N x dim matrix.
 A base that is not a D->H->1 model raises ``IncompatibleCheckpoint`` before
 its seed is scored.
 Rows are still ordered grid-major then seed. Per-seed artifacts (base

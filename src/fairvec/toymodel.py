@@ -67,13 +67,19 @@ step (a bound, and the rows themselves only when it trips) and makes the
 next loss NaN when one is not finite, as the dense forward's ``0 * inf``
 does.
 
-Scoring runs the same ``_forward``. ``predict`` scores the dense features,
-the definition. ``SplitScorer`` scores one split under a series of models
-(the sweep points): it matches panels once per split, on the split's real
-compact rows, and the split becomes the all-columns layout when none match.
+Scoring runs the same ``_forward``. ``score_features`` of the dense
+features (``featurize_all``) is the definition. ``SplitScorer`` scores one
+split under a series of models (the sweep points, or ``predict``'s one
+model): it featurizes the split compactly and matches panels once, at the
+split's own shape, in the rows that its dense probe holds (the first and
+last ``_PROBE_ROWS`` and those around the middle; every other row is zero).
+BLAS blocks by shape, not by value, so those panels give every row's dense
+bytes, and the probe's N x dim matrix costs only the pages of its real rows:
+the rest is never written and reads as the kernel's zero page. When no
+panels match, the split becomes the all-columns layout, the dense matrix.
 For each model, a non-finite untouched W1 row forces the dense product,
-which turns that row into NaN as ``predict`` does. Every score it returns
-has the bytes ``predict`` would give.
+which turns that row into NaN as the definition does. Every score it
+returns has the definition's bytes.
 """
 
 from __future__ import annotations
@@ -292,14 +298,16 @@ def _dense(cols: np.ndarray, Xc: np.ndarray, dim: int) -> np.ndarray:
     return X
 
 
-def _matching_panels(X: np.ndarray, Xc: np.ndarray, cols: np.ndarray, W: np.ndarray):
+def _matching_panels(X: np.ndarray, Xc: np.ndarray, cols: np.ndarray, W: np.ndarray,
+                     rows=slice(None)):
     """The first of one panel and the panels of each width in _PANEL_WIDTHS
-    whose sum of Xc[:, p] @ W[cols][p] has this BLAS's bytes of X @ W, or
-    None. X is Xc in the columns cols of a dense matrix (see _dense)."""
+    whose sum of Xc[:, p] @ W[cols][p] has this BLAS's bytes of X @ W in the
+    rows rows (all by default), or None. X holds those rows of Xc in the
+    columns cols of a dense matrix (see _dense)."""
     dim = len(W)
-    Z, Wc = (X @ W).tobytes(), W[cols]
+    Z, Wc = (X @ W)[rows].tobytes(), W[cols]
     candidates = (_panels(dim, cols, q) for q in (dim, *_PANEL_WIDTHS))
-    return next((p for p in candidates if _product(Xc, Wc, p).tobytes() == Z), None)
+    return next((p for p in candidates if _product(Xc, Wc, p)[rows].tobytes() == Z), None)
 
 
 def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int, rank: int = 0):
@@ -507,15 +515,20 @@ def train_lora(
     cols, arrays = _descend(examples, model, hyper, 3, adapter, rank)
     A[cols] = arrays["A"]
     meta = _metadata(hyper, metadata, lora_rank=str(rank), lora_alpha=repr(float(alpha)))
-    model.W1 = model.W1 + scaling * (A @ B)
+    # under the loop's errstate: an effective row that the last step
+    # overflowed is written as inf, with no warning, as train writes its W1
+    with np.errstate(over="ignore", invalid="ignore"):
+        model.W1 = model.W1 + scaling * (A @ B)
     return model.to_checkpoint(meta), LoraAdapter(A=A, B=B, rank=rank, alpha=alpha)
 
 
 def predict(ckpt: Checkpoint, examples, threshold: float = 0.5) -> list[PredictionRecord]:
-    """Score examples with a serialized toy model; y_pred via the threshold."""
+    """Score examples with a serialized toy model; y_pred via the threshold.
+    The scores are SplitScorer's, the bytes of score_features on the dense
+    features, without building the dense N x dim matrix."""
     check_threshold(threshold)
     model = ToyModel.from_checkpoint(ckpt)
-    scores = score_features(model, featurize_all(examples, model.dim))
+    scores = SplitScorer(examples, model.dim, model.hidden).scores(model)
     return [
         PredictionRecord(
             id=ex.id,
@@ -531,10 +544,10 @@ def predict(ckpt: Checkpoint, examples, threshold: float = 0.5) -> list[Predicti
 def score_features(
     model: ToyModel, X: np.ndarray, cols: np.ndarray | None = None, panels=None
 ) -> np.ndarray:
-    """Float64 scores of the examples whose features are the rows of X; the
-    one scoring path, shared by predict and the sweeps, so sweep rows equal
-    predict bit for bit. With cols, X holds only those feature columns and
-    the forward sums W1[cols] over panels (see SplitScorer)."""
+    """Float64 scores of the examples whose features are the rows of X. On
+    the dense features (featurize_all) it is the definition of a score; with
+    cols, X holds only those feature columns and the forward sums W1[cols]
+    over panels (see SplitScorer), which predict and the sweeps use."""
     arrays = model.arrays()
     if cols is not None:
         arrays["W1"] = model.W1[cols]
@@ -542,28 +555,51 @@ def score_features(
     return _sigmoid(logit.astype(np.float64))
 
 
+# the real rows SplitScorer's panel probe holds at each end of a split (and
+# around its middle, where a two-thread BLAS splits the rows)
+_PROBE_ROWS = 64
+
+
+def _probe(cols: np.ndarray, Xc: np.ndarray, dim: int):
+    """(X, rows): rows, Xc's first and last _PROBE_ROWS rows and those around
+    N/2, and X, the N x dim matrix that holds them as _dense does and zeros in
+    every other row. np.zeros maps its pages without writing them, so X holds
+    memory for those rows only: a page never written reads as the kernel's
+    zero page."""
+    n, at = len(Xc), np.arange(len(Xc))
+    rows = at[(at < _PROBE_ROWS) | (at >= n - _PROBE_ROWS)
+              | (np.abs(at - n // 2) < _PROBE_ROWS // 2)]
+    X = np.zeros((n, dim), np.float32)
+    X[rows[:, None], cols] = Xc[rows]
+    return X, rows
+
+
 class SplitScorer:
     """Scores one split under a series of float32 models of one shape, dim x
-    hidden, such as the edited models of a sweep.
+    hidden: the edited models of a sweep, or predict's one model.
 
     The split is featurized once, compactly, and _matching_panels finds its
-    panels on its real rows and random weights; when none match, the split
-    becomes the all-columns layout, the dense matrix. BLAS blocks by shape,
-    not by value, so the panels give every model's dense bytes, except for a
-    model with a non-finite untouched W1 row: the dense product turns that
-    row into NaN (``0 * NaN``), so such a model is scored on the dense
-    product.
+    panels at the split's own shape, on random weights and on _probe's rows
+    of the split. BLAS blocks by shape, not by value, so the panels give
+    every row's dense bytes under every model; then the scorer holds only
+    the compact features (cols, X), and no N x dim matrix was resident.
+    When none match, the split becomes the all-columns layout, the dense
+    matrix. A model with a non-finite untouched W1 row is scored on the
+    dense product, which turns that row into NaN (``0 * NaN``) as
+    score_features on the dense features does.
     """
 
     def __init__(self, examples, dim: int, hidden: int):
         cols, Xc = featurize_compact(examples, dim)
-        X = _dense(cols, Xc, dim)
         W = np.random.default_rng(0).standard_normal((dim, hidden), dtype=np.float32)
-        self.panels = _matching_panels(X, Xc, cols, W)
-        self.cols, self.X = (np.arange(dim), X) if self.panels is None else (cols, Xc)
+        X, rows = _probe(cols, Xc, dim)
+        self.panels = _matching_panels(X, Xc, cols, W, rows)
+        self.cols, self.X = (
+            (np.arange(dim), _dense(cols, Xc, dim)) if self.panels is None else (cols, Xc)
+        )
 
     def scores(self, model: ToyModel) -> np.ndarray:
-        """score_features of the split under model."""
+        """score_features of the split's dense features under model."""
         if np.isfinite(np.delete(model.W1, self.cols, axis=0)).all():
             return score_features(model, self.X, self.cols, self.panels)
         return score_features(model, _dense(self.cols, self.X, model.dim))

@@ -82,14 +82,36 @@ def test_inject_and_apply(workdir):
 
 
 def test_apply_negative_exponent_lambda_equals_form(workdir, tmp_path):
-    """argparse can take "-1e-3" after a space for an option, so the README
-    gives the "=" form; it writes the bytes of "--lambda -0.001"."""
+    """"--lambda -1e-3", after a space, is the value and not an option: it
+    writes the bytes of "--lambda=-1e-3" and of "--lambda -0.001"."""
     common = ["apply", str(workdir / "base.ckpt"), str(workdir / "vA.ckpt")]
-    proc = run_cli([*common, "--lambda=-1e-3", "-o", "eq.ckpt"], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    proc = run_cli([*common, "--lambda", "-0.001", "-o", "sp.ckpt"], tmp_path)
-    assert proc.returncode == 0, proc.stderr
-    assert (tmp_path / "eq.ckpt").read_bytes() == (tmp_path / "sp.ckpt").read_bytes()
+    for name, value in [("eq", ["--lambda=-1e-3"]), ("sp", ["--lambda", "-1e-3"]),
+                        ("dec", ["--lambda", "-0.001"])]:
+        proc = run_cli([*common, *value, "-o", f"{name}.ckpt"], tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, "")
+    want = (tmp_path / "eq.ckpt").read_bytes()
+    assert (tmp_path / "sp.ckpt").read_bytes() == want
+    assert (tmp_path / "dec.ckpt").read_bytes() == want
+
+
+@pytest.mark.parametrize(
+    "argv, dest",
+    [
+        (["apply", "b", "v", "-o", "x", "--lambda"], "lam"),
+        (["inject", "b", "v", "-o", "x", "--lambda"], "lam"),
+        (["eval", "--preds", "p", "--attribute", "g", "--threshold"], "threshold"),
+        (["train-toy", "--data", "d", "--seed", "1", "-o", "x", "--lr"], "lr"),
+        (["train-toy", "--data", "d", "--seed", "1", "-o", "x", "--alpha"], "alpha"),
+    ],
+)
+@pytest.mark.parametrize("value", ["-1e-3", "-2.5E+1", "-.5e1", "-inf", "-Infinity", "-nan"])
+def test_float_flags_take_negative_values_after_a_space(argv, dest, value):
+    """Every float flag parses "FLAG VALUE" as "FLAG=VALUE" for a negative
+    VALUE in any form float() reads."""
+    *head, flag = argv
+    spaced = vars(build_parser().parse_args([*head, flag, value]))[dest]
+    joined = vars(build_parser().parse_args([*head, f"{flag}={value}"]))[dest]
+    assert repr(spaced) == repr(joined) == repr(float(value))
 
 
 def write_hand_built_preds(path):
@@ -166,6 +188,8 @@ def test_bad_vec_syntax_exit_2(workdir):
          "error: --lambda must be finite, got -inf\n"),
         (["merge", "absent.ckpt", "--vec", "vA.ckpt:0.5", "--vec", "vA.ckpt:inf"],
          "error: lambda in --vec 'vA.ckpt:inf' must be finite\n"),
+        (["apply", "absent.ckpt", "vA.ckpt", "--lambda", "-inf"],
+         "error: --lambda must be finite, got -inf\n"),
     ],
 )
 def test_non_finite_coefficient_exit_2_before_any_read(workdir, argv, message):
@@ -802,6 +826,40 @@ def test_train_toy_diverging_exit_1_one_line(workdir, lora):
     assert not (workdir / "never.ckpt").exists()
 
 
+def test_train_toy_lora_overflowing_merge_exit_0_no_warning(tmp_path):
+    """The README-scale Women split with untouched W1 rows at 3.4e38 and one
+    step: the step overflows no loss, but the merged W1 + (alpha/r) A B does.
+    As train-toy without --lora, it writes the inf and prints nothing; the
+    bytes are train_lora's, which raises no warning either."""
+    from fairvec import corpus
+    from fairvec.features import featurize_compact
+
+    (tmp_path / "spec.json").write_text('{"total": 700, "seed": 13}')
+    assert run_cli(["gen-data", "--spec", "spec.json", "-o", "data"], tmp_path).returncode == 0
+    lines = (tmp_path / "data" / "train.jsonl").read_text().splitlines()
+    women = toymodel.subgroup(corpus.parse_examples(lines), "gender", "Women")
+    model = toymodel.init_model(512, 16, 13)
+    model.W1[np.delete(np.arange(512), featurize_compact(women, 512)[0])] = 3.4e38
+    write_checkpoint(model.to_checkpoint(), tmp_path / "base.ckpt")
+    proc = run_cli(
+        ["train-toy", "--data", "data", "--seed", "13", "--group", "Women", "--lora",
+         "--base", "base.ckpt", "--alpha", "8e16", "--lr", "1e10", "--epochs", "1",
+         "--batch-size", "1000", "-o", "out.ckpt"],
+        tmp_path,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    got = read_checkpoint(str(tmp_path / "out.ckpt"))
+    assert np.isinf(got.tensors["W1"].to_numpy()).any()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want, _ = toymodel.train_lora(
+            women, model.to_checkpoint(), toymodel.Hyper(epochs=1, lr=1e10, batch_size=1000,
+                                                         seed=13),
+            alpha=8e16, metadata={"subset": "Women"},
+        )
+    assert got.tensors == want.tensors
+
+
 def test_train_toy_lora_trains_on_its_group(workdir, tmp_path):
     from fairvec import corpus, toymodel
 
@@ -893,3 +951,104 @@ class TestCheckpointFuzz:
         assert out.exists() == (code == 0)
         for path in fuzzdir.glob("out.ckpt*"):
             path.unlink()
+
+
+@pytest.mark.parametrize("command", ["eval", "gen-data", "sweep", "train-toy"])
+def test_deeply_nested_json_exit_2_one_line(tmp_path, command):
+    """JSON nested past the parser's recursion limit is invalid input, with
+    the file and line named where the input is JSON lines."""
+    deep = "[" * 100_000
+    (tmp_path / "data").mkdir()
+    (tmp_path / "data" / "train.jsonl").write_text(deep + "\n")
+    (tmp_path / "in.json").write_text(deep)
+    argv = {
+        "eval": ["eval", "--preds", "data/train.jsonl", "--attribute", "g", "-o", "out"],
+        "gen-data": ["gen-data", "--spec", "in.json", "-o", "out"],
+        "sweep": ["sweep", "--mode", "merge", "--config", "in.json", "-o", "out"],
+        "train-toy": ["train-toy", "--data", "data", "--seed", "1", "-o", "out"],
+    }[command]
+    if command == "train-toy":
+        (tmp_path / "data" / "spec.json").write_text("{}")
+    proc = run_cli(argv, tmp_path)
+    assert proc.returncode == 2
+    where = "data/train.jsonl:1: " if command in ("eval", "train-toy") else ""
+    assert proc.stderr.startswith(f"error: invalid input: {where}maximum recursion depth")
+    assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "out").exists()
+
+
+class TestTextInputFuzz:
+    """Mutated prediction lines fed to eval and mutated corpus specs fed to
+    gen-data (truncated, with a flipped byte, with a field dropped or with
+    an odd value or odd JSON text in a field): each run exits 0, 1 or 2,
+    writes at most one stderr line and no warning, and a failing run leaves
+    no output. The odd values stay small: a spec whose total or vocabulary
+    no run could hold is not rejected up front (ROADMAP item 5)."""
+
+    PREDICTION = {"id": "r1", "y_true": 1, "score": 0.75, "y_pred": 1, "groups": {"g": "B"}}
+    SPEC = {"attribute": "g", "proportions": {"A": 0.5, "B": 0.5}, "total": 24, "seed": 1,
+            "base_rates": {"A": 0.3}, "bias": 0.5, "vocab_size": 50, "tokens_min": 2,
+            "tokens_max": 6, "signal_frac": 0.2}
+    ODD_VALUES = (None, True, 0, 1, -1, 2, 0.5, -0.5, 1e308, "", "x", "\ud800", [], [1], {},
+                  {"A": 1}, {"g": "B"}, {"A": None}, 999)
+    ODD_TEXT = ("NaN", "Infinity", "-0", "1e400", "[" * 100_000, "9" * 5000, '"\\ud800"',
+                '"\\u0000"', '{"g": "B", "g": 1}')
+
+    mutation = dict(
+        how=st.sampled_from(["truncate", "flip", "drop", "value", "text"]),
+        at=st.integers(min_value=0),
+        pick=st.integers(min_value=0, max_value=2**16),
+    )
+
+    @classmethod
+    def mutate(cls, obj, how, at, pick) -> bytes:
+        text = json.dumps(obj).encode()
+        key = sorted(obj)[at % len(obj)]
+        if how == "truncate":
+            return text[: at % len(text)]
+        if how == "flip":
+            blob = bytearray(text)
+            blob[at % len(blob)] ^= 1 + pick % 255
+            return bytes(blob)
+        if how == "drop":
+            return json.dumps({k: v for k, v in obj.items() if k != key}).encode()
+        if how == "value":
+            return json.dumps({**obj, key: cls.ODD_VALUES[pick % len(cls.ODD_VALUES)]}).encode()
+        field = f"{json.dumps(key)}: {json.dumps(obj[key])}"
+        odd = cls.ODD_TEXT[pick % len(cls.ODD_TEXT)]
+        return text.replace(field.encode(), f"{json.dumps(key)}: {odd}".encode())
+
+    @staticmethod
+    def run_main(argv):
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, \
+                contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(argv)
+        assert code in (0, 1, 2)
+        assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
+        assert not [str(w.message) for w in caught]
+        return code
+
+    @settings(max_examples=150, deadline=None)
+    @given(**mutation)
+    def test_mutated_prediction_line_eval(self, tmp_path_factory, how, at, pick):
+        wd = tmp_path_factory.mktemp("eval")
+        good = json.dumps({**self.PREDICTION, "id": "r0", "groups": {"g": "A"}}).encode()
+        (wd / "p.jsonl").write_bytes(
+            b"\n".join([good, self.mutate(self.PREDICTION, how, at, pick), good]) + b"\n"
+        )
+        out, csv = wd / "report.json", wd / "report.csv"
+        code = self.run_main(["eval", "--preds", str(wd / "p.jsonl"), "--attribute", "g",
+                              "-o", str(out), "--csv", str(csv)])
+        assert out.exists() == csv.exists() == (code == 0)
+        shutil.rmtree(wd)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**mutation)
+    def test_mutated_spec_gen_data(self, tmp_path_factory, how, at, pick):
+        wd = tmp_path_factory.mktemp("gen")
+        (wd / "spec.json").write_bytes(self.mutate(self.SPEC, how, at, pick))
+        code = self.run_main(["gen-data", "--spec", str(wd / "spec.json"), "-o", str(wd / "data")])
+        assert (wd / "data").exists() == (code == 0)
+        shutil.rmtree(wd)

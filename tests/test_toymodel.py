@@ -11,7 +11,7 @@ from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from fairvec.metrics import evaluate
 from fairvec.arith import diff
 from fairvec.features import featurize, featurize_all, featurize_compact
-from fairvec import toymodel
+from fairvec import features, toymodel
 from fairvec.toymodel import (
     Hyper,
     SplitScorer,
@@ -54,6 +54,18 @@ README = CorpusSpec(attribute="gender", total=700, seed=13)
 def readme_split():
     """The full training split at the README's scale."""
     return gen_corpus(README)[0]
+
+
+@pytest.fixture(scope="module")
+def scoring_splits(readme_split):
+    """The train and test splits of seed 13 at the paper's scale (the
+    default mix, 3,546 examples: 2,837 and 709 rows) and at the README's
+    (560 and 140 rows)."""
+    paper = gen_corpus(CorpusSpec(attribute="gender", total=3546, seed=13))
+    return {
+        "paper-train": paper[0], "paper-test": paper[1],
+        "readme-train": readme_split, "readme-test": gen_corpus(README)[1],
+    }
 
 
 def separable_examples(n=50):
@@ -646,6 +658,68 @@ class TestScoringPanels:
             assert scorer.X.tobytes() == dense.tobytes()
         for model in (first, later, nan_row, all_nan, later):
             assert scorer.scores(model).tobytes() == score_features(model, dense).tobytes()
+
+    @pytest.mark.parametrize(
+        "split, dim, hidden",
+        [
+            ("paper-train", 4096, 32), ("paper-test", 4096, 32),
+            ("readme-train", 512, 16), ("readme-test", 512, 16),
+            ("readme-train", 32, 4), ("readme-test", 128, 17), ("paper-train", 1000, 33),
+        ],
+    )
+    def test_predict_and_scorer_bytes_equal_definition(self, scoring_splits, split, dim, hidden):
+        """predict and SplitScorer.scores give the bytes of score_features on
+        the dense features at every row, though the panels were matched on
+        the probe's rows only: for the seeded init, its W1 x 50 and, where a
+        bucket is untouched, that model with a NaN in an untouched W1 row."""
+        examples = scoring_splits[split]
+        dense = featurize_all(examples, dim)
+        init = init_model(dim, hidden, 13)
+        big = copy.deepcopy(init)
+        big.W1 *= 50
+        models = [init, big]
+        untouched = np.flatnonzero(~dense.any(axis=0))
+        if len(untouched):
+            nan_row = copy.deepcopy(big)
+            nan_row.W1[untouched[0], 0] = np.nan
+            models.append(nan_row)
+        scorer = SplitScorer(examples, dim, hidden)
+        for model in models:
+            want = score_features(model, dense).tobytes()
+            assert scorer.scores(model).tobytes() == want
+            scores = [p.score for p in predict(model.to_checkpoint(), examples)]
+            assert np.array(scores, dtype=np.float64).tobytes() == want
+
+    def test_compact_scoring_builds_no_dense_matrix(self, scoring_splits, monkeypatch):
+        """On the paper-scale train split, SplitScorer and predict score in
+        the compact layout and call neither featurize_all nor _dense, so no
+        N x dim matrix is written (its pages' RSS depends on the
+        environment, so it is not asserted). A model with a non-finite
+        untouched W1 row still takes the dense product."""
+        calls = []
+
+        def recording(module, name):
+            fn = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(name)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module, name in ((features, "featurize_all"), (toymodel, "featurize_all"),
+                             (toymodel, "_dense")):
+            recording(module, name)
+        examples = scoring_splits["paper-train"]
+        model = init_model(4096, 32, 13)
+        scorer = SplitScorer(examples, 4096, 32)
+        assert scorer.panels is not None
+        assert scorer.X.shape == (len(examples), len(scorer.cols)) < (len(examples), 4096)
+        scorer.scores(model)
+        predict(model.to_checkpoint(), examples)
+        assert calls == []
+        model.W1[np.delete(np.arange(4096), scorer.cols)[0], 0] = np.nan
+        scorer.scores(model)
+        assert calls == ["_dense"]
 
 
 # logits at the edges of the sigmoid and the loss: signed zeros, tiny values,
