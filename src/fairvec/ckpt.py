@@ -69,9 +69,7 @@ class Tensor:
 
     @classmethod
     def from_numpy(cls, arr: np.ndarray, dtype: Dtype = Dtype.F32) -> "Tensor":
-        arr = np.asarray(arr)  # ascontiguousarray would promote 0-d to 1-d
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.copy(arr, order="C")
+        arr = np.asarray(arr)  # tobytes() below writes any layout in C order
         if dtype is Dtype.F32:
             raw = arr.astype("<f4", copy=False)
         elif dtype is Dtype.F16:

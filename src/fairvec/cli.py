@@ -231,10 +231,10 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
 
 
 def _config_value(value, kind, name):
-    """value; UsageError unless it is a kind (float: any JSON number; no kind
-    takes a bool)."""
-    kinds = (int, float) if kind is float else kind
-    if isinstance(value, bool) or not isinstance(value, kinds):
+    """value; UsageError unless it is a kind (float: a number that
+    metrics.is_json_number takes; no kind takes a bool)."""
+    if not (metrics.is_json_number(value) if kind is float
+            else isinstance(value, kind) and not isinstance(value, bool)):
         raise UsageError(f"sweep config {name} must be {_KINDS[kind]}, got {value!r}")
     return value
 
@@ -270,10 +270,10 @@ def cmd_sweep(args, run):
     config = SweepConfig(
         grid=[float(v) for v in grid],
         seeds=_config_list(cfg, "seeds", int, sweep_mod.DEFAULT_SEEDS),
-        attribute=_config_field(cfg, "attribute", str, "gender"),
-        threshold=float(_config_field(cfg, "threshold", float, 0.5)),
-        criterion=cfg.get("criterion", "macro_accuracy"),
-        split=cfg.get("split", "train"),
+        attribute=_config_field(cfg, "attribute", str, SweepConfig.attribute),
+        threshold=float(_config_field(cfg, "threshold", float, SweepConfig.threshold)),
+        criterion=cfg.get("criterion", SweepConfig.criterion),
+        split=cfg.get("split", SweepConfig.split),
     )
     data_dir = _config_field(cfg, "data_dir", str)
     runs = _config_field(cfg, "runs", dict)
@@ -363,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="fairness report from a prediction log")
     p.add_argument("--preds", required=True)
     p.add_argument("--attribute", required=True)
-    p.add_argument("--threshold", type=float, default=0.5)
+    p.add_argument("--threshold", type=float, default=metrics.DEFAULT_THRESHOLD)
     p.add_argument("-o", "--output", help="write report JSON here instead of stdout")
     p.add_argument("--csv", help="also write the report as CSV")
     p.set_defaults(fn=cmd_eval)
@@ -383,9 +383,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-only", action="store_true",
                    help="emit the seeded initialization without training")
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--lr", type=float, default=0.1)
-    p.add_argument("--batch-size", type=int, default=32)
+    p.add_argument("--epochs", type=int, default=toymodel.Hyper.epochs)
+    p.add_argument("--lr", type=float, default=toymodel.Hyper.lr)
+    p.add_argument("--batch-size", type=int, default=toymodel.Hyper.batch_size)
     p.add_argument("--dim", type=int, default=toymodel.DEFAULT_DIM)
     p.add_argument("--hidden", type=int, default=toymodel.DEFAULT_HIDDEN)
     p.add_argument("-o", "--output", required=True)

@@ -31,7 +31,6 @@ dominant group, one small catch-all "Other", and several small groups.
 from __future__ import annotations
 
 import json
-import math
 import os
 from dataclasses import dataclass, field, asdict
 
@@ -39,7 +38,7 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import InvalidSpec
-from .metrics import binary_label, parse_jsonl, string_map, write_jsonl
+from .metrics import binary_label, is_json_number, parse_jsonl, string_map, write_jsonl
 
 # 7-subgroup default mix (counts 817/114/178/173/148/2057/59, total 3546)
 DEFAULT_GROUP_COUNTS = {
@@ -136,11 +135,12 @@ class CorpusSpec:
 
 def _like(value, default) -> bool:
     """Whether a JSON value has the type of a field whose default is default:
-    a float field takes any finite number, a dict one an object of them."""
+    a float field takes a number is_json_number takes, a dict one an object
+    of them."""
     if isinstance(default, dict):
-        return isinstance(value, dict) and all(_like(v, 0.0) for v in value.values())
+        return isinstance(value, dict) and all(map(is_json_number, value.values()))
     if isinstance(default, float):
-        return type(value) is int or type(value) is float and math.isfinite(value)
+        return is_json_number(value)
     return type(value) is type(default)
 
 

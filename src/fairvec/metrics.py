@@ -19,7 +19,9 @@ check each line with the one validator ``_prediction`` under
 ``parse_jsonl``, which also reads corpus files. ``write_jsonl`` is the one
 writer of both kinds of file: one sorted-key JSON object per line, written
 atomically. Every CSV cell, here and in the sweep CSV, is ``csv_cell``'s
-full-precision ``repr``, or empty for None.
+full-precision ``repr``, or empty for None. ``is_json_number`` is the one
+rule for the numbers a float field of a JSON input takes: ``gen-data``
+specs and ``sweep`` configs.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import io
 import json
 import math
 import os
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,6 +73,14 @@ def binary_label(name: str, value) -> int:
     if value not in (0, 1):
         raise ValueError(f"{name} must be 0 or 1, got {value!r}")
     return int(value)
+
+
+def is_json_number(value) -> bool:
+    """Whether a parsed JSON value is a number a float field takes: an int or
+    float (never a bool) within binary64's finite range, the range JSON
+    numbers are exchanged in (RFC 8259, section 6). NaN, the infinities and
+    integers beyond float range are not."""
+    return type(value) in (int, float) and abs(value) <= sys.float_info.max
 
 
 def _binary_column(name: str, values: list) -> np.ndarray:

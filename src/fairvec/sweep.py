@@ -38,7 +38,7 @@ from .arith import TaskVector, WeightedVector, merge
 from .atomic import atomic_open
 from .ckpt import Checkpoint
 from .errors import InsufficientGroups, IoFailure
-from .metrics import GroupColumns, GroupReport, check_threshold, csv_cell
+from .metrics import DEFAULT_THRESHOLD, GroupColumns, GroupReport, check_threshold, csv_cell
 
 MERGE_GRID = [round(0.1 * i, 1) for i in range(11)]    # 0.0 .. 1.0 step 0.1
 INJECT_GRID = [round(0.2 * i, 1) for i in range(6)]    # 0.0 .. 1.0 step 0.2
@@ -47,6 +47,8 @@ DEFAULT_SEEDS = [13, 14, 15]
 OVERALL_METRICS = ("macro_accuracy", "overall_dpd", "overall_eod", "accuracy_parity_gap")
 # the overall metrics for which lower is fairer
 DISPARITY_METRICS = ("overall_dpd", "overall_eod", "accuracy_parity_gap")
+# catch-all groups that worst_subgroups never ranks
+CATCH_ALL_GROUPS = ("Other",)
 
 
 @dataclass
@@ -54,7 +56,7 @@ class SweepConfig:
     grid: list[float]
     seeds: list[int] = field(default_factory=lambda: list(DEFAULT_SEEDS))
     attribute: str = "gender"
-    threshold: float = 0.5
+    threshold: float = DEFAULT_THRESHOLD
     criterion: str = "macro_accuracy"
     split: str = "train"
 
@@ -230,19 +232,16 @@ def select_lambda(result: SweepResult) -> float:
     return max(defined, key=lambda lam: sign * mean[lam])
 
 
-def worst_subgroups(
-    report: GroupReport, k: int = 2, exclusions=("Other",)
-) -> list[str]:
+def worst_subgroups(report: GroupReport, k: int = 2) -> list[str]:
     """Groups ranked by descending (DPD+EOD)/2 one-vs-rest average.
 
-    Catch-all groups in exclusions are skipped, as are groups whose EOD was
+    The CATCH_ALL_GROUPS are skipped, as are groups whose EOD was
     undefined. Ties break toward the larger group, then lexicographic name.
     """
-    excluded = set(exclusions)
     candidates = [
         row
         for row in report.rows
-        if row.group not in excluded
+        if row.group not in CATCH_ALL_GROUPS
         and row.dpd_ovr is not None
         and row.eod_ovr is not None
     ]

@@ -92,7 +92,7 @@ import numpy as np
 from .ckpt import Checkpoint, Dtype, Tensor
 from .errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from .features import featurize_all, featurize_compact
-from .metrics import PredictionRecord, binarize, check_threshold
+from .metrics import DEFAULT_THRESHOLD, PredictionRecord, binarize, check_threshold
 
 TENSOR_NAMES = ("W1", "b1", "w2", "b2")
 
@@ -522,7 +522,7 @@ def train_lora(
     return model.to_checkpoint(meta), LoraAdapter(A=A, B=B, rank=rank, alpha=alpha)
 
 
-def predict(ckpt: Checkpoint, examples, threshold: float = 0.5) -> list[PredictionRecord]:
+def predict(ckpt: Checkpoint, examples, threshold=DEFAULT_THRESHOLD) -> list[PredictionRecord]:
     """Score examples with a serialized toy model; y_pred via the threshold.
     The scores are SplitScorer's, the bytes of score_features on the dense
     features, without building the dense N x dim matrix."""
@@ -599,10 +599,14 @@ class SplitScorer:
         )
 
     def scores(self, model: ToyModel) -> np.ndarray:
-        """score_features of the split's dense features under model."""
-        if np.isfinite(np.delete(model.W1, self.cols, axis=0)).all():
-            return score_features(model, self.X, self.cols, self.panels)
-        return score_features(model, _dense(self.cols, self.X, model.dim))
+        """score_features of the split's dense features under model. Like
+        training, it runs under an errstate that ignores "over" and
+        "invalid": a non-finite weight gives the definition's NaN or inf
+        scores and no warning."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            if np.isfinite(np.delete(model.W1, self.cols, axis=0)).all():
+                return score_features(model, self.X, self.cols, self.panels)
+            return score_features(model, _dense(self.cols, self.X, model.dim))
 
 
 def grad_check(

@@ -10,6 +10,7 @@ from fairvec.ckpt import (
     Checkpoint,
     Dtype,
     Tensor,
+    parse_checkpoint,
     read_checkpoint,
     tensor_names,
     write_checkpoint,
@@ -121,6 +122,36 @@ def test_malformed_prefixes(tmp_path, raw):
         read_checkpoint(path)
 
 
+F32_ENTRY = {"dtype": "F32", "shape": [1], "data_offsets": [0, 4]}
+
+
+@pytest.mark.parametrize(
+    "header, data, reason",
+    [
+        ({"__metadata__": {"seed": 13}, "w": F32_ENTRY}, b"\0" * 4,
+         "__metadata__ must map strings to strings"),
+        ({"": F32_ENTRY}, b"\0" * 4, "empty tensor name"),
+        ({"w": {**F32_ENTRY, "shape": [-1]}}, b"", "bad shape for tensor 'w': [-1]"),
+        ({"w": {**F32_ENTRY, "shape": [1.0]}}, b"\0" * 4, "bad shape for tensor 'w'"),
+        ({"w": {**F32_ENTRY, "shape": [True]}}, b"\0" * 4, "bad shape for tensor 'w'"),
+        ({"w": {**F32_ENTRY, "shape": "1"}}, b"\0" * 4, "bad shape for tensor 'w'"),
+        ({"w": {**F32_ENTRY, "data_offsets": [0]}}, b"\0" * 4,
+         "bad data_offsets for tensor 'w': [0]"),
+        ({"w": {**F32_ENTRY, "data_offsets": [4, 0]}}, b"\0" * 4, "bad data_offsets"),
+        ({"w": {**F32_ENTRY, "data_offsets": [-4, 0]}}, b"\0" * 4, "bad data_offsets"),
+        ({"w": {**F32_ENTRY, "data_offsets": [0, True]}}, b"\0" * 4, "bad data_offsets"),
+        ({"w": {**F32_ENTRY, "data_offsets": [0, 4.0]}}, b"\0" * 4, "bad data_offsets"),
+        ({"w": F32_ENTRY}, b"\0" * 7, "3 trailing bytes beyond declared offsets"),
+    ],
+)
+def test_malformed_header_fields(header, data, reason):
+    """Each header check of parse_checkpoint raises MalformedHeader naming
+    what is wrong."""
+    with pytest.raises(MalformedHeader) as exc:
+        parse_checkpoint(build_file(header, data))
+    assert reason in str(exc.value)
+
+
 def test_reserved_and_empty_names_rejected():
     t = Tensor.from_numpy(np.zeros(1, np.float32))
     with pytest.raises(ValueError):
@@ -176,6 +207,20 @@ def test_from_numpy_copies_its_input():
     payloads = [bytes(t.data) for t in tensors]
     arr[:] = 9.0
     assert [bytes(t.data) for t in tensors] == payloads
+
+
+@pytest.mark.parametrize("dtype", list(Dtype))
+@pytest.mark.parametrize("source", [np.float32, np.float64])
+@pytest.mark.parametrize("layout", ["transposed", "strided", "fortran"])
+def test_from_numpy_of_a_non_contiguous_array(dtype, source, layout):
+    """A transposed, strided or Fortran-order array encodes to the bytes of
+    its C-contiguous copy."""
+    a = np.random.default_rng(3).standard_normal((6, 10)).astype(source)
+    arr = {"transposed": a.T, "strided": a[::2, 1::3], "fortran": np.asfortranarray(a)}[layout]
+    assert not arr.flags["C_CONTIGUOUS"]
+    got, want = Tensor.from_numpy(arr, dtype), Tensor.from_numpy(np.ascontiguousarray(arr), dtype)
+    assert got.shape == want.shape == arr.shape
+    assert bytes(got.data) == bytes(want.data)
 
 
 def test_len_of_data_is_the_payload_size(tmp_path):

@@ -16,8 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import run_cli
 from fairvec import Checkpoint, TaskVector, Tensor, read_checkpoint, write_checkpoint
-from fairvec import toymodel
+from fairvec import sweep, toymodel
 from fairvec.cli import UsageError, _Run, build_parser, main
+from fairvec.corpus import CorpusSpec, gen_corpus, parse_examples, save_corpus
+from fairvec.features import featurize_compact
 
 DATA = Path(__file__).parent / "data"
 
@@ -174,6 +176,20 @@ def test_runtime_error_exit_1(workdir):
     assert not (workdir / "x.ckpt").exists()
 
 
+def test_output_directory_missing_exit_1_one_line(tmp_path):
+    """An output that cannot be opened is an OSError: exit 1, one line,
+    nothing written."""
+    write_hand_built_preds(tmp_path / "hand.jsonl")
+    proc = run_cli(
+        ["eval", "--preds", "hand.jsonl", "--attribute", "g", "-o", "missing/out.json"],
+        tmp_path,
+    )
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ") and "No such file or directory" in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["hand.jsonl"]
+
+
 def test_bad_vec_syntax_exit_2(workdir):
     proc = run_cli(["merge", "base.ckpt", "--vec", "novalue", "-o", "x.ckpt"], workdir)
     assert proc.returncode == 2
@@ -257,6 +273,13 @@ def test_sweep_cli(workdir):
         ({"mode": "inject", "runs": {"13": {"sft": "s.ckpt", "vector": 3}}},
          "sweep config 'runs'['13']['vector'] must be a string, got 3"),
         ({"seeds": [13, 13]}, "invalid input: seeds must be distinct, got [13, 13]"),
+        ({"threshold": float("nan")}, "sweep config 'threshold' must be a number, got nan"),
+        ({"grid": [0.0, float("inf")]}, "sweep config 'grid'[1] must be a number, got inf"),
+        # numbers beyond float range are the wrong type, not an OverflowError
+        pytest.param({"grid": [10**400]}, "sweep config 'grid'[0] must be a number, got 1000",
+                     id="grid-beyond-float-range"),
+        pytest.param({"threshold": 10**400}, "sweep config 'threshold' must be a number, got 1000",
+                     id="threshold-beyond-float-range"),
     ],
 )
 def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
@@ -327,6 +350,62 @@ def test_sweep_config_not_an_object_exit_2(tmp_path):
     assert proc.returncode == 2
     assert proc.stderr == "error: sweep config must be a JSON object, got [1]\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_sweep_non_finite_weight_exit_0_no_warning(tmp_path):
+    """A base with an inf in an untouched W1 row scores NaN, as the dense
+    definition does, and the sweep prints no numpy warning."""
+    spec = CorpusSpec(attribute="gender", total=700, seed=13)  # the README's corpus
+    save_corpus(spec, *gen_corpus(spec), tmp_path / "data")
+    train = parse_examples((tmp_path / "data" / "train.jsonl").read_text().splitlines())
+    cols, _ = featurize_compact(train, 512)
+    model = toymodel.init_model(512, 16, 13)
+    model.W1[np.setdiff1d(np.arange(512), cols)[0], 3] = np.inf
+    write_checkpoint(model.to_checkpoint(), tmp_path / "base.ckpt")
+    zero = {n: Tensor.from_numpy(np.zeros_like(a)) for n, a in model.arrays().items()}
+    write_checkpoint(Checkpoint(zero), tmp_path / "zero.ckpt")
+    cfg = {"mode": "merge", "grid": [0.0, 1.0], "seeds": [13], "attribute": "gender",
+           "data_dir": "data", "runs": {"13": {"base": "base.ckpt", "vectors": ["zero.ckpt"]}}}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    proc = run_cli(["sweep", "--config", "sweep.json", "-o", "run"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_sweep_inject_matches_in_process(tmp_path):
+    """fairvec sweep in inject mode writes the six files, and its result.json
+    and result.csv are the bytes inject_sweep and emit give in process on
+    the same checkpoints and split (the default injection grid)."""
+    spec = {"attribute": "g", "proportions": {"A": 0.5, "B": 0.5}, "total": 200, "seed": 13}
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    common = ["--data", "data", "--dim", "32", "--hidden", "4", "--seed", "13"]
+    for argv in (
+        ["gen-data", "--spec", "spec.json", "-o", "data"],
+        ["train-toy", *common, "--init-only", "-o", "base.ckpt"],
+        ["train-toy", *common, "--epochs", "5", "-o", "sft.ckpt"],
+        ["train-toy", *common, "--epochs", "5", "--group", "B", "-o", "subB.ckpt"],
+        ["diff", "subB.ckpt", "base.ckpt", "-o", "vB.ckpt"],
+    ):
+        assert run_cli(argv, tmp_path).returncode == 0
+    cfg = {"mode": "inject", "seeds": [13], "attribute": "g", "data_dir": "data",
+           "runs": {"13": {"sft": "sft.ckpt", "vector": "vB.ckpt"}}}
+    (tmp_path / "sweep.json").write_text(json.dumps(cfg))
+    proc = run_cli(["sweep", "--config", "sweep.json", "-o", "run"], tmp_path)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert sorted(p.name for p in (tmp_path / "run").iterdir()) == [
+        "acc.svg", "dpd.svg", "eod.svg", "manifest.json", "result.csv", "result.json",
+        "run_manifest.json",
+    ]
+
+    result = sweep.inject_sweep(
+        {13: read_checkpoint(tmp_path / "sft.ckpt")},
+        {13: TaskVector.from_checkpoint(read_checkpoint(tmp_path / "vB.ckpt"))},
+        sweep.SweepConfig(grid=sweep.INJECT_GRID, seeds=[13], attribute="g"),
+        parse_examples((tmp_path / "data" / "train.jsonl").read_text().splitlines()),
+    )
+    sweep.emit(result, tmp_path / "in-process")
+    for name in ("result.json", "result.csv"):
+        assert (tmp_path / "run" / name).read_bytes() == (
+            tmp_path / "in-process" / name).read_bytes()
 
 
 def test_sweep_manifest_digests_are_of_what_it_read(workdir, tmp_path):
@@ -756,6 +835,13 @@ def test_gen_data_missing_spec_exit_2(tmp_path):
         ('{"proportions": {"A": 0.5, "B": 0.6}}', "proportions sum to"),
         ('{"total": 200, "p_signal_pos": 7}', "p_signal_pos 7 outside [0,1]"),
         ('{"total": 200, "seed": -1}', "seed must be >= 0, got -1"),
+        # numbers beyond float range are the wrong type, not an OverflowError
+        pytest.param('{"proportions": {"A": 1%s}}' % ("0" * 400),
+                     "spec field 'proportions' has the wrong type", id="proportions-beyond-float"),
+        pytest.param('{"bias": 1%s}' % ("0" * 400),
+                     "spec field 'bias' has the wrong type", id="bias-beyond-float"),
+        pytest.param('{"bias": {"Men": 1%s}}' % ("0" * 400),
+                     "spec field 'bias' has the wrong type", id="group-bias-beyond-float"),
     ],
 )
 def test_gen_data_invalid_spec_exit_1(tmp_path, text, reason):
@@ -978,21 +1064,29 @@ def test_deeply_nested_json_exit_2_one_line(tmp_path, command):
 
 
 class TestTextInputFuzz:
-    """Mutated prediction lines fed to eval and mutated corpus specs fed to
-    gen-data (truncated, with a flipped byte, with a field dropped or with
-    an odd value or odd JSON text in a field): each run exits 0, 1 or 2,
+    """Mutated prediction lines fed to eval, mutated corpus specs fed to
+    gen-data, mutated sweep configs fed to sweep and mutated corpus lines
+    fed to train-toy (truncated, with a flipped byte, with a field dropped
+    or with an odd value or odd JSON text in a field, among them NaN, the
+    infinities and integers beyond float range): each run exits 0, 1 or 2,
     writes at most one stderr line and no warning, and a failing run leaves
-    no output. The odd values stay small: a spec whose total or vocabulary
-    no run could hold is not rejected up front (ROADMAP item 5)."""
+    no output. The one exception is a sweep whose criterion is undefined at
+    every grid point: it exits 1 after writing its run directory. The odd
+    values stay small in a spec's total, vocab_size and tokens_max, which
+    generation does not bound (ROADMAP item 5)."""
 
     PREDICTION = {"id": "r1", "y_true": 1, "score": 0.75, "y_pred": 1, "groups": {"g": "B"}}
     SPEC = {"attribute": "g", "proportions": {"A": 0.5, "B": 0.5}, "total": 24, "seed": 1,
             "base_rates": {"A": 0.3}, "bias": 0.5, "vocab_size": 50, "tokens_min": 2,
             "tokens_max": 6, "signal_frac": 0.2}
+    UNBOUNDED = ("total", "vocab_size", "tokens_max")
+    EXAMPLE = {"id": "ex9", "tokens": ["tok1", "grp=B"], "y_true": 1, "groups": {"g": "B"}}
     ODD_VALUES = (None, True, 0, 1, -1, 2, 0.5, -0.5, 1e308, "", "x", "\ud800", [], [1], {},
                   {"A": 1}, {"g": "B"}, {"A": None}, 999)
-    ODD_TEXT = ("NaN", "Infinity", "-0", "1e400", "[" * 100_000, "9" * 5000, '"\\ud800"',
-                '"\\u0000"', '{"g": "B", "g": 1}')
+    # integers beyond float range, alone and in a list or an object
+    HUGE_VALUES = (10**400, -(10**400), [10**400], {"A": 10**400}, {"g": 10**400})
+    ODD_TEXT = ("NaN", "Infinity", "-Infinity", "[NaN]", '{"A": Infinity}', "-0", "1e400",
+                "[" * 100_000, "9" * 5000, '"\\ud800"', '"\\u0000"', '{"g": "B", "g": 1}')
 
     mutation = dict(
         how=st.sampled_from(["truncate", "flip", "drop", "value", "text"]),
@@ -1001,7 +1095,9 @@ class TestTextInputFuzz:
     )
 
     @classmethod
-    def mutate(cls, obj, how, at, pick) -> bytes:
+    def mutate(cls, obj, how, at, pick, unbounded=()) -> bytes:
+        """obj's JSON text, mutated; a key in unbounded takes no integer
+        beyond float range."""
         text = json.dumps(obj).encode()
         key = sorted(obj)[at % len(obj)]
         if how == "truncate":
@@ -1013,13 +1109,15 @@ class TestTextInputFuzz:
         if how == "drop":
             return json.dumps({k: v for k, v in obj.items() if k != key}).encode()
         if how == "value":
-            return json.dumps({**obj, key: cls.ODD_VALUES[pick % len(cls.ODD_VALUES)]}).encode()
+            odd = cls.ODD_VALUES + (() if key in unbounded else cls.HUGE_VALUES)
+            return json.dumps({**obj, key: odd[pick % len(odd)]}).encode()
         field = f"{json.dumps(key)}: {json.dumps(obj[key])}"
         odd = cls.ODD_TEXT[pick % len(cls.ODD_TEXT)]
         return text.replace(field.encode(), f"{json.dumps(key)}: {odd}".encode())
 
     @staticmethod
     def run_main(argv):
+        """main(argv)'s exit code and stderr, checked."""
         err = io.StringIO()
         with warnings.catch_warnings(record=True) as caught, \
                 contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
@@ -1028,7 +1126,22 @@ class TestTextInputFuzz:
         assert code in (0, 1, 2)
         assert len(err.getvalue().splitlines()) <= 1, err.getvalue()
         assert not [str(w.message) for w in caught]
-        return code
+        return code, err.getvalue()
+
+    @pytest.fixture(scope="class")
+    def models(self, tmp_path_factory):
+        """A tiny corpus (spec.json, train.jsonl), a base and one vector."""
+        wd = tmp_path_factory.mktemp("models")
+        (wd / "spec.json").write_text(json.dumps({**self.SPEC, "bias": 0.0}))
+        common = ["--data", str(wd / "data"), "--dim", "8", "--hidden", "2", "--seed", "1"]
+        for argv in (
+            ["gen-data", "--spec", str(wd / "spec.json"), "-o", str(wd / "data")],
+            ["train-toy", *common, "--init-only", "-o", str(wd / "base.ckpt")],
+            ["train-toy", *common, "--epochs", "2", "--group", "A", "-o", str(wd / "sub.ckpt")],
+            ["diff", str(wd / "sub.ckpt"), str(wd / "base.ckpt"), "-o", str(wd / "vec.ckpt")],
+        ):
+            assert main(argv) == 0
+        return wd
 
     @settings(max_examples=150, deadline=None)
     @given(**mutation)
@@ -1039,8 +1152,8 @@ class TestTextInputFuzz:
             b"\n".join([good, self.mutate(self.PREDICTION, how, at, pick), good]) + b"\n"
         )
         out, csv = wd / "report.json", wd / "report.csv"
-        code = self.run_main(["eval", "--preds", str(wd / "p.jsonl"), "--attribute", "g",
-                              "-o", str(out), "--csv", str(csv)])
+        code, _ = self.run_main(["eval", "--preds", str(wd / "p.jsonl"), "--attribute", "g",
+                                 "-o", str(out), "--csv", str(csv)])
         assert out.exists() == csv.exists() == (code == 0)
         shutil.rmtree(wd)
 
@@ -1048,7 +1161,41 @@ class TestTextInputFuzz:
     @given(**mutation)
     def test_mutated_spec_gen_data(self, tmp_path_factory, how, at, pick):
         wd = tmp_path_factory.mktemp("gen")
-        (wd / "spec.json").write_bytes(self.mutate(self.SPEC, how, at, pick))
-        code = self.run_main(["gen-data", "--spec", str(wd / "spec.json"), "-o", str(wd / "data")])
+        (wd / "spec.json").write_bytes(self.mutate(self.SPEC, how, at, pick, self.UNBOUNDED))
+        code, _ = self.run_main(
+            ["gen-data", "--spec", str(wd / "spec.json"), "-o", str(wd / "data")]
+        )
         assert (wd / "data").exists() == (code == 0)
+        shutil.rmtree(wd)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**mutation)
+    def test_mutated_sweep_config(self, models, tmp_path_factory, how, at, pick):
+        wd = tmp_path_factory.mktemp("sweep")
+        config = {"mode": "merge", "grid": [0.0, 0.5, 1.0], "seeds": [1], "attribute": "g",
+                  "threshold": 0.5, "criterion": "macro_accuracy", "split": "train",
+                  "data_dir": str(models / "data"),
+                  "runs": {"1": {"base": str(models / "base.ckpt"),
+                                 "vectors": [str(models / "vec.ckpt")]}}}
+        (wd / "sweep.json").write_bytes(self.mutate(config, how, at, pick))
+        code, err = self.run_main(["sweep", "--config", str(wd / "sweep.json"),
+                                   "-o", str(wd / "run")])
+        undefined = code == 1 and "undefined at every grid point" in err
+        assert (wd / "run").exists() == (code == 0 or undefined)
+        shutil.rmtree(wd)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**mutation)
+    def test_mutated_corpus_line_train_toy(self, models, tmp_path_factory, how, at, pick):
+        wd = tmp_path_factory.mktemp("train")
+        (wd / "data").mkdir()
+        shutil.copy(models / "data" / "spec.json", wd / "data" / "spec.json")
+        lines = (models / "data" / "train.jsonl").read_bytes().splitlines()
+        lines.insert(at % len(lines), self.mutate(self.EXAMPLE, how, at, pick))
+        (wd / "data" / "train.jsonl").write_bytes(b"\n".join(lines) + b"\n")
+        out = wd / "out.ckpt"
+        code, _ = self.run_main(["train-toy", "--data", str(wd / "data"), "--dim", "8",
+                                 "--hidden", "2", "--seed", "1", "--epochs", "1",
+                                 "-o", str(out)])
+        assert out.exists() == (wd / "out.ckpt.manifest.json").exists() == (code == 0)
         shutil.rmtree(wd)

@@ -1,6 +1,7 @@
 import io
 import json
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from fairvec.metrics import (
     eod,
     evaluate,
     group_accuracy,
+    is_json_number,
     load_predictions,
     prediction_columns,
     selection_rate,
@@ -398,3 +400,24 @@ def test_prediction_columns_check_every_line_before_empty_group():
         prediction_columns(io.StringIO("\n".join(lines)), "g", path="log")
     with pytest.raises(EmptyGroup, match="record 'a' lacks attribute 'g'"):
         prediction_columns(io.StringIO(lines[0]), "g")
+
+
+FLOAT_MAX = sys.float_info.max
+
+
+@pytest.mark.parametrize(
+    "value, number",
+    [
+        (0, True), (-7, True), (0.5, True), (-0.0, True), (FLOAT_MAX, True),
+        (-FLOAT_MAX, True), (int(FLOAT_MAX), True),
+        (int(FLOAT_MAX) + 1, False), (10**400, False), (-(10**400), False),
+        (float("nan"), False), (float("inf"), False), (float("-inf"), False),
+        (True, False), (False, False), (None, False), ("1", False), ([1], False),
+        ({"a": 1}, False),
+    ],
+)
+def test_is_json_number(value, number):
+    """A JSON number a float field takes: an int or float, never a bool,
+    whose absolute value is at most binary64's largest finite value."""
+    assert is_json_number(value) is number
+

@@ -1,5 +1,6 @@
 import copy
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -720,6 +721,22 @@ class TestScoringPanels:
         model.W1[np.delete(np.arange(4096), scorer.cols)[0], 0] = np.nan
         scorer.scores(model)
         assert calls == ["_dense"]
+
+    @pytest.mark.parametrize("row", ["touched", "untouched"])
+    def test_non_finite_weight_scores_without_a_warning(self, readme_split, row):
+        """predict of a model with an inf in a touched or an untouched W1 row
+        warns nothing, and its scores have the bytes of score_features on
+        the dense features."""
+        dense = featurize_all(readme_split, 512)
+        touched = dense.any(axis=0)
+        model = init_model(512, 16, 13)
+        model.W1[np.flatnonzero(touched if row == "touched" else ~touched)[0], 3] = np.inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            scores = [p.score for p in predict(model.to_checkpoint(), readme_split)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = score_features(model, dense)
+        assert np.array(scores, dtype=np.float64).tobytes() == want.tobytes()
 
 
 # logits at the edges of the sigmoid and the loss: signed zeros, tiny values,
