@@ -378,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--group")
     p.add_argument("--base", help="starting checkpoint (defaults to seeded init)")
     p.add_argument("--lora", action="store_true")
-    p.add_argument("--rank", type=int, default=8)
-    p.add_argument("--alpha", type=float, default=16.0)
+    p.add_argument("--rank", type=int, default=toymodel.DEFAULT_RANK)
+    p.add_argument("--alpha", type=float, default=toymodel.DEFAULT_ALPHA)
     p.add_argument("--init-only", action="store_true",
                    help="emit the seeded initialization without training")
     p.add_argument("--seed", type=int, required=True)

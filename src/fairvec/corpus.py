@@ -52,6 +52,10 @@ DEFAULT_GROUP_COUNTS = {
 }
 
 
+# the largest mean numpy's Generator.poisson takes (its POISSON_LAM_MAX)
+_POISSON_MAX = float(np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10)
+
+
 def default_proportions() -> dict[str, float]:
     total = sum(DEFAULT_GROUP_COUNTS.values())
     return {g: c / total for g, c in DEFAULT_GROUP_COUNTS.items()}
@@ -90,10 +94,18 @@ class CorpusSpec:
         for b in self.bias_for_all().values():
             if b < 0:
                 raise InvalidSpec(f"bias strength {b} < 0")
+            if b > _POISSON_MAX:
+                raise InvalidSpec(f"bias strength {b} > {_POISSON_MAX:.6g}, numpy's Poisson limit")
         if not 1 <= self.tokens_min <= self.tokens_max:
             raise InvalidSpec("bad token count range")
+        # integers(tokens_min, tokens_max + 1) and integers(vocab_size) draw
+        # int64s below their high end
+        if self.tokens_max >= 2**63:
+            raise InvalidSpec("tokens_max must be < 2**63, the int64 draws' range")
         if self.vocab_size < 10:
             raise InvalidSpec("vocabulary too small")
+        if self.vocab_size > 2**63:
+            raise InvalidSpec("vocab_size must be <= 2**63, the int64 draws' range")
         for name in ("signal_frac", "p_signal_pos", "p_signal_neg"):
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise InvalidSpec(f"{name} {getattr(self, name)} outside [0,1]")

@@ -54,11 +54,19 @@ def featurize_all(examples, dim: int) -> np.ndarray:
     return mat.reshape(len(examples), dim)
 
 
+def touched_buckets(examples, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cols, rows, at): the sorted buckets some example touches and, for
+    each token of the examples in order, its example's row and its bucket's
+    index in cols."""
+    rows, buckets = np.divmod(_hashed(examples, dim), dim)
+    cols, at = np.unique(buckets, return_inverse=True)
+    return cols, rows, at
+
+
 def featurize_compact(examples, dim: int) -> tuple[np.ndarray, np.ndarray]:
     """(cols, Xc): the sorted buckets some example touches and their float32
     counts, N x len(cols), so that featurize_all(examples, dim)[:, cols] == Xc."""
-    rows, buckets = np.divmod(_hashed(examples, dim), dim)
-    cols, inverse = np.unique(buckets, return_inverse=True)
+    cols, rows, at = touched_buckets(examples, dim)
     mat = np.zeros((len(examples), len(cols)), dtype=np.float32)
-    np.add.at(mat, (rows, inverse), np.float32(1.0))
+    np.add.at(mat, (rows, at), np.float32(1.0))
     return cols, mat

@@ -11,72 +11,96 @@ for ``train_lora``), and the update is the trainers' only difference.
 
 A step (``loss_and_grads``) builds each intermediate in one fresh array
 and works on it in place: the hidden activations, the logits, their
-gradient and dZ. Its sigmoid takes one ``exp(-|z|)`` for both signs, and
-its loss is the sum of the per-row terms over the row count. Each gives the
-bytes of the plain expressions it replaces (``tests/step_reference.py``),
-and the loss is finite exactly when their mean is. A diverging run
-overflows and makes NaNs before its loss turns non-finite, so the loop
-runs under one ``np.errstate`` that ignores "over" and "invalid", and the
-non-finite loss raises ``DivergedTraining`` naming the epoch and step.
+gradient and dZ; it writes each gradient into the array it is given
+(``out=``). Its sigmoid takes ``exp(-|z|)`` for the denominator and
+``exp(min(z, 0))`` for the numerator, and its loss is the sum of the
+per-row terms over the row count. Each gives the bytes of the plain
+expressions it replaces (``tests/step_reference.py``), and the loss is
+finite exactly when their mean is. ``train`` holds its parameters (W1's
+layout rows, b1, w2 and b2) as views of one flat float32 buffer and their
+gradients as views of a second (``_flat``), so its update is one scaling
+and one subtraction, ``g *= lr; p -= g``: a step is ~30 numpy calls. A
+diverging run overflows and makes NaNs before its loss turns non-finite,
+so the loop runs under one ``np.errstate`` that ignores "over" and
+"invalid", and the non-finite loss raises ``DivergedTraining`` naming the
+epoch and step.
 
 Hashed features are sparse: a subgroup's examples touch only a few hundred
 of the 4096 buckets, and while the loss is finite a W1 row whose bucket no
 example touches gets an exact +0 gradient at every step. So every product
-over the features runs in a layout: sorted columns, the features over them,
-and the panels its forward sums. The compact layout holds the touched
-columns (``features.featurize_compact``). Dense is the all-columns layout:
-every column, the dense matrix, and one panel, the single product
-``X @ W1``. The loop is the same for both: the W1 gradient is ``X.T @ dZ``
-over the layout's batch, of the rows ``W1[cols]``. ``train`` trains those
-rows in place and scatters them back at the end, so untouched rows keep
-their starting bytes. ``train_lora`` forms its effective ``W1 + (alpha/r)
-A B`` on those rows only and trains the same rows of A, whose untouched rows
+over the features runs in a layout: columns (``cols``, a dense W1 row each
+or -1 for a pad), the features over them, and a plan of how the forward
+sums. The compact layout holds the touched columns
+(``features.touched_buckets``). Dense is the all-columns layout: every
+column, the dense matrix, and the single product ``X @ W1``. The features
+are counted straight into the layout (``_counts``), so no second, compact
+copy of them is held. The loop is
+the same for both: the W1 gradient is ``X.T @ dZ`` over the layout's
+batch, of W1's layout rows. ``train`` trains those rows in place and
+scatters the real ones back at the end, so untouched rows keep their
+starting bytes. ``train_lora`` forms its effective ``W1 + (alpha/r) A B``
+on those rows only and trains the same rows of A, whose untouched rows
 never change (their dW1 rows are exact zeros); ``dB = A.T @ dW1`` has
-K = dim, so it sums in panels too, ``plan[rank]``.
+K = dim, so it sums in the layout's plan too, ``plan[rank]``.
 
-The compact forward cannot be the single product ``Xc @ W1[cols]``: that is
-a plain left-to-right sum over the touched columns, while OpenBLAS
+The compact forward cannot always be the single product ``Xc @ W1[cols]``:
+that is a plain left-to-right sum over the touched columns, while OpenBLAS
 (``driver/level3.c``) cuts the K axis of the dense ``X @ W1`` into panels,
-sums each panel from zero and adds the panel sums in order. ``_panels``
-applies that rule for a panel width q (panels of q; a remainder between q and
-2q splits into two halves rounded up to the kernel unroll) and maps each
-panel to its slice of the touched columns, and the forward adds up
-``Xc[:, p] @ W1[p]`` panel by panel, in the dense order. The width, and
-whether a product is blocked at all, depend on the BLAS build and on the
-shapes. BLAS picks its kernel and blocking by shape, not by value, so one
-matcher, ``_matching_panels``, finds them on random weights: the first of
-one panel and the widths in ``_PANEL_WIDTHS`` whose panel sum gives the
-dense product's bytes.
+sums each panel from zero and adds the panel sums in order (Goto and van de
+Geijn 2008, "Anatomy of High-Performance Matrix Multiplication"). ``_panels``
+applies that rule for a panel width q (panels of q; a remainder between q
+and 2q splits into two halves rounded up to the kernel unroll) and maps
+each panel to its slice of the touched columns. ``_padded`` lays those
+slices out as equal blocks: each panel's touched columns, then pads up to
+the widest panel's count, where the features and W1's rows are +0. Then
+``_product`` is one stacked ``np.matmul`` of the blocks and one
+``np.add.reduce`` over them, the panel sums added in the dense order (for a
+whole split, whose stacked result would be megabytes, a loop adds the same
+block products in the same order); a plan entry is that panel count, or
+None for one plain product over the layout's columns (pads add exact
+zeros). The width, and whether a product
+is blocked at all, depend on the BLAS build and on the shapes, so
+``_layouts`` offers the one-panel layout and then the padded layout of each
+width in ``_PANEL_WIDTHS``, and a probe on random weights (``_plan``) keeps
+the first whose product gives the dense product's bytes: BLAS picks its
+kernel and blocking by shape, not by value.
 
-Both trainers take their layout from ``_layout``. It matches once per
-call, on random rows at its own touched columns, for the full-batch and for
-the remainder row count and, for ``train_lora``, for the ``rank`` rows of
-the column-major ``A.T``; it checks that the compact rows of the backward
-(and of ``A @ B`` and ``dW1 @ B.T``) are the dense ones. (With OpenBLAS
-0.3.31 on AVX-512, no width fits hidden sizes with 1-8 columns past a
-multiple of 16, and the backward matches because batches are row-major: a
-column-gathered batch ``X[:, cols]`` is column-major and sums ``X.T @ dZ``
-in another order.) A trainer works in the all-columns layout when an
-untouched W1 row is not finite (the dense forward turns it into a NaN loss,
-``0 * NaN``, and so reports divergence), when no panels match some row
-count, or when a compact product does not give the dense bytes, and compact
-otherwise: no other condition, as for ``SplitScorer``. Either way the
-checkpoints are byte-identical to dense training. ``train_lora``'s
-effective untouched rows change as B grows, so a guard checks them at every
-step (a bound, and the rows themselves only when it trips) and makes the
-next loss NaN when one is not finite, as the dense forward's ``0 * inf``
-does.
+Both trainers take their layout from ``_layout``. It probes once per
+call, on random rows at its own columns, for the full-batch and for the
+remainder row count and, for ``train_lora``, for the ``rank`` rows of the
+column-major ``A.T``, each at the padded shapes the step will use; it
+checks that the layout rows of the backward (and of ``A @ B`` and
+``dW1 @ B.T``) are the dense ones and +0 at the pads. (With OpenBLAS 0.3.31
+on AVX-512, a README-scale model takes one product at both batch sizes; at
+dim 4096, hidden 32 a full batch takes the padded panels of width 448 and a
+remainder of 2-7 rows one product over the padded columns. No width fits
+hidden sizes with 1-8 columns past a multiple of 16, and the backward
+matches because batches are row-major: a column-gathered batch
+``X[:, cols]`` is column-major and sums ``X.T @ dZ`` in another order.) A
+trainer works in the all-columns layout when an untouched W1 row is not
+finite (the dense forward turns it into a NaN loss, ``0 * NaN``, and so
+reports divergence), when no layout matches every entry, or when a
+layout's backward does not give the dense bytes, and compact otherwise: no
+other condition, as for ``SplitScorer``. Either way the checkpoints are
+byte-identical to dense training. Pad rows stay +0 under ``train``: their
+gradient is a sum of ``0 * dZ``, +0 while the loss is finite.
+``train_lora``'s effective untouched rows change as B grows, so a guard
+checks them at every step (a bound, and the rows themselves only when it
+trips) and makes the next loss NaN when one is not finite, as the dense
+forward's ``0 * inf`` does; a pad's effective row, ``(alpha/r) 0 B``, is
+in the layout, so the forward itself turns a non-finite B into NaN there.
 
 Scoring runs the same ``_forward``. ``score_features`` of the dense
 features (``featurize_all``) is the definition. ``SplitScorer`` scores one
 split under a series of models (the sweep points, or ``predict``'s one
-model): it featurizes the split compactly and matches panels once, at the
-split's own shape, in the rows that its dense probe holds (the first and
-last ``_PROBE_ROWS`` and those around the middle; every other row is zero).
-BLAS blocks by shape, not by value, so those panels give every row's dense
-bytes, and the probe's N x dim matrix costs only the pages of its real rows:
-the rest is never written and reads as the kernel's zero page. When no
-panels match, the split becomes the all-columns layout, the dense matrix.
+model): it picks its layout once, at the split's own shape, in the rows
+that its probes hold (the first and last ``_PROBE_ROWS`` and those around
+the middle; every other row is zero), and then counts the split's features
+over that layout. BLAS blocks by shape, not by value, so that layout gives
+every row's dense bytes, and the probe's N x dim matrix costs only the
+pages of its real rows: the rest is never written and reads as the
+kernel's zero page. When no layout matches, the split becomes the
+all-columns layout, the dense matrix.
 For each model, a non-finite untouched W1 row forces the dense product,
 which turns that row into NaN as the definition does. Every score it
 returns has the definition's bytes.
@@ -91,13 +115,16 @@ import numpy as np
 
 from .ckpt import Checkpoint, Dtype, Tensor
 from .errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
-from .features import featurize_all, featurize_compact
+from .features import featurize_all, touched_buckets
 from .metrics import DEFAULT_THRESHOLD, PredictionRecord, binarize, check_threshold
 
 TENSOR_NAMES = ("W1", "b1", "w2", "b2")
 
 DEFAULT_DIM = 4096
 DEFAULT_HIDDEN = 32
+# train_lora's adapter rank and alpha
+DEFAULT_RANK = 8
+DEFAULT_ALPHA = 16.0
 
 
 @dataclass
@@ -178,13 +205,26 @@ def init_model(dim: int = DEFAULT_DIM, hidden: int = DEFAULT_HIDDEN, seed: int =
     )
 
 
+# the most values _product stacks: a training batch's P x B x H panel
+# products, not a whole split's (at 2,837 rows, 10 panels and hidden 32 that
+# is 3.6 MB, and it raised protocol-paper's peak RSS by ~3.5 MB)
+_STACKED = 1 << 16
+
+
 def _product(X: np.ndarray, W1: np.ndarray, panels) -> np.ndarray:
-    """X @ W1, or with panels the left-to-right sum of X[:, p] @ W1[p]."""
+    """X @ W1 over a layout's columns: panels None is one product, and a
+    panel count P the in-order sum of the products of P equal column blocks.
+    Those are one stacked matmul and one reduce over the blocks, or, beyond
+    _STACKED values, a loop that adds each block's product in turn: the same
+    products added in the same order."""
     if panels is None:
         return X @ W1
-    Z = np.zeros((len(X), W1.shape[1]), dtype=W1.dtype)
-    for p in panels:
-        Z += X[:, p] @ W1[p]
+    Xb, Wb = X.reshape(len(X), panels, -1).transpose(1, 0, 2), W1.reshape(panels, -1, W1.shape[1])
+    if panels * len(X) * W1.shape[1] <= _STACKED:
+        return np.add.reduce(np.matmul(Xb, Wb), axis=0)
+    Z = np.zeros((len(X), W1.shape[1]), W1.dtype)
+    for x, w in zip(Xb, Wb):
+        Z += x @ w
     return Z
 
 
@@ -201,9 +241,10 @@ def _forward(arrays: dict[str, np.ndarray], X: np.ndarray, panels=None):
 
 def _sigmoid(z):
     """1 / (1 + exp(-z)) for z >= 0 and exp(z) / (1 + exp(z)) below, in z's
-    dtype: the one exp(-|z|) serves both, so no exp overflows."""
+    dtype, so no exp overflows: exp(min(z, 0)) is 1 at z >= 0 and exp(-|z|)
+    below (an np.where of the two takes longer than this second exp)."""
     e = np.exp(-np.abs(z))
-    out = np.where(z >= 0, z.dtype.type(1), e)
+    out = np.exp(np.minimum(z, 0))
     e += 1
     out /= e
     return out
@@ -214,17 +255,22 @@ def loss_and_grads(
     X: np.ndarray,
     y: np.ndarray,
     panels=None,
+    out: dict[str, np.ndarray] | None = None,
 ):
     """Mean BCE on sigmoid(logit) and its gradients w.r.t. all parameters.
 
     X holds a layout's columns and arrays["W1"] their rows (see _layout),
-    and the W1 gradient is of those rows; panels None is one product.
-    The loss is the dtype's sum of the per-row terms over the row count, so
-    it is finite exactly when np.mean of the terms is. A diverging model
-    sets numpy's "over" and "invalid" flags (logaddexp(0, nan) is invalid);
-    the training loops ignore both.
+    and the W1 gradient is of those rows; panels is _product's. The
+    gradients are written into out's arrays (fresh ones by default), which
+    are returned. The loss is the dtype's sum of the per-row terms over the
+    row count, so it is finite exactly when np.mean of the terms is. A
+    diverging model sets numpy's "over" and "invalid" flags (logaddexp(0,
+    nan) is invalid); the training loops ignore both.
     """
     H, logit = _forward(arrays, X, panels)
+    if out is None:
+        shapes = {"W1": (X.shape[1], H.shape[1]), "b1": H.shape[1:], "w2": H.shape[1:], "b2": ()}
+        out = {name: np.empty(shape, H.dtype) for name, shape in shapes.items()}
     # softplus(z) - y*z is BCE-with-logits, stable for large |z|
     terms = np.logaddexp(0.0, logit)
     terms -= y * logit
@@ -232,15 +278,15 @@ def loss_and_grads(
     dlogit = _sigmoid(logit)
     dlogit -= y
     dlogit /= len(y)
-    dw2 = H.T @ dlogit
-    db2 = dlogit.sum(dtype=dlogit.dtype).reshape(())
+    np.matmul(H.T, dlogit, out=out["w2"])
+    np.add.reduce(dlogit, out=out["b2"])
     # dZ = (1 - H*H) * outer(dlogit, w2), built in one array
     dZ = H * H
     np.subtract(1.0, dZ, out=dZ)
-    dZ *= np.outer(dlogit, arrays["w2"])
-    dW1 = X.T @ dZ
-    db1 = dZ.sum(axis=0)
-    return loss, {"W1": dW1, "b1": db1, "w2": dw2, "b2": db2}
+    dZ *= np.multiply.outer(dlogit, arrays["w2"])
+    np.matmul(X.T, dZ, out=out["W1"])
+    np.add.reduce(dZ, axis=0, out=out["b1"])
+    return loss, out
 
 
 def _minibatches(n: int, hyper: Hyper, stream: int):
@@ -290,7 +336,8 @@ def _panels(dim: int, cols: np.ndarray, q: int) -> list[slice]:
 
 
 def _dense(cols: np.ndarray, Xc: np.ndarray, dim: int) -> np.ndarray:
-    """The N x dim matrix with Xc in the columns cols and zeros elsewhere."""
+    """The N x dim matrix with Xc in the columns cols and zeros elsewhere;
+    a pad column (-1) of Xc must be all zeros."""
     X = np.zeros((len(Xc), dim), dtype=np.float32)
     # a flat scatter of the nonzeros: half the time of X[:, cols] = Xc
     rows, j = np.nonzero(Xc)
@@ -298,34 +345,80 @@ def _dense(cols: np.ndarray, Xc: np.ndarray, dim: int) -> np.ndarray:
     return X
 
 
-def _matching_panels(X: np.ndarray, Xc: np.ndarray, cols: np.ndarray, W: np.ndarray,
-                     rows=slice(None)):
-    """The first of one panel and the panels of each width in _PANEL_WIDTHS
-    whose sum of Xc[:, p] @ W[cols][p] has this BLAS's bytes of X @ W in the
-    rows rows (all by default), or None. X holds those rows of Xc in the
-    columns cols of a dense matrix (see _dense)."""
-    dim = len(W)
-    Z, Wc = (X @ W)[rows].tobytes(), W[cols]
-    candidates = (_panels(dim, cols, q) for q in (dim, *_PANEL_WIDTHS))
-    return next((p for p in candidates if _product(Xc, Wc, p)[rows].tobytes() == Z), None)
+def _padded(dim: int, cols: np.ndarray, q: int):
+    """(pcols, panels): the layout of the sorted columns cols for the K
+    panels of width q (see _panels). One panel is (cols, None). Otherwise
+    each panel's columns are padded with -1, a pad, to the widest panel's
+    count, and panels is the panel count."""
+    slices = _panels(dim, cols, q)
+    if len(slices) < 2:
+        return cols, None
+    pcols = np.full((len(slices), max(p.stop - p.start for p in slices)), -1, cols.dtype)
+    for row, p in zip(pcols, slices):
+        row[: p.stop - p.start] = cols[p]
+    return pcols.reshape(-1), len(slices)
 
 
-def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int, rank: int = 0):
-    """(cols, X, plan): the W1 rows a trainer works on, the features over
-    them, and {rows: panels} for each batch size a step sees and, with a
-    rank, for the rank rows of train_lora's dB = A.T @ dW1. Compact, (cols,
-    Xc, plan), when every untouched W1 row is finite, each entry has panels
-    that give this BLAS's dense bytes, the compact backward gives the dense
-    one's and, with a rank, A[cols] @ B and dW1[cols] @ B.T give the dense
-    products' rows. Otherwise all columns: (arange(dim), the dense matrix,
-    and None, the single product, for each entry). Only W1's untouched rows
-    are tested here: train_lora's guard watches its effective ones."""
+def _counts(n: int, pcols: np.ndarray, cols: np.ndarray, rows, at) -> np.ndarray:
+    """The n x len(pcols) float32 token counts over the layout pcols of the
+    touched columns cols, +0 at the pads: rows and at are a token's row and
+    column index in cols (features.touched_buckets). Featurizing straight
+    into the layout holds no second, compact copy of the features."""
+    X = np.zeros((n, len(pcols)), np.float32)
+    np.add.at(X, (rows, np.flatnonzero(np.isin(pcols, cols))[at]), np.float32(1.0))
+    return X
+
+
+def _rows(M: np.ndarray, pcols: np.ndarray) -> np.ndarray:
+    """The rows pcols of M, a +0 row at each pad."""
+    rows = M[pcols]
+    rows[pcols < 0] = 0
+    return rows
+
+
+def _put_rows(M: np.ndarray, pcols: np.ndarray, rows: np.ndarray) -> None:
+    """Write the layout rows rows into M's rows pcols; pad rows go nowhere."""
+    real = pcols >= 0
+    M[pcols[real]] = rows[real]
+
+
+def _untouched(M: np.ndarray, pcols: np.ndarray) -> np.ndarray:
+    """The rows of M that the layout pcols does not hold."""
+    return np.delete(M, pcols[pcols >= 0], axis=0)
+
+
+def _layouts(dim: int, cols: np.ndarray):
+    """_padded's layout of cols for one panel, then for each width in
+    _PANEL_WIDTHS."""
+    return (_padded(dim, cols, q) for q in (dim, *_PANEL_WIDTHS))
+
+
+def _plan(X: np.ndarray, W: np.ndarray, panels, want: bytes, rows=slice(None)):
+    """The first of panels and None (one product) whose _product(X, W, .)
+    gives the bytes want in the rows rows, or False when neither does."""
+    return next(
+        (p for p in dict.fromkeys((panels, None)) if _product(X, W, p)[rows].tobytes() == want),
+        False,
+    )
+
+
+def _layout(cols: np.ndarray, n: int, W1: np.ndarray, batch_size: int, rank: int = 0):
+    """(cols, plan) for training on n examples that touch the columns cols:
+    the W1 rows a trainer works on (-1 for a pad), and {rows: panels} for
+    each batch size a step sees and, with a rank, for the rank rows of
+    train_lora's dB = A.T @ dW1. The first of _layouts' compact layouts in
+    which every untouched W1 row is finite, each entry is one product or the
+    panel sum that gives this BLAS's dense bytes (_plan), and the backward
+    and, with a rank, A[pcols] @ B and dW1 @ B.T give the dense products'
+    rows and +0 pad rows. Otherwise all columns: (arange(dim), and None,
+    one product, for each entry). Only W1's untouched rows are tested here:
+    train_lora's guard watches its effective ones."""
     dim, hidden = W1.shape
     # OpenBLAS takes a product with few rows (2-7 at dim 4096, hidden 32)
     # as one panel and blocks a larger one, so the full batch and the
-    # remainder may need different panels
-    sizes = {min(batch_size, len(Xc)), len(Xc) % batch_size} - {0}
-    if np.isfinite(np.delete(W1, cols, axis=0)).all():
+    # remainder may need different plans
+    sizes = {min(batch_size, n), n % batch_size} - {0}
+    if np.isfinite(_untouched(W1, cols)).all():
         # random data at the call's own columns and batch shapes stands in
         # for X (row-major, like the batches X[idx] train takes)
         rng = np.random.default_rng(0)
@@ -333,51 +426,75 @@ def _layout(cols: np.ndarray, Xc: np.ndarray, W1: np.ndarray, batch_size: int, r
         dense = _dense(cols, compact, dim)
         W = rng.standard_normal((dim, hidden), dtype=np.float32)
         dZ = rng.standard_normal((len(compact), hidden), dtype=np.float32)
-        plan = {n: _matching_panels(dense[:n], compact[:n], cols, W) for n in sizes}
-        # (P, Pc, Q): products whose compact rows Pc @ Q must be the rows
-        # cols of P @ Q; the backward's P is a row-major batch's X.T
-        products = [(dense[:n].T, compact[:n].T, dZ[:n]) for n in sizes]
+        want = {m: (dense[:m] @ W).tobytes() for m in sizes}
         if rank:
             # A.T is column-major too, which BLAS may sum in another order
             # than a row-major batch of as many rows, so it is matched alone
             A = np.zeros((dim, rank), dtype=np.float32)
             A[cols] = rng.standard_normal((len(cols), rank), dtype=np.float32)
             B = rng.standard_normal((rank, hidden), dtype=np.float32)
-            panels = _matching_panels(A.T, A[cols].T, cols, W)
-            plan[rank] = panels if plan.get(rank, panels) == panels else None
-            products += [(A, A[cols], B), (W, W[cols], B.T)]
-        if None not in plan.values() and all(
-            (P @ Q)[cols].tobytes() == (Pc @ Q).tobytes() for P, Pc, Q in products
-        ):
-            return cols, Xc, plan
-    return np.arange(dim), _dense(cols, Xc, dim), dict.fromkeys(sizes | {rank} - {0})
+        for pcols, panels in _layouts(dim, cols):
+            X, Wp = np.zeros((len(compact), len(pcols)), np.float32), _rows(W, pcols)
+            X[:, pcols >= 0] = compact
+            plan = {m: _plan(X[:m], Wp, panels, want[m]) for m in sizes}
+            # (P, Pc, Q): products whose layout rows Pc @ Q must be the
+            # rows pcols of P @ Q; the backward's P is a row-major batch's X.T
+            products = [(dense[:m].T, X[:m].T, dZ[:m]) for m in sizes]
+            if rank:
+                Ap = _rows(A, pcols)
+                entry = _plan(Ap.T, Wp, panels, (A.T @ W).tobytes())
+                plan[rank] = entry if plan.get(rank, entry) == entry else False
+                products += [(A, Ap, B), (W, Wp, B.T)]
+            if False not in plan.values() and all(
+                _rows(P @ Q, pcols).tobytes() == (Pc @ Q).tobytes() for P, Pc, Q in products
+            ):
+                return pcols, plan
+    return np.arange(dim), dict.fromkeys(sizes | {rank} - {0})
+
+
+def _flat(tensors: dict[str, np.ndarray]):
+    """(flat, views): one float32 buffer holding a copy of each of tensors
+    in order, and {name: the view of flat in that tensor's shape}."""
+    flat = np.empty(sum(t.size for t in tensors.values()), np.float32)
+    views, start = {}, 0
+    for name, t in tensors.items():
+        views[name] = flat[start : start + t.size].reshape(t.shape)
+        views[name][...] = t
+        start += t.size
+    return flat, views
 
 
 def _descend(examples, model: ToyModel, hyper: Hyper, stream: int, updater, rank: int = 0):
     """The one training loop, of train and train_lora: mini-batch descent on
     the examples from model in _layout's layout, one loss_and_grads per step
-    of _minibatches(stream). arrays holds model's tensors with W1 narrowed
-    to the layout's rows cols; updater(arrays, cols, plan), called once
-    under the loop's errstate, returns the step's update(grads, lr). Returns
-    (cols, arrays). A non-finite loss raises DivergedTraining naming its
+    of _minibatches(stream). The parameters (model's tensors, W1 narrowed to
+    the layout's rows cols with +0 pad rows) and their gradients are each
+    one flat buffer seen through a dict of views (_flat); loss_and_grads
+    writes the gradients in place. updater(params, grads, cols, plan), with
+    params and grads each a (flat, views) pair and called once under the
+    loop's errstate, returns the step's update(lr). Returns (cols, the
+    parameter views). A non-finite loss raises DivergedTraining naming its
     epoch and step."""
     if not examples:
         raise EmptyGroup("cannot train on an empty dataset")
-    cols, X = featurize_compact(examples, model.dim)
+    tokens = touched_buckets(examples, model.dim)
     y = _labels(examples)
-    cols, X, plan = _layout(cols, X, model.W1, hyper.batch_size, rank)
-    arrays = model.arrays()
-    arrays["W1"] = model.W1[cols]
+    cols, plan = _layout(tokens[0], len(y), model.W1, hyper.batch_size, rank)
+    X = _counts(len(y), cols, *tokens)
+    del tokens  # a training run does not hold its token arrays
+    params = _flat({**model.arrays(), "W1": _rows(model.W1, cols)})
+    grads = _flat(params[1])
+    arrays, out = params[1], grads[1]
     lr = np.float32(hyper.lr)
     with np.errstate(over="ignore", invalid="ignore"):
-        update = updater(arrays, cols, plan)
+        update = updater(params, grads, cols, plan)
         for epoch, step, idx in _minibatches(len(y), hyper, stream):
-            loss, grads = loss_and_grads(arrays, X[idx], y[idx], plan[len(idx)])
+            loss, _ = loss_and_grads(arrays, X[idx], y[idx], plan[len(idx)], out)
             if not math.isfinite(loss):
                 raise DivergedTraining(
                     f"non-finite training loss {loss} at epoch {epoch}, step {step}"
                 )
-            update(grads, lr)
+            update(lr)
     return cols, arrays
 
 
@@ -387,11 +504,14 @@ def _metadata(hyper: Hyper, metadata: dict[str, str] | None, **fields) -> dict[s
     return {"seed": str(hyper.seed), "subset": "all", **fields, **(metadata or {})}
 
 
-def _sgd(arrays, cols, plan):
-    """train's update: every tensor steps down its gradient, in place."""
-    def update(grads, lr):
-        for name in TENSOR_NAMES:
-            arrays[name] -= lr * grads[name]
+def _sgd(params, grads, cols, plan):
+    """train's update: every tensor steps down its gradient, in place, as
+    one scaling and one subtraction of the flat buffers."""
+    (p, _), (g, _) = params, grads
+
+    def update(lr):
+        np.multiply(g, lr, out=g)
+        np.subtract(p, g, out=p)
     return update
 
 
@@ -409,7 +529,8 @@ def train(
         else init_model(dim, hidden, hyper.seed)
     )
     cols, arrays = _descend(examples, model, hyper, 1, _sgd)
-    model.W1[cols] = arrays["W1"]
+    _put_rows(model.W1, cols, arrays["W1"])
+    model.b1, model.w2, model.b2 = arrays["b1"], arrays["w2"], arrays["b2"]
     meta = _metadata(hyper, metadata)
     if _degenerate(_labels(examples)):
         meta["degenerate_labels"] = "true"
@@ -459,8 +580,8 @@ def train_lora(
     examples,
     base: Checkpoint,
     hyper: Hyper,
-    rank: int = 8,
-    alpha: float = 16.0,
+    rank: int = DEFAULT_RANK,
+    alpha: float = DEFAULT_ALPHA,
     metadata: dict[str, str] | None = None,
 ) -> tuple[Checkpoint, LoraAdapter]:
     """Low-rank analogue: W1 frozen, the (A, B) factors and b2 are trained.
@@ -471,10 +592,12 @@ def train_lora(
 
     It runs train's loop (_descend) with the adapter update as the only
     difference. Each step's effective W1 + (alpha/r) A B is formed on the
-    layout's rows only, and dB = A.T @ dW1 sums over them in plan[rank]'s
-    panels. A row no example touches gets a zero dW1 row, so its A row never
+    layout's rows only, and dB = A.T @ dW1 sums over them as plan[rank]
+    says. A row no example touches gets a zero dW1 row, so its A row never
     changes; its effective row still enters the dense forward, where a
-    non-finite one makes the loss NaN (0 * inf). A guard keeps that: when
+    non-finite one makes the loss NaN (0 * inf). A pad row is such a row of
+    the layout (+0 in W1 and A), so the forward itself does that for it; for
+    the rows outside the layout a guard does it: when
     the bound max|W1_u| + (alpha/r) max_i sum_k |A_u[i,k]| max|B| over the
     untouched rows u reaches _HEADROOM and the exact rows are not finite, it
     sets b1 to NaN, so the next loss is NaN.
@@ -489,11 +612,12 @@ def train_lora(
     B = np.zeros((rank, model.hidden), dtype=np.float32)
     scaling = np.float32(alpha / rank)
 
-    def adapter(arrays, cols, plan):
-        # A's rows cols train in arrays["A"], as W1's do in train; W1 keeps
+    def adapter(params, grads, cols, plan):
+        # A's layout rows train in arrays["A"], as W1's do in train; W1 keeps
         # the frozen rows, and arrays["W1"] becomes the effective ones
-        W1, arrays["A"] = arrays["W1"], A[cols]
-        W1u, Au = np.delete(model.W1, cols, axis=0), np.delete(A, cols, axis=0)
+        (_, arrays), (_, grads) = params, grads
+        W1, arrays["A"] = arrays["W1"], _rows(A, cols)
+        W1u, Au = _untouched(model.W1, cols), _untouched(A, cols)
         reach = np.abs(W1u).max(initial=0), np.abs(scaling * Au).sum(axis=1).max(initial=0)
 
         def effective():
@@ -502,7 +626,7 @@ def train_lora(
                     or np.isfinite(W1u + scaling * (Au @ B)).all()):
                 arrays["b1"] = np.full_like(model.b1, np.nan)
 
-        def update(grads, lr):
+        def update(lr):
             dB = _product(arrays["A"].T, grads["W1"], plan[rank])
             arrays["A"] -= lr * scaling * (grads["W1"] @ B.T)
             B[...] -= lr * scaling * dB
@@ -513,7 +637,8 @@ def train_lora(
         return update
 
     cols, arrays = _descend(examples, model, hyper, 3, adapter, rank)
-    A[cols] = arrays["A"]
+    _put_rows(A, cols, arrays["A"])
+    model.b2 = arrays["b2"]
     meta = _metadata(hyper, metadata, lora_rank=str(rank), lora_alpha=repr(float(alpha)))
     # under the loop's errstate: an effective row that the last step
     # overflowed is written as inf, with no warning, as train writes its W1
@@ -546,57 +671,62 @@ def score_features(
 ) -> np.ndarray:
     """Float64 scores of the examples whose features are the rows of X. On
     the dense features (featurize_all) it is the definition of a score; with
-    cols, X holds only those feature columns and the forward sums W1[cols]
-    over panels (see SplitScorer), which predict and the sweeps use."""
+    cols, a layout's columns, X holds only those feature columns and the
+    forward takes _product over W1's rows cols with panels (see
+    SplitScorer), which predict and the sweeps use."""
     arrays = model.arrays()
     if cols is not None:
-        arrays["W1"] = model.W1[cols]
+        arrays["W1"] = _rows(model.W1, cols)
     _, logit = _forward(arrays, X, panels)
     return _sigmoid(logit.astype(np.float64))
 
 
-# the real rows SplitScorer's panel probe holds at each end of a split (and
-# around its middle, where a two-thread BLAS splits the rows)
+# the real rows SplitScorer's probe holds at each end of a split (and around
+# its middle, where a two-thread BLAS splits the rows)
 _PROBE_ROWS = 64
 
 
-def _probe(cols: np.ndarray, Xc: np.ndarray, dim: int):
-    """(X, rows): rows, Xc's first and last _PROBE_ROWS rows and those around
-    N/2, and X, the N x dim matrix that holds them as _dense does and zeros in
-    every other row. np.zeros maps its pages without writing them, so X holds
-    memory for those rows only: a page never written reads as the kernel's
-    zero page."""
-    n, at = len(Xc), np.arange(len(Xc))
-    rows = at[(at < _PROBE_ROWS) | (at >= n - _PROBE_ROWS)
+def _probe_rows(n: int) -> np.ndarray:
+    """The first and last _PROBE_ROWS of n rows and those around n/2."""
+    at = np.arange(n)
+    return at[(at < _PROBE_ROWS) | (at >= n - _PROBE_ROWS)
               | (np.abs(at - n // 2) < _PROBE_ROWS // 2)]
-    X = np.zeros((n, dim), np.float32)
-    X[rows[:, None], cols] = Xc[rows]
-    return X, rows
 
 
 class SplitScorer:
     """Scores one split under a series of float32 models of one shape, dim x
     hidden: the edited models of a sweep, or predict's one model.
 
-    The split is featurized once, compactly, and _matching_panels finds its
-    panels at the split's own shape, on random weights and on _probe's rows
-    of the split. BLAS blocks by shape, not by value, so the panels give
-    every row's dense bytes under every model; then the scorer holds only
-    the compact features (cols, X), and no N x dim matrix was resident.
-    When none match, the split becomes the all-columns layout, the dense
-    matrix. A model with a non-finite untouched W1 row is scored on the
-    dense product, which turns that row into NaN (``0 * NaN``) as
-    score_features on the dense features does.
+    The split's layout is picked once, at the split's own shape, on random
+    weights and on a probe of the split: its features in _probe_rows' rows
+    and zeros in every other. np.zeros maps its pages without writing them,
+    so a probe holds memory for its real rows only (a page never written
+    reads as the kernel's zero page), even the dense N x dim one. The layout
+    is the first of _layouts' whose one product or panel sum (_plan) gives
+    the dense product's bytes in the probe's rows. BLAS blocks by shape, not
+    by value, so it gives every row's dense bytes under every model; then
+    the split is featurized once, over that layout (cols, X), and no N x dim
+    matrix was resident. When none matches, the split becomes the
+    all-columns layout, the dense matrix. A model with a non-finite
+    untouched W1 row is scored on the dense product, which turns that row
+    into NaN (``0 * NaN``) as score_features on the dense features does.
     """
 
     def __init__(self, examples, dim: int, hidden: int):
-        cols, Xc = featurize_compact(examples, dim)
+        cols, rows, at = touched_buckets(examples, dim)
+        n, probe = len(examples), _probe_rows(len(examples))
         W = np.random.default_rng(0).standard_normal((dim, hidden), dtype=np.float32)
-        X, rows = _probe(cols, Xc, dim)
-        self.panels = _matching_panels(X, Xc, cols, W, rows)
-        self.cols, self.X = (
-            (np.arange(dim), _dense(cols, Xc, dim)) if self.panels is None else (cols, Xc)
-        )
+        held = np.isin(rows, probe)
+        tokens = cols, rows[held], at[held]
+        want = (_counts(n, np.arange(dim), *tokens) @ W)[probe].tobytes()
+        for pcols, panels in _layouts(dim, cols):
+            plan = _plan(_counts(n, pcols, *tokens), _rows(W, pcols), panels, want, probe)
+            if plan is not False:
+                break
+        else:
+            pcols, plan = np.arange(dim), None
+        self.cols, self.panels = pcols, plan
+        self.X = _counts(n, pcols, cols, rows, at)
 
     def scores(self, model: ToyModel) -> np.ndarray:
         """score_features of the split's dense features under model. Like
@@ -604,7 +734,7 @@ class SplitScorer:
         "invalid": a non-finite weight gives the definition's NaN or inf
         scores and no warning."""
         with np.errstate(over="ignore", invalid="ignore"):
-            if np.isfinite(np.delete(model.W1, self.cols, axis=0)).all():
+            if np.isfinite(_untouched(model.W1, self.cols)).all():
                 return score_features(model, self.X, self.cols, self.panels)
             return score_features(model, _dense(self.cols, self.X, model.dim))
 

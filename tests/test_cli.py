@@ -842,6 +842,22 @@ def test_gen_data_missing_spec_exit_2(tmp_path):
                      "spec field 'bias' has the wrong type", id="bias-beyond-float"),
         pytest.param('{"bias": {"Men": 1%s}}' % ("0" * 400),
                      "spec field 'bias' has the wrong type", id="group-bias-beyond-float"),
+        # values numpy's int64 and Poisson draws cannot take, which ended
+        # in a traceback or a ValueError from generation
+        pytest.param('{"vocab_size": 1%s}' % ("0" * 400), "vocab_size must be <= 2**63",
+                     id="vocab-beyond-float"),
+        pytest.param('{"vocab_size": %d}' % 10**20, "vocab_size must be <= 2**63",
+                     id="vocab-beyond-int64"),
+        pytest.param('{"vocab_size": %d}' % (2**63 + 1), "vocab_size must be <= 2**63",
+                     id="vocab-past-int64"),
+        pytest.param('{"tokens_max": %d}' % 10**20, "tokens_max must be < 2**63",
+                     id="tokens-beyond-int64"),
+        pytest.param('{"tokens_max": %d}' % 2**63, "tokens_max must be < 2**63",
+                     id="tokens-at-int64"),
+        pytest.param('{"bias": 1e19}', "bias strength 1e+19 > 9.22337e+18",
+                     id="bias-beyond-poisson"),
+        pytest.param('{"bias": {"Men": 1e19}}', "bias strength 1e+19 > 9.22337e+18",
+                     id="group-bias-beyond-poisson"),
     ],
 )
 def test_gen_data_invalid_spec_exit_1(tmp_path, text, reason):

@@ -11,7 +11,7 @@ from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from fairvec.metrics import evaluate
 from fairvec.arith import diff
-from fairvec.features import featurize, featurize_all, featurize_compact
+from fairvec.features import featurize, featurize_all, featurize_compact, touched_buckets
 from fairvec import features, toymodel
 from fairvec.toymodel import (
     Hyper,
@@ -22,9 +22,12 @@ from fairvec.toymodel import (
     TENSOR_NAMES,
     _forward,
     _labels,
+    _flat,
     _layout,
     _panels,
     _product,
+    _rows,
+    _sgd,
     _sigmoid,
     loss_and_grads,
     predict,
@@ -309,18 +312,18 @@ class TestLoraReference:
         base = init_model(512, 16, 13)
         if group is None:
             cols, X = featurize_compact(subset, 512)
-            layout, _, plan = _layout(cols, X, base.W1, 32, 8)
+            layout, plan = _layout(cols, len(X), base.W1, 32, 8)
             assert layout is cols
             assert set(plan) == {32, len(subset) % 32, 8} - {0}
         hy = Hyper(epochs=3, seed=13)
         self.assert_reference_bytes(subset, base.to_checkpoint(), hy, tmp_path)
 
     def test_readme_full_split_all_columns_bytes(self, readme_split, tmp_path, monkeypatch):
-        """With no panel plan, the all-columns layout is the dense loop."""
-        monkeypatch.setattr(toymodel, "_matching_panels", lambda *args: None)
+        """With no plan, the all-columns layout is the dense loop."""
+        monkeypatch.setattr(toymodel, "_plan", lambda *args: False)
         base = init_model(512, 16, 13)
         cols, X = featurize_compact(readme_split, 512)
-        layout, _, plan = _layout(cols, X, base.W1, 32, 8)
+        layout, plan = _layout(cols, len(X), base.W1, 32, 8)
         assert np.array_equal(layout, np.arange(512))
         assert plan == dict.fromkeys({32, len(readme_split) % 32, 8})
         hy = Hyper(epochs=3, seed=13)
@@ -345,7 +348,7 @@ class TestLoraReference:
         model = init_model(512, 16, 13)
         cols, X = featurize_compact(subset, 512)
         model.W1[np.delete(np.arange(512), cols)] = 3.4e38
-        assert _layout(cols, X, model.W1, 32, 8)[0] is cols
+        assert _layout(cols, len(X), model.W1, 32, 8)[0] is cols
         hy, base = Hyper(epochs=2, lr=1e10, seed=13), model.to_checkpoint()
         with pytest.raises(DivergedTraining, match="epoch 0, step 1$"):
             lora_train_reference(subset, base, hy, alpha=8e16)
@@ -494,12 +497,16 @@ class TestSparseTraining:
         assert (2 * touched.sum() <= dim) == sparse
         cols, X = featurize_compact(subset, dim)
         assert np.array_equal(cols, np.flatnonzero(touched))
-        layout, _, plan = _layout(cols, X, init_model(dim, hidden, 13).W1, 32)
+        layout, plan = _layout(cols, len(X), init_model(dim, hidden, 13).W1, 32)
         assert set(plan) == {32, len(subset) % 32} - {0}
-        if layout is cols:
+        if np.array_equal(layout[layout >= 0], cols):
+            # compact: the touched columns in order, padded (-1) to equal
+            # panels, and the features over them, +0 at the pads
+            Xl = toymodel._counts(len(X), layout, *touched_buckets(subset, dim))
+            assert np.array_equal(Xl[:, layout >= 0], X)
+            assert not Xl[:, layout < 0].any()
             for panels in plan.values():
-                covered = np.concatenate([np.arange(len(cols))[p] for p in panels])
-                assert np.array_equal(covered, np.arange(len(cols)))
+                assert panels is None or len(layout) % panels == 0
         else:
             assert np.array_equal(layout, np.arange(dim))
             assert set(plan.values()) == {None}
@@ -541,11 +548,12 @@ class TestSparseTraining:
         """With no panel plan, the all-columns layout trains the full split
         from the seeded init and from a base with the dense loop's bytes,
         whichever layout this BLAS would pick."""
-        monkeypatch.setattr(toymodel, "_matching_panels", lambda *args: None)
+        monkeypatch.setattr(toymodel, "_plan", lambda *args: False)
         cols, X = featurize_compact(readme_split, 512)
-        layout, dense, plan = _layout(cols, X, init_model(512, 16, 13).W1, 32)
+        layout, plan = _layout(cols, len(X), init_model(512, 16, 13).W1, 32)
         assert np.array_equal(layout, np.arange(512))
         assert plan == dict.fromkeys({32, len(readme_split) % 32} - {0})
+        dense = toymodel._counts(len(X), layout, *touched_buckets(readme_split, 512))
         assert dense.tobytes() == featurize_all(readme_split, 512).tobytes()
         hy = Hyper(epochs=3, seed=13)
         base = dense_train_reference(readme_split, Hyper(epochs=2, seed=14), 512, 16)
@@ -620,28 +628,34 @@ class TestPanels:
         # an eighth and three quarters of the buckets touched
         for touched in (dim // 8, 3 * dim // 4):
             cols = np.sort(rng.choice(dim, touched, replace=False))
-            layout, _, plan = _layout(
-                cols, np.zeros((n, len(cols)), np.float32),
-                rng.standard_normal((dim, hidden), dtype=np.float32), batch,
+            layout, plan = _layout(
+                cols, n, rng.standard_normal((dim, hidden), dtype=np.float32), batch
             )
-            if layout is not cols:
+            real = layout >= 0
+            if not np.array_equal(layout[real], cols):
                 continue
             for rows, panels in plan.items():
                 Xc = rng.standard_normal((rows, len(cols)), dtype=np.float32)
                 X = np.zeros((rows, dim), np.float32)
                 X[:, cols] = Xc
+                Xl = np.zeros((rows, len(layout)), np.float32)
+                Xl[:, real] = Xc
                 W = rng.standard_normal((dim, hidden), dtype=np.float32)
+                Wl = np.where(real[:, None], W[layout], np.float32(0))
                 dZ = rng.standard_normal((rows, hidden), dtype=np.float32)
-                assert _product(Xc, W[cols], panels).tobytes() == (X @ W).tobytes()
-                assert (Xc.T @ dZ).tobytes() == (X.T @ dZ)[cols].tobytes()
+                assert _product(Xl, Wl, panels).tobytes() == (X @ W).tobytes()
+                dW = Xl.T @ dZ
+                assert dW[real].tobytes() == (X.T @ dZ)[cols].tobytes()
+                assert dW[~real].tobytes() == bytes(4 * hidden * (~real).sum())
 
 
 class TestScoringPanels:
     """Whichever layout SplitScorer picks from the split and the shape alone,
     its scores have the bytes score_features gives on the dense features:
-    for a first model, a later one at 100x its W1, a model with a NaN in an
-    untouched W1 row, and a finite model scored after an all-NaN one. When
-    no panels match, the split is the all-columns layout."""
+    for a first model, a later one at 100x its W1, models with a NaN in the
+    first or the last untouched W1 row, and a finite model scored after an
+    all-NaN one. When no layout matches, the split is the all-columns
+    layout."""
 
     @pytest.mark.parametrize("dim, hidden", [(4096, 32), (4096, 16), (512, 16), (DIM, HID)])
     def test_scores_bytes_equal_dense(self, corpus, dim, hidden):
@@ -649,16 +663,31 @@ class TestScoringPanels:
         dense = featurize_all(tr, dim)
         first, later = init_model(dim, hidden, 13), init_model(dim, hidden, 14)
         later.W1 *= 100
-        nan_row = copy.deepcopy(later)
-        nan_row.W1[int(np.flatnonzero(~dense.any(axis=0))[0]), 0] = np.nan
+        untouched = np.flatnonzero(~dense.any(axis=0))
+        nan_row, last_nan_row = copy.deepcopy(later), copy.deepcopy(later)
+        nan_row.W1[untouched[0], 0] = np.nan
+        # the last row: a pad column (-1) must not stand for it
+        last_nan_row.W1[untouched[-1], 0] = np.nan
         all_nan = copy.deepcopy(first)
         all_nan.W1[:] = np.nan
         scorer = SplitScorer(tr, dim, hidden)
-        if scorer.panels is None:
+        if not np.array_equal(scorer.cols[scorer.cols >= 0], np.flatnonzero(dense.any(axis=0))):
             assert np.array_equal(scorer.cols, np.arange(dim))
             assert scorer.X.tobytes() == dense.tobytes()
-        for model in (first, later, nan_row, all_nan, later):
+        for model in (first, later, nan_row, last_nan_row, all_nan, later):
             assert scorer.scores(model).tobytes() == score_features(model, dense).tobytes()
+
+    def test_no_plan_is_all_columns(self, corpus, monkeypatch):
+        """When no layout's product matches, the scorer holds the dense
+        matrix and scores with one product over every column."""
+        _, tr, _ = corpus
+        monkeypatch.setattr(toymodel, "_plan", lambda *args: False)
+        dense = featurize_all(tr, 4096)
+        scorer = SplitScorer(tr, 4096, 32)
+        assert np.array_equal(scorer.cols, np.arange(4096)) and scorer.panels is None
+        assert scorer.X.tobytes() == dense.tobytes()
+        model = init_model(4096, 32, 13)
+        assert scorer.scores(model).tobytes() == score_features(model, dense).tobytes()
 
     @pytest.mark.parametrize(
         "split, dim, hidden",
@@ -767,10 +796,12 @@ class TestLeanStep:
     DIM, HIDDEN = 64, 8
 
     @staticmethod
-    def assert_same_step(arrays, X, y, panels=None):
+    def assert_same_step(arrays, X, y, panels=None, ref_panels=None):
+        """The package's step with panels (a panel count) against the
+        reference's with ref_panels (the same panels as slices)."""
         with np.errstate(over="ignore", invalid="ignore"):
             loss, grads = loss_and_grads(arrays, X, y, panels)
-            want_loss, want = ref.loss_and_grads(arrays, X, y, panels)
+            want_loss, want = ref.loss_and_grads(arrays, X, y, ref_panels)
         assert np.isfinite(loss) == np.isfinite(want_loss)
         if np.isfinite(loss):
             # the float32 mean and the float64 quotient of the float32 sum
@@ -809,9 +840,10 @@ class TestLeanStep:
             arrays["w2"][:] = 0
         X = rng.poisson(0.3, (32, self.DIM)).astype(dtype)
         y = (rng.random(32) < 0.5).astype(dtype)
-        panels = _panels(self.DIM, np.arange(self.DIM), 16) if compact else None
+        slices = _panels(self.DIM, np.arange(self.DIM), 16) if compact else None
+        panels = len(slices) if compact else None
         for rows in range(1, 33):
-            self.assert_same_step(arrays, X[:rows], y[:rows], panels)
+            self.assert_same_step(arrays, X[:rows], y[:rows], panels, slices)
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_step_bytes_on_given_logits(self, dtype, monkeypatch):
@@ -850,3 +882,134 @@ class TestLeanStep:
         assert np.isfinite(logit).all()
         with pytest.raises(DivergedTraining, match=r"loss inf at epoch 0, step 0"):
             train(ex, Hyper(epochs=1, seed=1), base=model.to_checkpoint())
+
+
+class TestLeanStepLayouts:
+    """A float32 training step in each layout a trainer works in (all
+    columns, one product over the touched columns, and the touched columns
+    padded to equal panels, a stacked product) gives the dense reference
+    step's gradient bytes, and train's update of the flat buffers gives the
+    reference update's bytes, at batch sizes 1-32 and with the special
+    logits; pad rows stay +0. A non-finite untouched W1 row, or a non-finite
+    LoRA B, makes the next loss NaN where the dense definition does."""
+
+    # (dim, hidden, Poisson mean of a feature): ~20 nonzeros per row, and
+    # some buckets untouched
+    SHAPES = {"all columns": (512, 16, 0.04), "one product": (512, 16, 0.04),
+              "padded panels": (4096, 32, 0.005)}
+
+    @pytest.mark.parametrize("kind", list(SHAPES))
+    def test_step_and_update_bytes(self, kind):
+        """The reference is the dense step, on every column; the package
+        steps in _layout's layout for each batch size (or, for "all
+        columns", in the all-columns layout)."""
+        dim, hidden, mean = self.SHAPES[kind]
+        rng = np.random.default_rng(2)
+        X = rng.poisson(mean, (32, dim)).astype(np.float32)
+        y = (rng.random(32) < 0.5).astype(np.float32)
+        cols = np.flatnonzero(X.any(axis=0))
+        assert len(cols) < dim
+        W1 = rng.standard_normal((dim, hidden)).astype(np.float32)
+        kinds, lr = set(), np.float32(0.3)
+        for rows in range(1, 33):
+            if kind == "all columns":
+                pcols, Xl, plan = np.arange(dim), X[:rows], {rows: None}
+            else:
+                pcols, plan = _layout(cols, rows, W1, rows)
+                Xl = np.where(pcols >= 0, X[:rows][:, pcols], np.float32(0))
+            real = pcols >= 0
+            kinds.add("all columns" if len(pcols) == dim else
+                      "padded panels" if plan[rows] else "one product")
+            for b2 in (None, *SPECIAL_LOGITS):
+                tensors = {
+                    "b1": rng.standard_normal(hidden).astype(np.float32),
+                    "w2": rng.standard_normal(hidden).astype(np.float32) * np.float32(4),
+                    "b2": np.array(0.0 if b2 is None else b2, np.float32),
+                }
+                if b2 is not None and abs(b2) < 1:
+                    tensors["w2"][:] = 0
+                params = _flat({"W1": _rows(W1, pcols), **tensors})
+                grads = _flat(params[1])
+                dense = {"W1": W1, **tensors}
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss, got = loss_and_grads(params[1], Xl, y[:rows], plan[rows], grads[1])
+                    want_loss, want = ref.loss_and_grads(dense, X[:rows], y[:rows])
+                assert got is grads[1]
+                assert np.isfinite(loss) == np.isfinite(want_loss)
+                assert same_bits(got["W1"][real], want["W1"][pcols[real]])
+                for name in ("b1", "w2", "b2"):
+                    assert same_bits(got[name], want[name]), name
+                if not np.isfinite(loss):
+                    continue  # training raises before it updates
+                assert np.float32(loss) == np.float32(want_loss)
+                zero = np.zeros_like(W1)
+                untouched = want["W1"][np.delete(np.arange(dim), cols)]
+                assert untouched.tobytes() == zero[cols.size:].tobytes()
+                assert got["W1"][~real].tobytes() == zero[: (~real).sum()].tobytes()
+                with np.errstate(over="ignore", invalid="ignore"):
+                    _sgd(params, grads, pcols, plan)(lr)
+                    updated = {n: (a - lr * want[n]).astype(np.float32) for n, a in dense.items()}
+                assert same_bits(params[1]["W1"][real], updated["W1"][pcols[real]])
+                assert params[1]["W1"][~real].tobytes() == zero[: (~real).sum()].tobytes()
+                for name in ("b1", "w2", "b2"):
+                    assert same_bits(params[1][name], updated[name]), name
+        # with OpenBLAS 0.3.31 on AVX-512, as in CI
+        assert kind in kinds
+
+    @staticmethod
+    def padded_split(corpus, n=None):
+        """Group A of the corpus (its first n examples), whose layout at dim
+        4096, hidden 32 is padded panels."""
+        _, tr, _ = corpus
+        subset = subgroup(tr, "g", "A")[:n]
+        cols, X = featurize_compact(subset, 4096)
+        layout, plan = _layout(cols, len(X), init_model(4096, 32, 13).W1, 32, 8)
+        assert (layout < 0).any() and 32 in plan and plan[32] is not None
+        return subset
+
+    def test_pad_rows_stay_zero_in_training(self, corpus):
+        """After training, the pad rows of the layout W1 still hold +0, and
+        the checkpoint has the dense loop's bytes."""
+        subset, hy = self.padded_split(corpus), Hyper(epochs=3, seed=13)
+        cols, arrays = toymodel._descend(subset, init_model(4096, 32, 13), hy, 1, _sgd)
+        pads = cols < 0
+        assert pads.any()
+        assert arrays["W1"][pads].tobytes() == bytes(4 * 32 * pads.sum())
+        got = train(subset, hy, dim=4096, hidden=32)
+        assert got.tensors == dense_train_reference(subset, hy, 4096, 32).tensors
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_untouched_row_diverges_where_the_dense_loop_does(self, corpus, value):
+        """Such a row makes the layout all columns, where the dense forward
+        turns it into a NaN loss (0 * inf, 0 * NaN) at the first step."""
+        subset = self.padded_split(corpus)
+        model = init_model(4096, 32, 13)
+        cols, X = featurize_compact(subset, 4096)
+        model.W1[np.delete(np.arange(4096), cols)[0], 5] = value
+        assert np.array_equal(_layout(cols, len(X), model.W1, 32)[0], np.arange(4096))
+        hy, base = Hyper(epochs=1, seed=13), model.to_checkpoint()
+        with pytest.raises(DivergedTraining, match="epoch 0, step 0$"):
+            dense_train_reference(subset, hy, None, None, base)
+        with pytest.raises(DivergedTraining, match="epoch 0, step 0$"):
+            train(subset, hy, base=base)
+
+    def test_non_finite_lora_b_diverges_where_the_reference_does(self, corpus):
+        """A large w2 and lr * alpha/r near float32's largest value overflow
+        some entries of B in the first step, while A stays finite (B starts
+        at 0); the next loss is NaN, in the padded layout as in the dense
+        reference, whose untouched and pad rows alike are 0 * inf."""
+        subset = self.padded_split(corpus, 32)
+        model = init_model(4096, 32, 13)
+        model.w2[:] = 1e3
+        base = model.to_checkpoint()
+        one = Hyper(epochs=1, lr=1e38, seed=13)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, want_A, want_B = lora_train_reference(subset, base, one, alpha=24.0)
+        _, adapter = train_lora(subset, base, one, alpha=24.0)
+        assert np.isfinite(adapter.A).all() and not np.isfinite(adapter.B).all()
+        assert same_bits(adapter.A, want_A) and same_bits(adapter.B, want_B)
+        two = Hyper(epochs=2, lr=1e38, seed=13)
+        with pytest.raises(DivergedTraining, match="epoch 1, step 0$"):
+            lora_train_reference(subset, base, two, alpha=24.0)
+        with pytest.raises(DivergedTraining, match="epoch 1, step 0$"):
+            train_lora(subset, base, two, alpha=24.0)
