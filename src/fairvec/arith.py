@@ -9,6 +9,10 @@ payload, and every result array becomes its tensor's payload without a copy.
 ``merge`` takes its parts from any iterable and folds each into one float32
 buffer per tensor as it arrives, so a caller that reads its vectors lazily
 (``fairvec merge``) holds one vector at a time.
+
+A coefficient must be finite in float32 (``is_finite_f32``), the one test
+that the CLI's coefficients, sweep grids and the trainers' ``lr`` and
+``alpha / rank`` also pass.
 """
 
 from __future__ import annotations
@@ -68,13 +72,22 @@ class TaskVector:
         )
 
 
+def is_finite_f32(x) -> bool:
+    """Whether x is finite as a float32: a float past float32's range (about
+    3.4e38) passes math.isfinite but turns into inf in float32 arithmetic.
+    The cast's overflow warning is silenced: the inf it warns of is the
+    answer."""
+    with np.errstate(over="ignore"):
+        return bool(np.isfinite(np.float32(x)))
+
+
 @dataclass(frozen=True)
 class WeightedVector:
     vector: TaskVector
     coefficient: float
 
     def __post_init__(self):
-        if not math.isfinite(self.coefficient):
+        if not is_finite_f32(self.coefficient):
             raise NonFiniteCoefficient(f"coefficient {self.coefficient!r} not finite")
 
 
@@ -128,7 +141,7 @@ def negate(tv: TaskVector) -> TaskVector:
 
 
 def scale(tv: TaskVector, coefficient: float) -> TaskVector:
-    if not math.isfinite(coefficient):
+    if not is_finite_f32(coefficient):
         raise NonFiniteCoefficient(f"coefficient {coefficient!r} not finite")
     lam = np.float32(coefficient)
     return TaskVector(
@@ -208,8 +221,3 @@ def vector_cosine(a: TaskVector, b: TaskVector) -> float:
         raise ZeroVector("cosine undefined for a zero task vector")
     return dot / (na * nb)
 
-
-def zero_like(ckpt: Checkpoint) -> TaskVector:
-    return TaskVector.from_arrays(
-        {name: np.zeros(t.shape, dtype=np.float32) for name, t in ckpt.tensors.items()}
-    )

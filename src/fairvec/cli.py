@@ -17,7 +17,6 @@ import argparse
 import hashlib
 import io
 import json
-import math
 import os
 import re
 import sys
@@ -116,7 +115,7 @@ def _parse_vec_arg(text):
         lam = float(lam)
     except ValueError:
         raise UsageError(f"bad lambda in --vec {text!r}") from None
-    if not math.isfinite(lam):
+    if not arith.is_finite_f32(lam):
         raise UsageError(f"lambda in --vec {text!r} must be finite")
     return path, lam
 
@@ -131,7 +130,7 @@ def cmd_diff(args, run):
 
 def cmd_edit(args, run):
     """apply and inject: model + lambda * vector, one-part merge."""
-    if not math.isfinite(args.lam):
+    if not arith.is_finite_f32(args.lam):
         raise UsageError(f"--lambda must be finite, got {args.lam}")
     model = run.checkpoint(args.model)
     tv = arith.TaskVector.from_checkpoint(run.checkpoint(args.vector))
@@ -164,15 +163,16 @@ def cmd_eval(args, run):
     if args.output:
         with atomic_open(args.output) as fh:
             fh.write(text + "\n")
-        run.write_manifest(
-            args.output + ".manifest.json",
-            {"attribute": args.attribute, "threshold": args.threshold},
-        )
     else:
         print(text)
     if args.csv:
         with atomic_open(args.csv) as fh:
             fh.write(report.to_csv())
+    if args.output or args.csv:
+        run.write_manifest(
+            (args.output or args.csv) + ".manifest.json",
+            {"attribute": args.attribute, "threshold": args.threshold},
+        )
 
 
 def cmd_gen_data(args, run):

@@ -282,10 +282,6 @@ def gen_corpus(spec: CorpusSpec) -> tuple[list[Example], list[Example]]:
     return train, test
 
 
-def save_examples(examples, path: str | os.PathLike) -> None:
-    write_jsonl((vars(ex) for ex in examples), path)
-
-
 def _example(obj) -> Example:
     rec_id, tokens = str(obj["id"]), obj["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
@@ -306,7 +302,7 @@ def parse_examples(lines, path="<corpus>") -> list[Example]:
 
 def save_corpus(spec: CorpusSpec, train, test, out_dir: str | os.PathLike) -> None:
     os.makedirs(out_dir, exist_ok=True)
-    save_examples(train, os.path.join(out_dir, "train.jsonl"))
-    save_examples(test, os.path.join(out_dir, "test.jsonl"))
+    for name, examples in (("train", train), ("test", test)):
+        write_jsonl((vars(ex) for ex in examples), os.path.join(out_dir, f"{name}.jsonl"))
     with atomic_open(os.path.join(out_dir, "spec.json")) as fh:
         fh.write(spec.to_json() + "\n")

@@ -62,11 +62,3 @@ def touched_buckets(examples, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndar
     cols, at = np.unique(buckets, return_inverse=True)
     return cols, rows, at
 
-
-def featurize_compact(examples, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(cols, Xc): the sorted buckets some example touches and their float32
-    counts, N x len(cols), so that featurize_all(examples, dim)[:, cols] == Xc."""
-    cols, rows, at = touched_buckets(examples, dim)
-    mat = np.zeros((len(examples), len(cols)), dtype=np.float32)
-    np.add.at(mat, (rows, at), np.float32(1.0))
-    return cols, mat

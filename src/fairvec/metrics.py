@@ -16,12 +16,13 @@ A JSONL prediction log is read either as ``PredictionRecord``s
 (``load_predictions``) or straight into columns (``prediction_columns``,
 which ``fairvec eval`` uses and which builds no per-record objects). Both
 check each line with the one validator ``_prediction`` under
-``parse_jsonl``, which also reads corpus files. ``write_jsonl`` is the one
-writer of both kinds of file: one sorted-key JSON object per line, written
-atomically. Every CSV cell, here and in the sweep CSV, is ``csv_cell``'s
-full-precision ``repr``, or empty for None. ``is_json_number`` is the one
-rule for the numbers a float field of a JSON input takes: ``gen-data``
-specs and ``sweep`` configs.
+``parse_jsonl``, which also reads corpus files. ``write_jsonl`` writes
+corpus files (``corpus.save_corpus``), and a prediction log is written the
+same way from ``vars`` of each record: one sorted-key JSON object per
+line, written atomically. Every CSV cell, here and in the sweep CSV, is
+``csv_cell``'s full-precision ``repr``, or empty for None.
+``is_json_number`` is the one rule for the numbers a float field of a JSON
+input takes: ``gen-data`` specs and ``sweep`` configs.
 """
 
 from __future__ import annotations
@@ -339,18 +340,6 @@ class GroupReport:
             "undefined": [list(u) for u in self.undefined],
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GroupReport":
-        return cls(
-            attribute=d["attribute"],
-            rows=[GroupRow(**r) for r in d["rows"]],
-            macro_accuracy=d["overall"]["macro_accuracy"],
-            overall_dpd=d["overall"]["overall_dpd"],
-            overall_eod=d["overall"]["overall_eod"],
-            accuracy_parity_gap=d["overall"]["accuracy_parity_gap"],
-            undefined=[tuple(u) for u in d.get("undefined", [])],
-        )
-
     def to_csv(self) -> str:
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -507,6 +496,3 @@ def prediction_columns(
         np.where(given < 0, derived, given),
     )
 
-
-def dump_predictions(records, path: str | os.PathLike) -> None:
-    write_jsonl((vars(rec) for rec in records), path)

@@ -34,7 +34,7 @@ import statistics
 from dataclasses import dataclass, field, asdict
 
 from . import svg, toymodel
-from .arith import TaskVector, WeightedVector, merge
+from .arith import TaskVector, WeightedVector, is_finite_f32, merge
 from .atomic import atomic_open
 from .ckpt import Checkpoint
 from .errors import InsufficientGroups, IoFailure
@@ -67,7 +67,7 @@ class SweepConfig:
             raise ValueError(f"seeds must be distinct, got {self.seeds}")
         if not self.grid:
             raise ValueError("grid must be nonempty")
-        if any(not math.isfinite(v) for v in self.grid):
+        if not all(map(is_finite_f32, self.grid)):
             raise ValueError("grid values must be finite")
         if any(b <= a for a, b in zip(self.grid, self.grid[1:])):
             raise ValueError("grid must be strictly increasing")

@@ -101,9 +101,9 @@ every row's dense bytes, and the probe's N x dim matrix costs only the
 pages of its real rows: the rest is never written and reads as the
 kernel's zero page. When no layout matches, the split becomes the
 all-columns layout, the dense matrix.
-For each model, a non-finite untouched W1 row forces the dense product,
-which turns that row into NaN as the definition does. Every score it
-returns has the definition's bytes.
+A model with a non-finite untouched W1 row is scored by the definition
+itself, on the split's ``featurize_all``. Every score it returns has the
+definition's bytes.
 """
 
 from __future__ import annotations
@@ -113,6 +113,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .arith import is_finite_f32
 from .ckpt import Checkpoint, Dtype, Tensor
 from .errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from .features import featurize_all, touched_buckets
@@ -184,7 +185,7 @@ class Hyper:
             raise ValueError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if not (math.isfinite(self.lr) and self.lr > 0):
+        if not (is_finite_f32(self.lr) and self.lr > 0):
             raise ValueError(f"learning rate must be finite and > 0, got {self.lr}")
         if self.seed < 0:
             raise ValueError(f"seed must be >= 0, got {self.seed}")
@@ -335,16 +336,6 @@ def _panels(dim: int, cols: np.ndarray, q: int) -> list[slice]:
     return [slice(a, b) for a, b in zip([0, *edges], edges) if b > a]
 
 
-def _dense(cols: np.ndarray, Xc: np.ndarray, dim: int) -> np.ndarray:
-    """The N x dim matrix with Xc in the columns cols and zeros elsewhere;
-    a pad column (-1) of Xc must be all zeros."""
-    X = np.zeros((len(Xc), dim), dtype=np.float32)
-    # a flat scatter of the nonzeros: half the time of X[:, cols] = Xc
-    rows, j = np.nonzero(Xc)
-    X.reshape(-1)[rows * dim + cols[j]] = Xc[rows, j]
-    return X
-
-
 def _padded(dim: int, cols: np.ndarray, q: int):
     """(pcols, panels): the layout of the sorted columns cols for the K
     panels of width q (see _panels). One panel is (cols, None). Otherwise
@@ -423,7 +414,8 @@ def _layout(cols: np.ndarray, n: int, W1: np.ndarray, batch_size: int, rank: int
         # for X (row-major, like the batches X[idx] train takes)
         rng = np.random.default_rng(0)
         compact = rng.standard_normal((max(sizes), len(cols)), dtype=np.float32)
-        dense = _dense(cols, compact, dim)
+        dense = np.zeros((len(compact), dim), np.float32)
+        dense[:, cols] = compact
         W = rng.standard_normal((dim, hidden), dtype=np.float32)
         dZ = rng.standard_normal((len(compact), hidden), dtype=np.float32)
         want = {m: (dense[:m] @ W).tobytes() for m in sizes}
@@ -588,7 +580,8 @@ def train_lora(
 
     A starts from zero-mean N(0, 0.01) draws and B from zero, so the initial
     delta is exactly zero. The merged checkpoint carries W1 + (alpha/r) A B.
-    Every operand is float32, so every update stays float32.
+    Every operand is float32, so every update stays float32, and alpha/r
+    must be finite in float32 (arith.is_finite_f32).
 
     It runs train's loop (_descend) with the adapter update as the only
     difference. Each step's effective W1 + (alpha/r) A B is formed on the
@@ -604,7 +597,7 @@ def train_lora(
     """
     if rank < 1:
         raise ValueError(f"rank must be >= 1, got {rank}")
-    if not math.isfinite(alpha):
+    if not is_finite_f32(alpha / rank):
         raise ValueError(f"alpha must be finite, got {alpha}")
     model = ToyModel.from_checkpoint(base)
     rng = np.random.default_rng([hyper.seed, 2])
@@ -650,7 +643,8 @@ def train_lora(
 def predict(ckpt: Checkpoint, examples, threshold=DEFAULT_THRESHOLD) -> list[PredictionRecord]:
     """Score examples with a serialized toy model; y_pred via the threshold.
     The scores are SplitScorer's, the bytes of score_features on the dense
-    features, without building the dense N x dim matrix."""
+    features, built without the dense N x dim matrix unless a W1 row that no
+    example touches is not finite."""
     check_threshold(threshold)
     model = ToyModel.from_checkpoint(ckpt)
     scores = SplitScorer(examples, model.dim, model.hidden).scores(model)
@@ -708,8 +702,8 @@ class SplitScorer:
     the split is featurized once, over that layout (cols, X), and no N x dim
     matrix was resident. When none matches, the split becomes the
     all-columns layout, the dense matrix. A model with a non-finite
-    untouched W1 row is scored on the dense product, which turns that row
-    into NaN (``0 * NaN``) as score_features on the dense features does.
+    untouched W1 row is scored by the definition itself, score_features on
+    featurize_all of the split, which turns that row into NaN (``0 * NaN``).
     """
 
     def __init__(self, examples, dim: int, hidden: int):
@@ -725,7 +719,7 @@ class SplitScorer:
                 break
         else:
             pcols, plan = np.arange(dim), None
-        self.cols, self.panels = pcols, plan
+        self.examples, self.cols, self.panels = examples, pcols, plan
         self.X = _counts(n, pcols, cols, rows, at)
 
     def scores(self, model: ToyModel) -> np.ndarray:
@@ -736,7 +730,7 @@ class SplitScorer:
         with np.errstate(over="ignore", invalid="ignore"):
             if np.isfinite(_untouched(model.W1, self.cols)).all():
                 return score_features(model, self.X, self.cols, self.panels)
-            return score_features(model, _dense(self.cols, self.X, model.dim))
+            return score_features(model, featurize_all(self.examples, model.dim))
 
 
 def grad_check(

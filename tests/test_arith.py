@@ -18,7 +18,6 @@ from fairvec.arith import (
     scale,
     vector_cosine,
     vector_norm,
-    zero_like,
 )
 from fairvec.ckpt import Checkpoint, Dtype, Tensor, parse_checkpoint
 from fairvec.errors import (
@@ -103,6 +102,15 @@ def test_scale_nonfinite():
         scale(tv(w=[1.0]), float("nan"))
     with pytest.raises(NonFiniteCoefficient):
         WeightedVector(tv(w=[1.0]), float("inf"))
+    # finite as floats, inf in float32; float32's largest value is finite
+    for c in (1e39, -1e39):
+        with pytest.raises(NonFiniteCoefficient):
+            scale(tv(w=[1.0]), c)
+        with pytest.raises(NonFiniteCoefficient):
+            WeightedVector(tv(w=[1.0]), c)
+    big = float(np.finfo(np.float32).max)
+    assert scale(tv(w=[0.5]), big).deltas["w"].to_numpy().tolist() == [np.float32(big / 2)]
+    assert WeightedVector(tv(w=[1.0]), -big).coefficient == -big
 
 
 def test_apply_reconstructs_finetune(rng):
@@ -116,7 +124,10 @@ def test_apply_reconstructs_finetune(rng):
 
 def test_apply_zero_vector_bitwise(rng):
     base, _ = random_checkpoint_pair(rng)
-    out = apply(base, zero_like(base))
+    zero = TaskVector.from_arrays(
+        {name: np.zeros(t.shape, np.float32) for name, t in base.tensors.items()}
+    )
+    out = apply(base, zero)
     assert out.tensors == base.tensors
 
 

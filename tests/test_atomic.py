@@ -9,7 +9,7 @@ from fairvec.atomic import atomic_open
 from fairvec.ckpt import write_checkpoint
 from fairvec.corpus import CorpusSpec, gen_corpus, save_corpus
 from fairvec.errors import IoFailure
-from fairvec.metrics import dump_predictions, evaluate
+from fairvec.metrics import evaluate, write_jsonl
 from fairvec.sweep import SweepConfig, SweepResult, SweepRow, emit
 from fairvec.toymodel import init_model
 
@@ -63,7 +63,7 @@ def test_outputs_get_the_mode_open_gives(tmp_path, rng, umask):
         emit(small_result(rng), tmp_path / "run")
         spec = CorpusSpec(attribute="g", proportions={"A": 0.5, "B": 0.5}, total=20)
         save_corpus(spec, *gen_corpus(spec), tmp_path / "data")
-        dump_predictions(random_records(rng, 3), tmp_path / "preds.jsonl")
+        write_jsonl((vars(r) for r in random_records(rng, 3)), tmp_path / "preds.jsonl")
         with open(tmp_path / "plain.txt", "w") as fh:
             fh.write("x")
     finally:

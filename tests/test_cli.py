@@ -19,7 +19,7 @@ from fairvec import Checkpoint, TaskVector, Tensor, read_checkpoint, write_check
 from fairvec import sweep, toymodel
 from fairvec.cli import UsageError, _Run, build_parser, main
 from fairvec.corpus import CorpusSpec, gen_corpus, parse_examples, save_corpus
-from fairvec.features import featurize_compact
+from fairvec.features import touched_buckets
 
 DATA = Path(__file__).parent / "data"
 
@@ -153,6 +153,22 @@ def test_eval_outputs_ignore_directories_named_like_temp_files(tmp_path):
     assert (tmp_path / "report.json.manifest.json").exists()
 
 
+def test_eval_csv_without_output_drops_a_manifest_by_the_csv(tmp_path):
+    """Without -o the report goes to stdout and the manifest next to the CSV."""
+    write_hand_built_preds(tmp_path / "hand.jsonl")
+    proc = run_cli(
+        ["eval", "--preds", "hand.jsonl", "--attribute", "g", "--csv", "r.csv"], tmp_path
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["overall"]["overall_dpd"] == 0.5
+    manifest = json.loads((tmp_path / "r.csv.manifest.json").read_text())
+    assert manifest["input_digests"] == {"hand.jsonl": _sha256(tmp_path / "hand.jsonl")}
+    assert manifest["config"] == {"attribute": "g", "threshold": 0.5}
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "hand.jsonl", "r.csv", "r.csv.manifest.json"
+    ]
+
+
 def test_unknown_flag_exit_2_no_files(workdir):
     proc = run_cli(
         ["merge", "base.ckpt", "--bogus", "x", "-o", "never.ckpt"], workdir
@@ -206,10 +222,18 @@ def test_bad_vec_syntax_exit_2(workdir):
          "error: lambda in --vec 'vA.ckpt:inf' must be finite\n"),
         (["apply", "absent.ckpt", "vA.ckpt", "--lambda", "-inf"],
          "error: --lambda must be finite, got -inf\n"),
+        # finite as floats, but inf in float32
+        (["apply", "absent.ckpt", "vA.ckpt", "--lambda", "1e39"],
+         "error: --lambda must be finite, got 1e+39\n"),
+        (["inject", "absent.ckpt", "vA.ckpt", "--lambda", "-1e39"],
+         "error: --lambda must be finite, got -1e+39\n"),
+        (["merge", "absent.ckpt", "--vec", "vA.ckpt:0.5", "--vec", "vA.ckpt:1e39"],
+         "error: lambda in --vec 'vA.ckpt:1e39' must be finite\n"),
     ],
 )
 def test_non_finite_coefficient_exit_2_before_any_read(workdir, argv, message):
-    """The base does not exist, so a read would fail with no such file."""
+    """The base does not exist, so a read would fail with no such file. A
+    coefficient is finite when it is finite in float32, the arithmetic's type."""
     proc = run_cli([*argv, "-o", "never.ckpt"], workdir)
     assert proc.returncode == 2
     assert proc.stderr == message
@@ -280,6 +304,7 @@ def test_sweep_cli(workdir):
                      id="grid-beyond-float-range"),
         pytest.param({"threshold": 10**400}, "sweep config 'threshold' must be a number, got 1000",
                      id="threshold-beyond-float-range"),
+        ({"grid": [0.0, 1e39]}, "invalid input: grid values must be finite"),
     ],
 )
 def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
@@ -358,7 +383,7 @@ def test_sweep_non_finite_weight_exit_0_no_warning(tmp_path):
     spec = CorpusSpec(attribute="gender", total=700, seed=13)  # the README's corpus
     save_corpus(spec, *gen_corpus(spec), tmp_path / "data")
     train = parse_examples((tmp_path / "data" / "train.jsonl").read_text().splitlines())
-    cols, _ = featurize_compact(train, 512)
+    cols = touched_buckets(train, 512)[0]
     model = toymodel.init_model(512, 16, 13)
     model.W1[np.setdiff1d(np.arange(512), cols)[0], 3] = np.inf
     write_checkpoint(model.to_checkpoint(), tmp_path / "base.ckpt")
@@ -520,6 +545,7 @@ def test_train_toy_manifest_digests_spec(workdir, tmp_path):
         ("--lr", "0", "learning rate must be finite and > 0"),
         ("--lr", "-1", "learning rate must be finite and > 0"),
         ("--seed", "-5", "seed must be >= 0, got -5"),
+        ("--lr", "1e39", "learning rate must be finite and > 0"),
     ],
 )
 def test_train_toy_bad_size_exit_2(workdir, flag, value, reason):
@@ -934,14 +960,13 @@ def test_train_toy_lora_overflowing_merge_exit_0_no_warning(tmp_path):
     As train-toy without --lora, it writes the inf and prints nothing; the
     bytes are train_lora's, which raises no warning either."""
     from fairvec import corpus
-    from fairvec.features import featurize_compact
 
     (tmp_path / "spec.json").write_text('{"total": 700, "seed": 13}')
     assert run_cli(["gen-data", "--spec", "spec.json", "-o", "data"], tmp_path).returncode == 0
     lines = (tmp_path / "data" / "train.jsonl").read_text().splitlines()
     women = toymodel.subgroup(corpus.parse_examples(lines), "gender", "Women")
     model = toymodel.init_model(512, 16, 13)
-    model.W1[np.delete(np.arange(512), featurize_compact(women, 512)[0])] = 3.4e38
+    model.W1[np.delete(np.arange(512), touched_buckets(women, 512)[0])] = 3.4e38
     write_checkpoint(model.to_checkpoint(), tmp_path / "base.ckpt")
     proc = run_cli(
         ["train-toy", "--data", "data", "--seed", "13", "--group", "Women", "--lora",

@@ -7,8 +7,8 @@ from fairvec.features import (
     bucket,
     featurize,
     featurize_all,
-    featurize_compact,
     fnv1a_64,
+    touched_buckets,
 )
 
 
@@ -51,9 +51,9 @@ def test_featurize_all_rows_match_featurize(dim):
     assert featurize_all([], dim).shape == (0, dim)
     for i, ex in enumerate(examples):
         assert mat[i].tobytes() == featurize(ex.tokens, dim).tobytes(), i
-    cols, compact = featurize_compact(examples, dim)
+    cols, rows, at = touched_buckets(examples, dim)
     assert np.array_equal(cols, np.flatnonzero(mat.any(axis=0)))
-    assert compact.dtype == np.float32
-    assert compact.tobytes() == mat[:, cols].tobytes()
-    cols, compact = featurize_compact([], dim)
-    assert cols.shape == (0,) and compact.shape == (0, 0)
+    assert [(int(r), int(cols[a])) for r, a in zip(rows, at)] == [
+        (i, bucket(token, dim)) for i, ex in enumerate(examples) for token in ex.tokens
+    ]
+    assert [len(a) for a in touched_buckets([], dim)] == [0, 0, 0]

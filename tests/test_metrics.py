@@ -10,12 +10,10 @@ from hypothesis import strategies as st
 
 from fairvec.errors import EmptyGroup, InsufficientGroups
 from fairvec.metrics import (
-    GroupReport,
     PredictionRecord,
     accuracy_parity_gap,
     binarize,
     dpd,
-    dump_predictions,
     eod,
     evaluate,
     group_accuracy,
@@ -23,6 +21,7 @@ from fairvec.metrics import (
     load_predictions,
     prediction_columns,
     selection_rate,
+    write_jsonl,
 )
 
 import oracle
@@ -278,7 +277,7 @@ def test_rates_in_unit_interval(rng):
 def test_jsonl_roundtrip(tmp_path, rng):
     rs = random_records(rng, 40, groups=("A", "B"))
     path = tmp_path / "preds.jsonl"
-    dump_predictions(rs, path)
+    write_jsonl((vars(r) for r in rs), path)
     back = load_predictions(path)
     assert back == rs
 
@@ -307,7 +306,6 @@ def test_load_predictions_names_the_line_of_a_score_beyond_float(tmp_path):
 def test_report_json_and_csv(rng):
     rs = random_records(rng, 30, groups=("A", "B"))
     report = evaluate(rs, "attr")
-    assert GroupReport.from_dict(report.to_dict()) == report
     csv_text = report.to_csv()
     lines = csv_text.strip().split("\n")
     assert lines[0].startswith("group,")

@@ -11,7 +11,7 @@ from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
 from fairvec.metrics import evaluate
 from fairvec.arith import diff
-from fairvec.features import featurize, featurize_all, featurize_compact, touched_buckets
+from fairvec.features import featurize, featurize_all, touched_buckets
 from fairvec import features, toymodel
 from fairvec.toymodel import (
     Hyper,
@@ -198,7 +198,8 @@ class TestLora:
         with pytest.raises(ValueError):
             train_lora(tr, base, Hyper(epochs=1), rank=0)
 
-    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf])
+    # 3e39 / 8, the default rank, is finite as a float, inf in float32
+    @pytest.mark.parametrize("alpha", [np.nan, np.inf, -np.inf, 3e39])
     def test_non_finite_alpha(self, corpus, alpha):
         _, tr, _ = corpus
         base = init_model(DIM, HID, 13).to_checkpoint()
@@ -311,8 +312,8 @@ class TestLoraReference:
         subset = readme_split if group is None else subgroup(readme_split, "gender", group)
         base = init_model(512, 16, 13)
         if group is None:
-            cols, X = featurize_compact(subset, 512)
-            layout, plan = _layout(cols, len(X), base.W1, 32, 8)
+            cols = touched_buckets(subset, 512)[0]
+            layout, plan = _layout(cols, len(subset), base.W1, 32, 8)
             assert layout is cols
             assert set(plan) == {32, len(subset) % 32, 8} - {0}
         hy = Hyper(epochs=3, seed=13)
@@ -322,8 +323,8 @@ class TestLoraReference:
         """With no plan, the all-columns layout is the dense loop."""
         monkeypatch.setattr(toymodel, "_plan", lambda *args: False)
         base = init_model(512, 16, 13)
-        cols, X = featurize_compact(readme_split, 512)
-        layout, plan = _layout(cols, len(X), base.W1, 32, 8)
+        cols = touched_buckets(readme_split, 512)[0]
+        layout, plan = _layout(cols, len(readme_split), base.W1, 32, 8)
         assert np.array_equal(layout, np.arange(512))
         assert plan == dict.fromkeys({32, len(readme_split) % 32, 8})
         hy = Hyper(epochs=3, seed=13)
@@ -346,9 +347,9 @@ class TestLoraReference:
         0 * inf makes that step's loss NaN, and the guard must too."""
         subset = subgroup(readme_split, "gender", "Women")
         model = init_model(512, 16, 13)
-        cols, X = featurize_compact(subset, 512)
+        cols = touched_buckets(subset, 512)[0]
         model.W1[np.delete(np.arange(512), cols)] = 3.4e38
-        assert _layout(cols, len(X), model.W1, 32, 8)[0] is cols
+        assert _layout(cols, len(subset), model.W1, 32, 8)[0] is cols
         hy, base = Hyper(epochs=2, lr=1e10, seed=13), model.to_checkpoint()
         with pytest.raises(DivergedTraining, match="epoch 0, step 1$"):
             lora_train_reference(subset, base, hy, alpha=8e16)
@@ -495,15 +496,16 @@ class TestSparseTraining:
         subset = [ex for ex in tr if group is None or ex.groups["g"] == group]
         touched = self.touched(subset, dim)
         assert (2 * touched.sum() <= dim) == sparse
-        cols, X = featurize_compact(subset, dim)
+        tokens = touched_buckets(subset, dim)
+        cols = tokens[0]
         assert np.array_equal(cols, np.flatnonzero(touched))
-        layout, plan = _layout(cols, len(X), init_model(dim, hidden, 13).W1, 32)
+        layout, plan = _layout(cols, len(subset), init_model(dim, hidden, 13).W1, 32)
         assert set(plan) == {32, len(subset) % 32} - {0}
         if np.array_equal(layout[layout >= 0], cols):
             # compact: the touched columns in order, padded (-1) to equal
             # panels, and the features over them, +0 at the pads
-            Xl = toymodel._counts(len(X), layout, *touched_buckets(subset, dim))
-            assert np.array_equal(Xl[:, layout >= 0], X)
+            Xl = toymodel._counts(len(subset), layout, *tokens)
+            assert np.array_equal(Xl[:, layout >= 0], featurize_all(subset, dim)[:, cols])
             assert not Xl[:, layout < 0].any()
             for panels in plan.values():
                 assert panels is None or len(layout) % panels == 0
@@ -549,11 +551,11 @@ class TestSparseTraining:
         from the seeded init and from a base with the dense loop's bytes,
         whichever layout this BLAS would pick."""
         monkeypatch.setattr(toymodel, "_plan", lambda *args: False)
-        cols, X = featurize_compact(readme_split, 512)
-        layout, plan = _layout(cols, len(X), init_model(512, 16, 13).W1, 32)
+        tokens = touched_buckets(readme_split, 512)
+        layout, plan = _layout(tokens[0], len(readme_split), init_model(512, 16, 13).W1, 32)
         assert np.array_equal(layout, np.arange(512))
         assert plan == dict.fromkeys({32, len(readme_split) % 32} - {0})
-        dense = toymodel._counts(len(X), layout, *touched_buckets(readme_split, 512))
+        dense = toymodel._counts(len(readme_split), layout, *tokens)
         assert dense.tobytes() == featurize_all(readme_split, 512).tobytes()
         hy = Hyper(epochs=3, seed=13)
         base = dense_train_reference(readme_split, Hyper(epochs=2, seed=14), 512, 16)
@@ -722,10 +724,10 @@ class TestScoringPanels:
 
     def test_compact_scoring_builds_no_dense_matrix(self, scoring_splits, monkeypatch):
         """On the paper-scale train split, SplitScorer and predict score in
-        the compact layout and call neither featurize_all nor _dense, so no
-        N x dim matrix is written (its pages' RSS depends on the
-        environment, so it is not asserted). A model with a non-finite
-        untouched W1 row still takes the dense product."""
+        the compact layout and do not call featurize_all, so no N x dim
+        matrix is written (its pages' RSS depends on the environment, so it
+        is not asserted). A model with a non-finite untouched W1 row is
+        scored by the definition, one featurize_all of the split."""
         calls = []
 
         def recording(module, name):
@@ -736,9 +738,8 @@ class TestScoringPanels:
                 return fn(*args, **kwargs)
             monkeypatch.setattr(module, name, wrapper)
 
-        for module, name in ((features, "featurize_all"), (toymodel, "featurize_all"),
-                             (toymodel, "_dense")):
-            recording(module, name)
+        for module in (features, toymodel):
+            recording(module, "featurize_all")
         examples = scoring_splits["paper-train"]
         model = init_model(4096, 32, 13)
         scorer = SplitScorer(examples, 4096, 32)
@@ -749,7 +750,7 @@ class TestScoringPanels:
         assert calls == []
         model.W1[np.delete(np.arange(4096), scorer.cols)[0], 0] = np.nan
         scorer.scores(model)
-        assert calls == ["_dense"]
+        assert calls == ["featurize_all"]
 
     @pytest.mark.parametrize("row", ["touched", "untouched"])
     def test_non_finite_weight_scores_without_a_warning(self, readme_split, row):
@@ -962,8 +963,8 @@ class TestLeanStepLayouts:
         4096, hidden 32 is padded panels."""
         _, tr, _ = corpus
         subset = subgroup(tr, "g", "A")[:n]
-        cols, X = featurize_compact(subset, 4096)
-        layout, plan = _layout(cols, len(X), init_model(4096, 32, 13).W1, 32, 8)
+        cols = touched_buckets(subset, 4096)[0]
+        layout, plan = _layout(cols, len(subset), init_model(4096, 32, 13).W1, 32, 8)
         assert (layout < 0).any() and 32 in plan and plan[32] is not None
         return subset
 
@@ -984,9 +985,9 @@ class TestLeanStepLayouts:
         turns it into a NaN loss (0 * inf, 0 * NaN) at the first step."""
         subset = self.padded_split(corpus)
         model = init_model(4096, 32, 13)
-        cols, X = featurize_compact(subset, 4096)
+        cols = touched_buckets(subset, 4096)[0]
         model.W1[np.delete(np.arange(4096), cols)[0], 5] = value
-        assert np.array_equal(_layout(cols, len(X), model.W1, 32)[0], np.arange(4096))
+        assert np.array_equal(_layout(cols, len(subset), model.W1, 32)[0], np.arange(4096))
         hy, base = Hyper(epochs=1, seed=13), model.to_checkpoint()
         with pytest.raises(DivergedTraining, match="epoch 0, step 0$"):
             dense_train_reference(subset, hy, None, None, base)
