@@ -160,7 +160,10 @@ def merge(
     against base as it arrives, before the next one is drawn, and is added
     in place into one float32 buffer per tensor; a part with a zero
     coefficient is checked but not added. An empty parts list returns base
-    unchanged bitwise (metadata included).
+    unchanged bitwise (metadata included). Like training and scoring, the
+    fold runs under an errstate that ignores "over" and "invalid": a
+    product or sum beyond float32's range gives an inf or NaN weight and no
+    warning.
     """
     acc = None
     coefficients = []
@@ -175,8 +178,9 @@ def merge(
         # the zero-coefficient row bitwise identical to the base
         if part.coefficient != 0.0:
             lam = np.float32(part.coefficient)
-            for name, a in acc.items():
-                a += lam * part.vector.deltas[name].f32()
+            with np.errstate(over="ignore", invalid="ignore"):
+                for name, a in acc.items():
+                    a += lam * part.vector.deltas[name].f32()
         del part  # let this vector go before parts yields the next
     if acc is None:
         return Checkpoint(tensors=dict(base.tensors), metadata=dict(base.metadata))

@@ -10,16 +10,20 @@ markers carry no label information.
 Example ``index`` is defined by the draws of its own generator,
 ``np.random.default_rng([seed, index])`` (``_gen_example``). ``gen_corpus``
 reads those draws off the generator's raw PCG64 words, as arrays over many
-examples at once. ``random()`` is ``(word >> 11) * 2**-53``; ``integers(n)``
-takes a 32-bit half (low half first, the high half kept for the next one)
-and maps it by Lemire's rule (arXiv 1805.10941). So word 0 gives the group,
-word 1 the label and word 2's low half the length, and token t takes its
-double from word ``3 + t + t // 2`` and its integer from the high half of
-the word before (t even) or the low half of the word after (t odd). A row
-for which Lemire's rule rejects a draw it uses, or a positive row in a group
-with bias > 0 (a ``poisson`` draw), comes from ``_gen_example``; so does
-every row of a spec with an integer range of size 1 (which draws no word)
-or of 2**32 or more.
+examples at once: ``_raw_words`` computes the words of a block of rows with
+numpy's ``SeedSequence`` hashing and PCG64's seeding and output function
+(O'Neill 2014) run on uint64 arrays, so no generator object is built per
+row. ``random()`` is ``(word >> 11) * 2**-53``; ``integers(n)`` takes a
+32-bit half (low half first, the high half kept for the next one) and maps
+it by Lemire's rule (arXiv 1805.10941). So word 0 gives the group, word 1
+the label and word 2's low half the length, and token t takes its double
+from word ``3 + t + t // 2`` and its integer from the high half of the word
+before (t even) or the low half of the word after (t odd). A row for which
+Lemire's rule rejects a draw it uses, or a positive row in a group with
+bias > 0 (a ``poisson`` draw), comes from ``_gen_example``; so does every
+row of a spec with an integer range of size 1 (which draws no word) or of
+2**32 or more. Every other row's content tokens come from one table of
+strings per corpus, so each distinct token is one ``str`` object.
 
 A split is saved as JSONL by ``metrics.write_jsonl`` and read back by
 ``parse_examples``.
@@ -84,6 +88,9 @@ class CorpusSpec:
             raise InvalidSpec(f"proportions sum to {total_p}, expected 1")
         if any(p <= 0 for p in self.proportions.values()):
             raise InvalidSpec("proportions must be positive")
+        # each row index must be one uint32 entropy word (see _raw_words)
+        if self.total > 2**32:
+            raise InvalidSpec(f"total must be <= 2**32, got {self.total}")
         if self.total < 10 * len(self.proportions):
             raise InvalidSpec(
                 f"total {self.total} < 10 x {len(self.proportions)} groups"
@@ -198,10 +205,89 @@ def _gen_example(spec: CorpusSpec, index: int) -> Example:
 
 
 # Raw words per block of rows, so gen_corpus's transient arrays stay small
-# (170 rows at the defaults). Blocks of 1365 rows were no faster and left
-# ~0.3 MB more resident after a README-scale run.
-_BLOCK_WORDS = 1 << 13
+# (341 rows at the defaults). At paper scale, blocks of 1 << 14 words took
+# 49 ms per corpus against 57 ms at 1 << 13 and peaked ~2 MB above the
+# corpus they build, against ~1 MB; 1 << 15 was no faster and peaked ~4 MB
+# above it.
+_BLOCK_WORDS = 1 << 14
 _LOW32 = np.uint64(0xFFFFFFFF)
+
+# numpy's SeedSequence hash constants and PCG64's 128-bit LCG multiplier
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = np.uint64(0xCA01F9DD), np.uint64(0x4973F715)
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK128 = (1 << 128) - 1
+
+
+def _hash_consts(const: int, mult: int):
+    """SeedSequence's running hash constant: for each hashmix call, the
+    constant it xors in and the next one, which it multiplies by."""
+    while True:
+        nxt = const * mult & 0xFFFFFFFF
+        yield np.uint64(const), np.uint64(nxt)
+        const = nxt
+
+
+def _hashmix(x, consts):
+    """SeedSequence's hashmix of the uint32 values x (held in uint64)."""
+    xor, mult = next(consts)
+    x = (x ^ xor) * mult & _LOW32
+    return x ^ x >> np.uint64(16)
+
+
+def _mul128(ah, al, bh, bl):
+    """The low 128 bits of a * b, each given as (high, low) uint64 halves;
+    al * bl's high half comes from 32-bit partial products."""
+    a0, a1, b0, b1 = al & _LOW32, al >> np.uint64(32), bl & _LOW32, bl >> np.uint64(32)
+    p00, p01, p10 = a0 * b0, a0 * b1, a1 * b0
+    mid = (p00 >> np.uint64(32)) + (p01 & _LOW32) + (p10 & _LOW32)
+    carry = (p01 >> np.uint64(32)) + (p10 >> np.uint64(32)) + (mid >> np.uint64(32))
+    return a1 * b1 + carry + al * bh + ah * bl, al * bl
+
+
+def _halves(values):
+    """The (high, low) uint64 halves of 128-bit Python ints."""
+    return (np.array([v >> 64 for v in values], np.uint64),
+            np.array([v & 0xFFFFFFFFFFFFFFFF for v in values], np.uint64))
+
+
+def _raw_words(seed: int, rows, n: int) -> np.ndarray:
+    """np.random.PCG64([seed, i]).random_raw(n) for each i of rows (each
+    below 2**32), one row each. Below 2**32 seed and i are one uint32
+    entropy word each, so SeedSequence's pool mixing and generate_state(4,
+    uint64), PCG64's seeding (two LCG steps) and its XSL-RR output all run
+    on arrays: word k's state is A_k * s + C_k * inc (mod 2**128) for the
+    seeded s and inc, with A_k and C_k computed once per call. A larger seed
+    has more entropy words and takes the generator's own constructor."""
+    if seed >= 2**32:
+        words = [np.random.PCG64([seed, i]).random_raw(n) for i in rows]
+        return np.array(words, np.uint64).reshape(len(rows), n)
+    with np.errstate(over="ignore"):
+        i = np.array(rows, np.uint64)
+        zero = np.zeros_like(i)
+        a = _hash_consts(_INIT_A, _MULT_A)
+        pool = [_hashmix(x, a) for x in (np.full_like(i, seed), i, zero, zero)]
+        for src in range(4):
+            for dst in range(4):
+                if src != dst:
+                    m = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * _hashmix(pool[src], a) & _LOW32
+                    pool[dst] = m ^ m >> np.uint64(16)
+        b = _hash_consts(_INIT_B, _MULT_B)
+        w = [_hashmix(pool[j % 4], b) for j in range(8)]
+        s_hi, s_lo, q_hi, q_lo = (w[j] | w[j + 1] << np.uint64(32) for j in range(0, 8, 2))
+        inc_hi, inc_lo = q_hi << np.uint64(1) | q_lo >> np.uint64(63), q_lo << np.uint64(1) | np.uint64(1)
+        coef_a, coef_c = [], []
+        ca, cc = _PCG_MULT, _PCG_MULT + 1  # the seeded state is M * s + (M + 1) * inc
+        for _ in range(n):
+            ca, cc = ca * _PCG_MULT & _MASK128, (cc * _PCG_MULT + 1) & _MASK128
+            coef_a.append(ca)
+            coef_c.append(cc)
+        x_hi, x_lo = _mul128(*_halves(coef_a), s_hi[:, None], s_lo[:, None])
+        y_hi, y_lo = _mul128(*_halves(coef_c), inc_hi[:, None], inc_lo[:, None])
+        lo = x_lo + y_lo
+        hi = x_hi + y_hi + (lo < x_lo)
+        x, rot = hi ^ lo, hi >> np.uint64(58)
+        return x >> rot | x << (np.uint64(64) - rot & np.uint64(63))
 
 
 def _unit(words):
@@ -233,10 +319,13 @@ def _gen_examples(spec: CorpusSpec) -> list[Example]:
     int_shift = np.where(t % 2, 0, 32).astype(np.uint64)
     nw = 3 + spec.tokens_max + spec.tokens_max // 2
     step = max(1, _BLOCK_WORDS // nw)
+    # a content token's code is its draw v, v for sig{v} and ~v for tok{v};
+    # names holds one string per code, shared by every row that draws it
+    names: dict[int, str] = {}
     examples = []
     for lo in range(0, spec.total, step):
         idx = range(lo, min(lo + step, spec.total))
-        w = np.array([np.random.PCG64([spec.seed, i]).random_raw(nw) for i in idx])
+        w = _raw_words(spec.seed, idx, nw)
         g = np.searchsorted(cum, _unit(w[:, 0]), side="right")
         y = _unit(w[:, 1]) < rates[g]
         length, bad = _lemire(w[:, 2] & _LOW32, n_len)
@@ -245,16 +334,20 @@ def _gen_examples(spec: CorpusSpec) -> list[Example]:
         sig = _unit(w[:, double_at]) < p_sig[:, None]
         n = np.where(sig, np.uint64(n_sig), np.uint64(spec.vocab_size))
         value, rejected = _lemire((w[:, int_at] >> int_shift) & _LOW32, n)
-        bad |= (rejected & (t < length[:, None])).any(axis=1) | y & biased[g]
-        rows = zip(idx, bad.tolist(), g.tolist(), y.tolist(), length.tolist(),
-                   sig.tolist(), value.tolist())
-        for i, b, gi, yi, k, s, v in rows:
+        used = t < length[:, None]
+        bad |= (rejected & used).any(axis=1) | y & biased[g]
+        value = value.astype(np.int64)
+        codes = np.where(sig, value, ~value)
+        for c in np.unique(codes[used & ~bad[:, None]]).tolist():
+            if c not in names:
+                names[c] = f"sig{c}" if c >= 0 else f"tok{~c}"
+        rows = zip(idx, bad.tolist(), g.tolist(), y.tolist(), length.tolist(), codes.tolist())
+        for i, b, gi, yi, k, c in rows:
             if b:
                 examples.append(_gen_example(spec, i))
                 continue
-            tokens = [f"sig{x}" if si else f"tok{x}" for si, x in zip(s[:k], v[:k])]
-            examples.append(Example(f"ex{i:06d}", (*tokens, *markers[gi]), int(yi),
-                                    {spec.attribute: groups[gi]}))
+            tokens = (*map(names.__getitem__, c[:k]), *markers[gi])
+            examples.append(Example(f"ex{i:06d}", tokens, int(yi), {spec.attribute: groups[gi]}))
     return examples
 
 

@@ -3,9 +3,16 @@
 Tokens are hashed with FNV-1a (64-bit, standard offset basis and prime) over
 their UTF-8 bytes and bucketed modulo the feature dimension. The hash is
 fixed so feature vectors are portable across platforms and processes.
+
+``featurize`` is the definition of a row. ``featurize_all`` and
+``touched_buckets`` read a whole split's tokens through ``_token_buckets``,
+which maps the token stream to buckets in one C-level pass over a lookup
+table and hashes each distinct token once per call.
 """
 
 from __future__ import annotations
+
+from itertools import chain
 
 import numpy as np
 
@@ -33,32 +40,42 @@ def featurize(tokens, dim: int) -> np.ndarray:
     return vec
 
 
-def _hashed(examples, dim: int) -> np.ndarray:
-    """Flat indices row * dim + bucket, one per token; each distinct token is hashed once."""
-    buckets: dict[str, int] = {}
-    flat = []
-    for i, ex in enumerate(examples):
-        row = i * dim
-        for token in ex.tokens:
-            b = buckets.get(token)
-            if b is None:
-                b = buckets[token] = bucket(token, dim)
-            flat.append(row + b)
-    return np.array(flat, dtype=np.intp)
+class _Buckets(dict):
+    """token -> bucket(token, dim), each token hashed on its first lookup."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        b = self[token] = bucket(token, self.dim)
+        return b
+
+
+def _token_buckets(examples, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, buckets): for each token of the examples in order, its
+    example's row and its bucket, both np.intp."""
+    lens = [len(ex.tokens) for ex in examples]
+    lookup = _Buckets(dim)
+    tokens = chain.from_iterable(ex.tokens for ex in examples)
+    buckets = np.fromiter(map(lookup.__getitem__, tokens), np.intp, sum(lens))
+    return np.repeat(np.arange(len(lens), dtype=np.intp), lens), buckets
 
 
 def featurize_all(examples, dim: int) -> np.ndarray:
     """Row i equals featurize(examples[i].tokens, dim)."""
+    rows, buckets = _token_buckets(examples, dim)
     mat = np.zeros(len(examples) * dim, dtype=np.float32)
-    np.add.at(mat, _hashed(examples, dim), np.float32(1.0))
+    np.add.at(mat, rows * dim + buckets, np.float32(1.0))
     return mat.reshape(len(examples), dim)
 
 
 def touched_buckets(examples, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cols, rows, at): the sorted buckets some example touches and, for
-    each token of the examples in order, its example's row and its bucket's
-    index in cols."""
-    rows, buckets = np.divmod(_hashed(examples, dim), dim)
-    cols, at = np.unique(buckets, return_inverse=True)
-    return cols, rows, at
-
+    """(cols, rows, at), each np.intp: the sorted buckets some example
+    touches and, for each token of the examples in order, its example's row
+    and its bucket's index in cols."""
+    rows, buckets = _token_buckets(examples, dim)
+    present = np.zeros(dim, bool)
+    present[buckets] = True
+    index = np.cumsum(present, dtype=np.intp) - 1  # a touched bucket's index in cols
+    return np.flatnonzero(present), rows, index[buckets]

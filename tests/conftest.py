@@ -13,16 +13,17 @@ from fairvec.metrics import PredictionRecord
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
-def run_cli(args, cwd=None):
+def run_cli(args, cwd=None, **kw):
     """Run `python -m fairvec.cli` with this checkout's src importable from any
-    cwd. A RuntimeWarning in the child is an error, so a numpy warning shows
-    as a traceback on stderr, which the tests' stderr checks reject."""
+    cwd; kw goes to subprocess.run. A RuntimeWarning in the child is an
+    error, so a numpy warning shows as a traceback on stderr, which the
+    tests' stderr checks reject."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
     env["PYTHONWARNINGS"] = "error::RuntimeWarning"
     return subprocess.run(
         [sys.executable, "-m", "fairvec.cli", *args],
-        cwd=cwd, env=env, capture_output=True, text=True,
+        cwd=cwd, env=env, capture_output=True, text=True, **kw,
     )
 
 

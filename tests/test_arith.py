@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -174,6 +175,18 @@ def test_merge_uniform_many_vectors(rng):
     for v in vectors:
         expect = expect + np.float32(0.8) * v.deltas["w"].to_numpy()
     np.testing.assert_array_equal(out.tensors["w"].to_numpy(), expect)
+
+
+def test_merge_overflow_gives_non_finite_weights_and_no_warning():
+    """A product beyond float32's range is inf and inf - inf is NaN, with no
+    numpy warning, as in training and scoring."""
+    base = ckpt(w=[1.0, 0.0])
+    parts = [(tv(w=[2.0, 2.0]), 3e38), (tv(w=[-2.0, 2.0]), 3e38)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = merge(base, parts)
+    w = out.tensors["w"].to_numpy()
+    assert np.isnan(w[0]) and w[1] == np.inf
 
 
 def test_inject_equals_merge_bitwise(rng):

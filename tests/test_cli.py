@@ -240,6 +240,26 @@ def test_non_finite_coefficient_exit_2_before_any_read(workdir, argv, message):
     assert not (workdir / "never.ckpt").exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["apply", "base.ckpt", "big.ckpt", "--lambda", "3e38"],
+        ["inject", "base.ckpt", "big.ckpt", "--lambda", "-3e38"],
+        ["merge", "base.ckpt", "--vec", "big.ckpt:3e38", "--vec", "big.ckpt:3e38"],
+    ],
+)
+def test_overflowing_edit_exit_0_no_warning(workdir, argv):
+    """A coefficient finite in float32 whose product with a delta is not
+    writes the inf weights and prints nothing, as training and scoring do."""
+    base = read_checkpoint(str(workdir / "base.ckpt"))
+    big = {n: Tensor.from_numpy(np.full(t.shape, 2.0, np.float32)) for n, t in base.tensors.items()}
+    write_checkpoint(Checkpoint(tensors=big), workdir / "big.ckpt")
+    proc = run_cli([*argv, "-o", "overflow.ckpt"], workdir)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    W1 = read_checkpoint(str(workdir / "overflow.ckpt")).tensors["W1"].to_numpy()
+    assert np.isinf(W1).all()
+
+
 def test_idempotent_reruns(workdir):
     for out in ("rerun1.ckpt", "rerun2.ckpt"):
         assert run_cli(
@@ -892,6 +912,19 @@ def test_gen_data_invalid_spec_exit_1(tmp_path, text, reason):
     assert proc.returncode == 1
     assert proc.stderr.startswith("error: InvalidSpec: ") and reason in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
+    assert not (tmp_path / "data").exists()
+
+
+@pytest.mark.parametrize("total", [2**32 + 1, 10**30])
+def test_gen_data_total_past_uint32_exit_1(tmp_path, total):
+    """A row index must be one uint32 entropy word. Without the bound, a
+    total of 10**30 allocated ~50 MB a second until the machine ran out of
+    memory, so the child gets 20 seconds: a missing bound then fails with
+    TimeoutExpired (the child killed) instead of exhausting the machine."""
+    (tmp_path / "spec.json").write_text('{"total": %d}' % total)
+    proc = run_cli(["gen-data", "--spec", "spec.json", "-o", "data"], tmp_path, timeout=20)
+    assert (proc.returncode, proc.stderr) == (
+        1, f"error: InvalidSpec: total must be <= 2**32, got {total}\n")
     assert not (tmp_path / "data").exists()
 
 

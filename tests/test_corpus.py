@@ -108,6 +108,7 @@ def test_label_base_rate():
         dict(p_signal_pos=7.0),
         dict(p_signal_neg=-0.1),
         dict(seed=-1),
+        dict(total=2**32 + 1),
     ],
 )
 def test_invalid_specs(kw):
@@ -252,6 +253,10 @@ PROPERTY_CASES = [
     # ~1% of the draws are rejected: the two paths share most blocks
     (dict(seed=23, vocab_size=4_250_000_000), "some"),
     (dict(seed=24, vocab_size=2**32), "none"),
+    # the largest seed whose raw words are computed as arrays, and the
+    # smallest that takes the generator's constructor
+    (dict(seed=2**32 - 1), "all"),
+    (dict(seed=2**32), "all"),
 ]
 
 
@@ -276,3 +281,30 @@ def test_gen_corpus_equals_scalar_definition(monkeypatch, kw, layout):
 def test_gen_corpus_equals_scalar_definition_random_specs(case):
     spec = random_spec(case)
     assert gen_corpus(spec) == scalar_corpus(spec)
+
+
+def test_total_bound_is_inclusive():
+    assert small_spec(total=2**32).total == 2**32
+
+
+@pytest.mark.parametrize("n", [1, 3, 48])
+@pytest.mark.parametrize("seed", [0, 13, 2**32 - 1, 2**32])
+def test_raw_words_equal_pcg64(seed, n):
+    """_raw_words against numpy's generator at the edge rows: the first two,
+    either side of gen_corpus's first block boundary at the default spec's 48
+    words per row, and the last row index a spec can have."""
+    step = corpus._BLOCK_WORDS // 48
+    for lo, hi in ((0, 2), (step - 1, step + 1), (2**32 - 1, 2**32)):
+        got = corpus._raw_words(seed, range(lo, hi), n)
+        want = np.array([np.random.PCG64([seed, i]).random_raw(n) for i in range(lo, hi)])
+        assert got.dtype == np.uint64 and np.array_equal(got, want), (lo, hi)
+
+
+@pytest.mark.parametrize("seed", [13, 21])
+def test_each_distinct_token_is_one_string(seed):
+    """Every row of the default spec at these seeds is read off raw words
+    (none falls back), so the train split's tokens come from one table: as
+    many distinct str objects as distinct token values."""
+    train, _ = gen_corpus(CorpusSpec(seed=seed))
+    tokens = [t for ex in train for t in ex.tokens]
+    assert len({id(t) for t in tokens}) == len(set(tokens))

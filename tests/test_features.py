@@ -40,8 +40,9 @@ def test_dim_and_dtype():
     assert vec.shape == (32,) and vec.dtype == np.float32
 
 
-# dim 7 forces bucket collisions: the corpus has hundreds of distinct tokens
-@pytest.mark.parametrize("dim", [7, 512])
+# dims 1 and 7 force bucket collisions: the corpus has hundreds of distinct
+# tokens
+@pytest.mark.parametrize("dim", [7, 512, 1])
 def test_featurize_all_rows_match_featurize(dim):
     train, test = gen_corpus(CorpusSpec(total=200, seed=13))
     extra = Example("u", ("café", "ünï", "café", "tok1", "日本"), 1, {"gender": "Women"})
@@ -52,6 +53,8 @@ def test_featurize_all_rows_match_featurize(dim):
     for i, ex in enumerate(examples):
         assert mat[i].tobytes() == featurize(ex.tokens, dim).tobytes(), i
     cols, rows, at = touched_buckets(examples, dim)
+    # _counts and SplitScorer index with them
+    assert [a.dtype for a in (cols, rows, at)] == [np.dtype(np.intp)] * 3
     assert np.array_equal(cols, np.flatnonzero(mat.any(axis=0)))
     assert [(int(r), int(cols[a])) for r, a in zip(rows, at)] == [
         (i, bucket(token, dim)) for i, ex in enumerate(examples) for token in ex.tokens
