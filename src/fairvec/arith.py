@@ -6,9 +6,13 @@ the left-to-right accumulation order inside merge.
 
 Inputs are read through ``Tensor.f32``, a read-only view of each F32
 payload, and every result array becomes its tensor's payload without a copy.
-``merge`` takes its parts from any iterable and folds each into one float32
-buffer per tensor as it arrives, so a caller that reads its vectors lazily
-(``fairvec merge``) holds one vector at a time.
+``diff``, ``add``, ``negate`` and ``scale`` each build their result with one
+elementwise step (``_elementwise``): a ufunc over those views, under the
+errstate ``merge`` folds in, so an element beyond float32's range is inf or
+NaN and no operation prints a warning. ``merge`` takes its parts from any
+iterable and folds each into one float32 buffer per tensor as it arrives, so
+a caller that reads its vectors lazily (``fairvec merge``) holds one vector
+at a time.
 
 A coefficient must be finite in float32 (``is_finite_f32``), the one test
 that the CLI's coefficients, sweep grids and the trainers' ``lr`` and
@@ -107,13 +111,21 @@ def _check_compat(a: dict[str, Tensor], b: dict[str, Tensor], intersect: bool = 
     return names
 
 
+def _elementwise(ufunc, names, *operands: dict[str, Tensor]) -> dict[str, Tensor]:
+    """{name: an F32 tensor of ufunc over the operands' float32 views} for
+    each of names, under merge's errstate: an element beyond float32's
+    range is inf or NaN, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return {
+            name: Tensor._own(ufunc(*(op[name].f32() for op in operands)))
+            for name in names
+        }
+
+
 def diff(task: Checkpoint, base: Checkpoint, intersect: bool = False) -> TaskVector:
     """Task vector: per-element task minus base, in F32."""
     names = _check_compat(task.tensors, base.tensors, intersect)
-    deltas = {
-        name: Tensor._own(task.tensors[name].f32() - base.tensors[name].f32())
-        for name in names
-    }
+    deltas = _elementwise(np.subtract, names, task.tensors, base.tensors)
     source = {
         "base_id": base.metadata.get("id", ""),
         "task_id": task.metadata.get("id", ""),
@@ -129,25 +141,18 @@ def diff(task: Checkpoint, base: Checkpoint, intersect: bool = False) -> TaskVec
 
 def add(a: TaskVector, b: TaskVector) -> TaskVector:
     names = _check_compat(a.deltas, b.deltas)
-    return TaskVector(
-        {name: Tensor._own(a.deltas[name].f32() + b.deltas[name].f32()) for name in names}
-    )
+    return TaskVector(_elementwise(np.add, names, a.deltas, b.deltas))
 
 
 def negate(tv: TaskVector) -> TaskVector:
-    return TaskVector(
-        {name: Tensor._own(-t.f32()) for name, t in tv.deltas.items()}, dict(tv.source)
-    )
+    return TaskVector(_elementwise(np.negative, tv.deltas, tv.deltas), dict(tv.source))
 
 
 def scale(tv: TaskVector, coefficient: float) -> TaskVector:
     if not is_finite_f32(coefficient):
         raise NonFiniteCoefficient(f"coefficient {coefficient!r} not finite")
     lam = np.float32(coefficient)
-    return TaskVector(
-        {name: Tensor._own(lam * t.f32()) for name, t in tv.deltas.items()},
-        dict(tv.source),
-    )
+    return TaskVector(_elementwise(lambda x: lam * x, tv.deltas, tv.deltas), dict(tv.source))
 
 
 def merge(
@@ -204,22 +209,23 @@ def inject(sft: Checkpoint, worst: TaskVector, coefficient: float) -> Checkpoint
     return merge(sft, [WeightedVector(worst, coefficient)])
 
 
+def _dot(a: TaskVector, b: TaskVector) -> float:
+    """The dot product of a and b in float64, summed tensor by tensor in name
+    order."""
+    total = 0.0
+    for name in _check_compat(a.deltas, b.deltas):
+        x, y = (v.deltas[name].f32().astype(np.float64).ravel() for v in (a, b))
+        total += float(x @ y)
+    return total
+
+
 def vector_norm(tv: TaskVector) -> float:
     """Global L2 norm over every element of every tensor."""
-    total = 0.0
-    for t in tv.deltas.values():
-        arr = t.f32().astype(np.float64).ravel()
-        total += float(arr @ arr)
-    return math.sqrt(total)
+    return math.sqrt(_dot(tv, tv))
 
 
 def vector_cosine(a: TaskVector, b: TaskVector) -> float:
-    names = _check_compat(a.deltas, b.deltas)
-    dot = 0.0
-    for name in names:
-        x = a.deltas[name].f32().astype(np.float64).ravel()
-        y = b.deltas[name].f32().astype(np.float64).ravel()
-        dot += float(x @ y)
+    dot = _dot(a, b)
     na, nb = vector_norm(a), vector_norm(b)
     if na == 0.0 or nb == 0.0:
         raise ZeroVector("cosine undefined for a zero task vector")

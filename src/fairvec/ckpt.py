@@ -70,14 +70,22 @@ class Tensor:
     @classmethod
     def from_numpy(cls, arr: np.ndarray, dtype: Dtype = Dtype.F32) -> "Tensor":
         arr = np.asarray(arr)  # tobytes() below writes any layout in C order
-        if dtype is Dtype.F32:
-            raw = arr.astype("<f4", copy=False)
-        elif dtype is Dtype.F16:
-            raw = arr.astype("<f2")
-        else:  # BF16: round-to-nearest-even on the f32 bit pattern
-            bits = arr.astype("<f4").view(np.uint32)
-            rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
-            raw = rounded.astype("<u2")
+        # a value beyond the dtype's range is cast to inf, with no warning
+        with np.errstate(over="ignore"):
+            if dtype is Dtype.F32:
+                raw = arr.astype("<f4", copy=False)
+            elif dtype is Dtype.F16:
+                raw = arr.astype("<f2")
+            else:  # BF16: round-to-nearest-even on the f32 bit pattern
+                # 1-d, so that a 0-d arr also gives arrays below
+                f32 = arr.astype("<f4").reshape(-1)
+                bits = f32.view(np.uint32)
+                rounded = (bits + 0x7FFF + ((bits >> 16) & 1)) >> 16
+                # the rounding would carry a NaN's mantissa into its exponent
+                # or sign: a NaN keeps its sign and top bits, made quiet
+                nan = np.isnan(f32)
+                rounded[nan] = (bits[nan] >> 16) | 0x40
+                raw = rounded.astype("<u2")
         return cls(dtype, tuple(int(d) for d in arr.shape), raw.tobytes())
 
     @classmethod

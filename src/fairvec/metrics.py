@@ -7,6 +7,9 @@ group, the counts of true negatives, false positives, false negatives and
 true positives, built with one ``np.bincount``. "Rest" is the column totals
 minus the group's row. All aggregation is exact integer counting and every
 rate is an int/int division, so results are independent of record order.
+``evaluate`` and the single metrics (``dpd``, ``eod``, ``group_accuracy``,
+``accuracy_parity_gap``, ``selection_rate``) read prediction records into
+columns in one step (``_columns``).
 
 ``GroupColumns`` holds a split's group codes and true labels as arrays, so
 a caller that scores many models on one split (the sweeps) builds it once
@@ -19,8 +22,9 @@ check each line with the one validator ``_prediction`` under
 ``parse_jsonl``, which also reads corpus files. ``write_jsonl`` writes
 corpus files (``corpus.save_corpus``), and a prediction log is written the
 same way from ``vars`` of each record: one sorted-key JSON object per
-line, written atomically. Every CSV cell, here and in the sweep CSV, is
-``csv_cell``'s full-precision ``repr``, or empty for None.
+line, written atomically. Every CSV document, here and in the sweep CSV, is
+``csv_text``'s, and every cell ``csv_cell``'s full-precision ``repr``, or
+empty for None.
 ``is_json_number`` is the one rule for the numbers a float field of a JSON
 input takes: ``gen-data`` specs and ``sweep`` configs.
 """
@@ -143,12 +147,16 @@ class GroupColumns:
         return _report(self.attribute, self.names, self.table(y_pred))
 
 
-def _table(records, attribute: str) -> tuple[list[str], list[list[int]]]:
+def _columns(records, attribute: str) -> tuple[GroupColumns, np.ndarray]:
+    """Prediction records as GroupColumns and their y_pred column."""
     records = list(records)
     columns = GroupColumns.of(records, attribute)
-    return columns.names, columns.table(
-        _binary_column("y_pred", [r.y_pred for r in records])
-    )
+    return columns, _binary_column("y_pred", [r.y_pred for r in records])
+
+
+def _table(records, attribute: str) -> tuple[list[str], list[list[int]]]:
+    columns, y_pred = _columns(records, attribute)
+    return columns.names, columns.table(y_pred)
 
 
 def _ratio(hits: int, total: int) -> float | None:
@@ -171,6 +179,15 @@ def _rests(table) -> list[list[int]]:
     """Per group, the counts of every other group: totals minus its row."""
     totals = [sum(column) for column in zip(*table)]
     return [[t - c for t, c in zip(totals, row)] for row in table]
+
+
+def _spread(values) -> float | None:
+    """Max minus min of the values that are not None; None for fewer than
+    two: an overall gap."""
+    defined = [v for v in values if v is not None]
+    if len(defined) < 2:
+        return None
+    return max(defined) - min(defined)
 
 
 def _require_groups(metric: str, names: list[str]) -> None:
@@ -197,7 +214,7 @@ def _dpd(names, table) -> DpdResult:
     per_group = {
         g: abs(rates[g] - _selection(rest)) for g, rest in zip(names, _rests(table))
     }
-    return DpdResult(per_group=per_group, overall=max(rates.values()) - min(rates.values()))
+    return DpdResult(per_group=per_group, overall=_spread(rates.values()))
 
 
 def dpd(records, attribute: str) -> DpdResult:
@@ -212,13 +229,6 @@ class EodResult:
     tpr_gap: float | None
     fpr_gap: float | None
     undefined: list[tuple[str, str]]  # (group, "tpr"|"fpr") with an empty stratum
-
-
-def _spread(values) -> float | None:
-    defined = [v for v in values if v is not None]
-    if len(defined) < 2:
-        return None
-    return max(defined) - min(defined)
 
 
 def _eod(names, table) -> EodResult:
@@ -285,13 +295,21 @@ def accuracy_parity_gap(records, attribute: str) -> float:
     names, table = _table(records, attribute)
     acc = _accuracy(names, table)
     _require_groups("accuracy parity", names)
-    return max(acc.per_group.values()) - min(acc.per_group.values())
+    return _spread(acc.per_group.values())
 
 
 def csv_cell(value) -> str:
     """A CSV cell: the repr of value, full precision for a float, or empty
     for None."""
     return "" if value is None else repr(value)
+
+
+def csv_text(rows) -> str:
+    """rows, each a list of cells, as one CSV document with LF line ends:
+    the text of every CSV file fairvec writes."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
 
 
 @dataclass
@@ -341,18 +359,12 @@ class GroupReport:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
-            ["group", "n", "accuracy", "selection_rate", "dpd_ovr", "eod_ovr"]
-        )
-        for r in self.rows:
-            writer.writerow(r.cells())
-        writer.writerow(
+        return csv_text([
+            ["group", "n", "accuracy", "selection_rate", "dpd_ovr", "eod_ovr"],
+            *(r.cells() for r in self.rows),
             ["__overall__", sum(r.n for r in self.rows), csv_cell(self.macro_accuracy), ""]
-            + [csv_cell(v) for v in (self.overall_dpd, self.overall_eod)]
-        )
-        return buf.getvalue()
+            + [csv_cell(v) for v in (self.overall_dpd, self.overall_eod)],
+        ])
 
 
 def _report(attribute: str, names: list[str], table) -> GroupReport:
@@ -377,9 +389,7 @@ def _report(attribute: str, names: list[str], table) -> GroupReport:
         macro_accuracy=acc.macro,
         overall_dpd=dpd_res.overall if dpd_res else None,
         overall_eod=eod_res.overall if eod_res else None,
-        accuracy_parity_gap=(
-            max(acc.per_group.values()) - min(acc.per_group.values()) if multi else None
-        ),
+        accuracy_parity_gap=_spread(acc.per_group.values()),
         undefined=eod_res.undefined if eod_res else [],
     )
 
@@ -390,9 +400,8 @@ def evaluate(records, attribute: str) -> GroupReport:
     EmptyGroup for no records or a record that lacks the attribute;
     ValueError for a y_true or y_pred other than 0 or 1.
     """
-    records = list(records)
-    columns = GroupColumns.of(records, attribute)
-    return columns.report(_binary_column("y_pred", [r.y_pred for r in records]))
+    columns, y_pred = _columns(records, attribute)
+    return columns.report(y_pred)
 
 
 def string_map(name: str, value) -> dict[str, str]:

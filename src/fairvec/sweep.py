@@ -14,19 +14,20 @@ A base that is not a D->H->1 model raises ``IncompatibleCheckpoint`` before
 its seed is scored.
 Rows are still ordered grid-major then seed. Per-seed artifacts (base
 checkpoint, vectors, eval split) may be one shared object or a dict by seed.
+Both sweeps make one edit at a grid point (``_edit_sweep``): the merge of
+the seed's base with each of the seed's vectors at coefficient lambda; an
+injection's list holds its one worst vector.
 
 ``SweepResult.aggregates`` is the one place the across-seed means are
 computed: ``select_lambda`` picks its grid point from them and ``emit``
-charts them. ``emit`` always writes all six files, and the CSV takes its
-cells from ``metrics.csv_cell`` and ``GroupRow.cells``, as ``fairvec eval``'s
-CSV does.
+charts them. ``emit`` always writes all six files, and the CSV is
+``metrics.csv_text`` of cells from ``metrics.csv_cell`` and
+``GroupRow.cells``, as ``fairvec eval``'s CSV is.
 """
 
 from __future__ import annotations
 
-import csv
 import hashlib
-import io
 import json
 import math
 import os
@@ -38,7 +39,8 @@ from .arith import TaskVector, WeightedVector, is_finite_f32, merge
 from .atomic import atomic_open
 from .ckpt import Checkpoint
 from .errors import InsufficientGroups, IoFailure
-from .metrics import DEFAULT_THRESHOLD, GroupColumns, GroupReport, check_threshold, csv_cell
+from .metrics import DEFAULT_THRESHOLD, GroupColumns, GroupReport, check_threshold
+from .metrics import csv_cell, csv_text
 
 MERGE_GRID = [round(0.1 * i, 1) for i in range(11)]    # 0.0 .. 1.0 step 0.1
 INJECT_GRID = [round(0.2 * i, 1) for i in range(6)]    # 0.0 .. 1.0 step 0.2
@@ -134,29 +136,26 @@ class SweepResult:
         }
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(
+        rows = [
             ["lambda", "seed", "group", "n", "accuracy", "selection_rate",
              "dpd_ovr", "eod_ovr", "macro_accuracy", "overall_dpd",
              "overall_eod", "accuracy_parity_gap"]
-        )
+        ]
         for r in self.rows:
             lam = csv_cell(r.lam)
-            for row in r.report.rows:
-                writer.writerow([lam, r.seed, *row.cells(), "", "", "", ""])
-            writer.writerow(
+            rows += [[lam, r.seed, *row.cells(), "", "", "", ""] for row in r.report.rows]
+            rows.append(
                 [lam, r.seed, "__overall__", sum(g.n for g in r.report.rows),
                  "", "", "", ""]
                 + [csv_cell(getattr(r.report, m)) for m in OVERALL_METRICS]
             )
         for lam, metrics in self.aggregates().items():
             for stat in ("mean", "stderr"):
-                writer.writerow(
+                rows.append(
                     [csv_cell(lam), stat, "__overall__", "", "", "", "", ""]
                     + [csv_cell(metrics[m][stat]) for m in OVERALL_METRICS]
                 )
-        return buf.getvalue()
+        return csv_text(rows)
 
 
 def _per_seed(obj, seed):
@@ -167,8 +166,10 @@ def _per_seed(obj, seed):
     return obj[seed]
 
 
-def _edit_sweep(config: SweepConfig, base, parts_at, eval_data, mode: str) -> SweepResult:
-    """Score merge(base, parts_at(lam, seed)) at every grid point of every seed."""
+def _edit_sweep(config: SweepConfig, base, vectors, eval_data, mode: str) -> SweepResult:
+    """Score the merge of base with each of the seed's vectors at coefficient
+    lam, at every grid point lam of every seed. vectors is one list of task
+    vectors or a dict of them by seed."""
     reports = {}
     for seed in config.seeds:
         examples = _per_seed(eval_data, seed)
@@ -176,9 +177,10 @@ def _edit_sweep(config: SweepConfig, base, parts_at, eval_data, mode: str) -> Sw
         # from_checkpoint rejects a base that is not a D->H->1 model
         dim, hidden = toymodel.ToyModel.from_checkpoint(_per_seed(base, seed)).W1.shape
         scorer = toymodel.SplitScorer(examples, dim, hidden)
+        seed_vectors = _per_seed(vectors, seed)
         for lam in config.grid:
             model = toymodel.ToyModel.from_checkpoint(
-                merge(_per_seed(base, seed), parts_at(lam, seed))
+                merge(_per_seed(base, seed), [WeightedVector(v, lam) for v in seed_vectors])
             )
             y_pred = scorer.scores(model) >= config.threshold
             reports[lam, seed] = columns.report(y_pred)
@@ -195,11 +197,7 @@ def lambda_sweep(
     eval_data,
 ) -> SweepResult:
     """Uniform-coefficient merge over the grid, evaluated per seed."""
-    return _edit_sweep(
-        config, base,
-        lambda lam, seed: [WeightedVector(v, lam) for v in _per_seed(vectors, seed)],
-        eval_data, "merge",
-    )
+    return _edit_sweep(config, base, vectors, eval_data, "merge")
 
 
 def inject_sweep(
@@ -209,11 +207,9 @@ def inject_sweep(
     eval_data,
 ) -> SweepResult:
     """Injection grid: sft + lambda * worst_vector; lambda=0 is the sft row."""
-    return _edit_sweep(
-        config, sft,
-        lambda lam, seed: [WeightedVector(_per_seed(worst_vector, seed), lam)],
-        eval_data, "inject",
-    )
+    shared = not isinstance(worst_vector, dict)
+    worst = [worst_vector] if shared else {seed: [v] for seed, v in worst_vector.items()}
+    return _edit_sweep(config, sft, worst, eval_data, "inject")
 
 
 def select_lambda(result: SweepResult) -> float:

@@ -90,8 +90,9 @@ trips) and makes the next loss NaN when one is not finite, as the dense
 forward's ``0 * inf`` does; a pad's effective row, ``(alpha/r) 0 B``, is
 in the layout, so the forward itself turns a non-finite B into NaN there.
 
-Scoring runs the same ``_forward``. ``score_features`` of the dense
-features (``featurize_all``) is the definition. ``SplitScorer`` scores one
+Scoring runs the same ``_forward``, to a float64 sigmoid (``_scores``).
+``score_features``, that of the dense features (``featurize_all``), is the
+definition of a score and nothing else. ``SplitScorer`` scores one
 split under a series of models (the sweep points, or ``predict``'s one
 model): it picks its layout once, at the split's own shape, in the rows
 that its probes hold (the first and last ``_PROBE_ROWS`` and those around
@@ -104,6 +105,10 @@ all-columns layout, the dense matrix.
 A model with a non-finite untouched W1 row is scored by the definition
 itself, on the split's ``featurize_all``. Every score it returns has the
 definition's bytes.
+
+``grad_check`` compares the analytic gradients with central differences in
+float64, over the entries of one flat parameter vector (``_flat``, the
+buffer ``train`` steps through) in the model's tensor order.
 """
 
 from __future__ import annotations
@@ -445,9 +450,12 @@ def _layout(cols: np.ndarray, n: int, W1: np.ndarray, batch_size: int, rank: int
 
 
 def _flat(tensors: dict[str, np.ndarray]):
-    """(flat, views): one float32 buffer holding a copy of each of tensors
-    in order, and {name: the view of flat in that tensor's shape}."""
-    flat = np.empty(sum(t.size for t in tensors.values()), np.float32)
+    """(flat, views): one buffer of the tensors' dtype (float32 in training,
+    float64 in grad_check) holding a copy of each of tensors in order, and
+    {name: the view of flat in that tensor's shape}."""
+    # the dtypes, not the arrays: numpy 1.24 casts a 0-d array by its value
+    dtype = np.result_type(*(t.dtype for t in tensors.values()))
+    flat = np.empty(sum(t.size for t in tensors.values()), dtype)
     views, start = {}, 0
     for name, t in tensors.items():
         views[name] = flat[start : start + t.size].reshape(t.shape)
@@ -660,19 +668,17 @@ def predict(ckpt: Checkpoint, examples, threshold=DEFAULT_THRESHOLD) -> list[Pre
     ]
 
 
-def score_features(
-    model: ToyModel, X: np.ndarray, cols: np.ndarray | None = None, panels=None
-) -> np.ndarray:
-    """Float64 scores of the examples whose features are the rows of X. On
-    the dense features (featurize_all) it is the definition of a score; with
-    cols, a layout's columns, X holds only those feature columns and the
-    forward takes _product over W1's rows cols with panels (see
-    SplitScorer), which predict and the sweeps use."""
-    arrays = model.arrays()
-    if cols is not None:
-        arrays["W1"] = _rows(model.W1, cols)
+def _scores(arrays: dict[str, np.ndarray], X: np.ndarray, panels=None) -> np.ndarray:
+    """The float64 sigmoid of the logits of the rows of X under arrays, with
+    X and arrays["W1"] over a layout's columns and panels _product's."""
     _, logit = _forward(arrays, X, panels)
     return _sigmoid(logit.astype(np.float64))
+
+
+def score_features(model: ToyModel, X: np.ndarray) -> np.ndarray:
+    """Float64 scores of the examples whose dense features (featurize_all)
+    are the rows of X: the definition of a score."""
+    return _scores(model.arrays(), X)
 
 
 # the real rows SplitScorer's probe holds at each end of a split (and around
@@ -723,13 +729,15 @@ class SplitScorer:
         self.X = _counts(n, pcols, cols, rows, at)
 
     def scores(self, model: ToyModel) -> np.ndarray:
-        """score_features of the split's dense features under model. Like
+        """The bytes of score_features of the split's dense features under
+        model, from the forward over the split's layout (_scores). Like
         training, it runs under an errstate that ignores "over" and
         "invalid": a non-finite weight gives the definition's NaN or inf
         scores and no warning."""
         with np.errstate(over="ignore", invalid="ignore"):
             if np.isfinite(_untouched(model.W1, self.cols)).all():
-                return score_features(model, self.X, self.cols, self.panels)
+                arrays = {**model.arrays(), "W1": _rows(model.W1, self.cols)}
+                return _scores(arrays, self.X, self.panels)
             return score_features(model, featurize_all(self.examples, model.dim))
 
 
@@ -744,39 +752,32 @@ def grad_check(
     """Max relative error of analytic gradients vs central finite differences.
 
     Evaluated in float64 on >= n_params randomly sampled parameters across
-    every tensor. grads_override substitutes the analytic gradients (used by
-    negative-control tests).
+    every tensor: the entries of the model's flat parameter vector (_flat,
+    in the model's tensor order), each perturbed in place. grads_override
+    substitutes the analytic gradients (used by negative-control tests); it
+    is flattened in the same order, whatever its own.
     """
     if not 1e-6 <= eps <= 1e-3:
         raise ValueError(f"eps {eps} outside [1e-6, 1e-3]")
     X = featurize_all(examples, model.dim).astype(np.float64)
     y = _labels(examples).astype(np.float64)
-    arrays = {n: a.astype(np.float64) for n, a in model.arrays().items()}
+    flat, arrays = _flat({n: a.astype(np.float64) for n, a in model.arrays().items()})
     rng = np.random.default_rng(seed)
-    sizes = {n: arrays[n].size for n in TENSOR_NAMES}
-    total = sum(sizes.values())
-    picks = rng.choice(total, size=min(max(n_params, 100), total), replace=False)
+    picks = rng.choice(flat.size, size=min(max(n_params, 100), flat.size), replace=False)
 
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        _, analytic = loss_and_grads(arrays, X, y)
-        if grads_override is not None:
-            analytic = grads_override
-        for flat in np.sort(picks):
-            offset = int(flat)
-            for name in TENSOR_NAMES:
-                if offset < sizes[name]:
-                    break
-                offset -= sizes[name]
-            view = arrays[name].reshape(-1)
-            orig = view[offset]
-            view[offset] = orig + eps
-            lo_hi = [loss_and_grads(arrays, X, y)[0]]
-            view[offset] = orig - eps
-            lo_hi.append(loss_and_grads(arrays, X, y)[0])
-            view[offset] = orig
-            fd = (lo_hi[0] - lo_hi[1]) / (2 * eps)
-            g = float(analytic[name].reshape(-1)[offset])
+        analytic = loss_and_grads(arrays, X, y)[1] if grads_override is None else grads_override
+        grads, _ = _flat({name: analytic[name] for name in arrays})
+        for i in np.sort(picks):
+            orig = flat[i]
+            flat[i] = orig + eps
+            hi = loss_and_grads(arrays, X, y)[0]
+            flat[i] = orig - eps
+            lo = loss_and_grads(arrays, X, y)[0]
+            flat[i] = orig
+            fd = (hi - lo) / (2 * eps)
+            g = float(grads[i])
             # denominator floored: FD noise on near-zero gradients is ~1e-12
             rel = abs(g - fd) / max(abs(g), abs(fd), 1e-6)
             worst = max(worst, rel)

@@ -189,6 +189,23 @@ def test_merge_overflow_gives_non_finite_weights_and_no_warning():
     assert np.isnan(w[0]) and w[1] == np.inf
 
 
+@pytest.mark.parametrize(
+    "edit, want",
+    [
+        (lambda: diff(ckpt(w=[3e38, 1.0]), ckpt(w=[-3e38, 1.0])), [np.inf, 0.0]),
+        (lambda: add(tv(w=[3e38, -3e38]), tv(w=[3e38, -1.0])), [np.inf, -3e38]),
+        (lambda: scale(tv(w=[4.0, -4.0]), 3e38), [np.inf, -np.inf]),
+    ],
+    ids=["diff", "add", "scale"],
+)
+def test_elementwise_overflow_gives_inf_and_no_warning(edit, want):
+    """diff, add and scale overflow to inf as merge does, with no warning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = edit()
+    assert out.deltas["w"].to_numpy().tolist() == np.float32(want).tolist()
+
+
 def test_inject_equals_merge_bitwise(rng):
     sft, ft = random_checkpoint_pair(rng)
     v = diff(ft, sft)

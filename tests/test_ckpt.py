@@ -1,5 +1,6 @@
 import json
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -253,6 +254,26 @@ def test_half_precision_preserved(tmp_path):
     # these values are exactly representable in both half formats
     np.testing.assert_array_equal(back.tensors["h"].to_numpy(), arr)
     np.testing.assert_array_equal(back.tensors["b"].to_numpy(), arr)
+
+
+def test_half_precision_nan_and_overflow(tmp_path):
+    """A NaN encodes as a NaN of its sign in BF16 (the rounding add would
+    carry its mantissa into the exponent or sign), a value beyond F16's range
+    as inf with no warning, and every other BF16 value keeps its
+    round-to-nearest-even bits."""
+    bits = np.array([0x7FFFFFFF, 0xFFFFFFFF, 0x7F800001, 0x7F800000, 0xFF800000,
+                     0x7F7FFFFF, 0x3F808000, 0x3F818000, 0x00000001], np.uint32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        read = _three_dtypes(tmp_path, bits.view(np.float32))
+        f16 = _three_dtypes(tmp_path, np.float32([1e5, -1e5]))["F16"]
+    assert np.frombuffer(read["BF16"].data, "<u2").tolist() == [
+        0x7FFF, 0xFFFF, 0x7FC0, 0x7F80, 0xFF80, 0x7F80, 0x3F80, 0x3F82, 0x0000,
+    ]
+    assert np.isnan(read["BF16"].to_numpy()[:3]).all()
+    assert np.isnan(read["F16"].to_numpy()[:3]).all()
+    assert read["F32"].f32().tobytes() == bits.tobytes()
+    assert f16.to_numpy().tolist() == [np.inf, -np.inf]
 
 
 def test_write_determinism(tmp_path, rng):

@@ -246,14 +246,18 @@ def test_non_finite_coefficient_exit_2_before_any_read(workdir, argv, message):
         ["apply", "base.ckpt", "big.ckpt", "--lambda", "3e38"],
         ["inject", "base.ckpt", "big.ckpt", "--lambda", "-3e38"],
         ["merge", "base.ckpt", "--vec", "big.ckpt:3e38", "--vec", "big.ckpt:3e38"],
+        ["diff", "huge.ckpt", "minus_huge.ckpt"],
     ],
 )
 def test_overflowing_edit_exit_0_no_warning(workdir, argv):
-    """A coefficient finite in float32 whose product with a delta is not
-    writes the inf weights and prints nothing, as training and scoring do."""
+    """A coefficient finite in float32 whose product with a delta is not, or
+    a task minus base beyond float32's range, writes the inf weights and
+    prints nothing, as training and scoring do."""
     base = read_checkpoint(str(workdir / "base.ckpt"))
-    big = {n: Tensor.from_numpy(np.full(t.shape, 2.0, np.float32)) for n, t in base.tensors.items()}
-    write_checkpoint(Checkpoint(tensors=big), workdir / "big.ckpt")
+    for name, value in (("big", 2.0), ("huge", 3e38), ("minus_huge", -3e38)):
+        full = {n: Tensor.from_numpy(np.full(t.shape, value, np.float32))
+                for n, t in base.tensors.items()}
+        write_checkpoint(Checkpoint(tensors=full), workdir / f"{name}.ckpt")
     proc = run_cli([*argv, "-o", "overflow.ckpt"], workdir)
     assert (proc.returncode, proc.stderr) == (0, "")
     W1 = read_checkpoint(str(workdir / "overflow.ckpt")).tensors["W1"].to_numpy()

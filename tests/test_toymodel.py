@@ -430,6 +430,10 @@ class TestGradCheck:
         y = np.array([e.y_true for e in tr[:40]], np.float64)
         arrays = {n: a.astype(np.float64) for n, a in model.arrays().items()}
         _, grads = loss_and_grads(arrays, X, y)
+        # the true gradients, in reversed key order: flattened in the
+        # model's tensor order, they still match
+        reversed_order = dict(reversed(grads.items()))
+        assert grad_check(model, tr[:40], eps=1e-4, grads_override=reversed_order) < 1e-4
         grads["w2"] = -grads["w2"]  # sign-flip one tensor
         assert grad_check(model, tr[:40], eps=1e-4, grads_override=grads) > 1e-2
 
