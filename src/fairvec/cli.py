@@ -7,8 +7,11 @@ worker thread while the command parses them. Every file-producing command
 writes its outputs atomically and drops a JSON run manifest recording the
 command, the resolved configuration, the digest of each file it read (of the
 bytes as read, even when the output overwrites that input), the tool version
-and the wall-clock duration. ``eval`` reads its log straight into columns
-(``metrics.prediction_columns``) and builds no per-record objects.
+and the wall-clock duration. ``eval`` streams its log straight into columns
+(``metrics.prediction_columns``) and builds no per-record objects: each
+line is decoded once, taken as it is when it has the common record shape
+and read by ``metrics._prediction``, the definition of a valid line,
+otherwise.
 """
 
 from __future__ import annotations

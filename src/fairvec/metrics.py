@@ -15,18 +15,25 @@ columns in one step (``_columns``).
 a caller that scores many models on one split (the sweeps) builds it once
 and passes only each model's predictions.
 
-A JSONL prediction log is read either as ``PredictionRecord``s
-(``load_predictions``) or straight into columns (``prediction_columns``,
-which ``fairvec eval`` uses and which builds no per-record objects). Both
-check each line with the one validator ``_prediction`` under
-``parse_jsonl``, which also reads corpus files. ``write_jsonl`` writes
-corpus files (``corpus.save_corpus``), and a prediction log is written the
-same way from ``vars`` of each record: one sorted-key JSON object per
-line, written atomically. Every CSV document, here and in the sweep CSV, is
-``csv_text``'s, and every cell ``csv_cell``'s full-precision ``repr``, or
-empty for None.
+Every JSONL line, of a prediction log or a corpus file, is decoded once by
+``_loads``: ``json.loads``'s value and errors, read by the C scanner where
+it can. ``_prediction`` is the one definition of a valid log line. A log is
+read either as ``PredictionRecord``s (``load_predictions``, which checks
+each line with ``_prediction`` under ``parse_jsonl``, as corpus files are
+read) or straight into columns (``prediction_columns``, which ``fairvec
+eval`` uses and which builds no per-record objects). ``prediction_columns``
+streams the log line by line: a decoded line of the common shape (a
+float score, int labels, a string id and string groups that include the
+attribute) is taken as it is, and any other line goes to ``_prediction``,
+under the same ``path:line`` error mapping (``_line_error``).
+``write_jsonl`` writes corpus files (``corpus.save_corpus``), and a
+prediction log is written the same way from ``vars`` of each record: one
+sorted-key JSON object per line, written atomically. Every CSV document,
+here and in the sweep CSV, is ``csv_text``'s, and every cell
+``csv_cell``'s full-precision ``repr``, or empty for None.
 ``is_json_number`` is the one rule for the numbers a float field of a JSON
-input takes: ``gen-data`` specs and ``sweep`` configs.
+input takes: ``gen-data`` specs, ``sweep`` configs and a log line's
+``score``.
 """
 
 from __future__ import annotations
@@ -34,7 +41,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -45,6 +51,9 @@ from .atomic import atomic_open
 from .errors import EmptyGroup, InsufficientGroups
 
 DEFAULT_THRESHOLD = 0.5
+
+# binary64's largest finite value, is_json_number's bound
+_FLOAT_MAX = sys.float_info.max
 
 # columns of a confusion-table row, indexed by y_true * 2 + y_pred
 _TN, _FP, _FN, _TP = range(4)
@@ -84,8 +93,9 @@ def is_json_number(value) -> bool:
     """Whether a parsed JSON value is a number a float field takes: an int or
     float (never a bool) within binary64's finite range, the range JSON
     numbers are exchanged in (RFC 8259, section 6). NaN, the infinities and
-    integers beyond float range are not."""
-    return type(value) in (int, float) and abs(value) <= sys.float_info.max
+    integers beyond float range are not. The float fields are those of
+    gen-data specs and sweep configs, and a prediction log line's score."""
+    return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
 
 
 def _binary_column(name: str, values: list) -> np.ndarray:
@@ -411,6 +421,34 @@ def string_map(name: str, value) -> dict[str, str]:
     return value
 
 
+_scan_once = json.JSONDecoder().scan_once
+
+
+def _loads(line: str):
+    """json.loads(line) for a line stripped of whitespace, decoded once by
+    the C scanner where it can: the scanner's value when it consumed the
+    whole line. Otherwise json.loads decides, so every value and error is
+    its own: a leading BOM, extra data, nesting beyond the recursion limit,
+    an integer beyond the digit limit."""
+    try:
+        obj, end = _scan_once(line, 0)
+    except Exception:  # whatever stopped the scanner, json.loads raises its own error
+        return json.loads(line)
+    return obj if end == len(line) else json.loads(line)
+
+
+# what a malformed line raises, from decoding it or from a parse of it
+_LINE_ERRORS = (KeyError, AttributeError, TypeError, ValueError, OverflowError, RecursionError)
+
+
+def _line_error(exc: Exception, path, lineno: int) -> ValueError:
+    """One of _LINE_ERRORS as the ValueError naming path:line (a KeyError
+    names the missing field)."""
+    if isinstance(exc, KeyError):
+        return ValueError(f"{path}:{lineno}: missing field {exc}")
+    return ValueError(f"{path}:{lineno}: {exc}")
+
+
 def parse_jsonl(lines, path, parse):
     """parse(obj) for the JSON object on each non-blank line of lines (an
     open text file); ValueError naming path:line for bad JSON, a missing
@@ -422,11 +460,9 @@ def parse_jsonl(lines, path, parse):
         if not line:
             continue
         try:
-            fields = parse(json.loads(line))
-        except KeyError as exc:
-            raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
-        except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+            fields = parse(_loads(line))
+        except _LINE_ERRORS as exc:
+            raise _line_error(exc, path, lineno) from None
         yield fields
 
 
@@ -441,13 +477,18 @@ def write_jsonl(objects, path: str | os.PathLike) -> None:
 
 
 def _prediction(obj) -> tuple[str, int, float, int | None, dict[str, str]]:
-    """A log line's (id, y_true, score, y_pred or None, groups)."""
-    score = float(obj["score"])
+    """A log line's (id, y_true, score, y_pred or None, groups): the one
+    definition of a valid line. score is a number is_json_number takes."""
+    score = obj["score"]
+    if type(score) not in (int, float):
+        raise ValueError(f"score must be a JSON number, got {score!r}")
+    finite = is_json_number(score)
+    score = float(score)  # OverflowError for an integer beyond float range
     y_pred = obj.get("y_pred")
     y_pred = None if y_pred is None else binary_label("y_pred", y_pred)
     rec_id, y_true = str(obj["id"]), binary_label("y_true", obj["y_true"])
     groups = string_map("groups", obj["groups"])
-    if not math.isfinite(score):
+    if not finite:
         raise ValueError("non-finite score")
     return rec_id, y_true, score, y_pred, groups
 
@@ -480,15 +521,41 @@ def prediction_columns(
     evaluate(load_predictions(...)). Where a line has no y_pred it is
     score >= threshold.
 
-    Every line is validated before EmptyGroup is raised for a record that
-    lacks the attribute, so a malformed line anywhere is reported first.
+    Each line is decoded once and taken as it is when it has the common
+    shape: a finite float score, an int y_true and an absent, null or int
+    y_pred, each 0 or 1, a string id, and groups of string values that
+    include the attribute. That is a subset of what _prediction accepts,
+    and _prediction would return such a line's values unchanged. Any other
+    line is read by _prediction, under parse_jsonl's error mapping. Every
+    line is validated before EmptyGroup is raised for a record that lacks
+    the attribute, so a malformed line anywhere is reported first.
     """
     check_threshold(threshold)
     index: dict[str, int] = {}
     first_seen, y_true, scores, y_pred = [], [], [], []
     lacking = None
-    for rec_id, label, score, pred, groups in parse_jsonl(lines, path, _prediction):
-        group = groups.get(attribute)
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = _loads(line)
+            if not (
+                type(obj) is dict
+                and type(score := obj.get("score")) is float
+                and -_FLOAT_MAX <= score <= _FLOAT_MAX
+                and type(label := obj.get("y_true")) is int and label in (0, 1)
+                and ((pred := obj.get("y_pred")) is None
+                     or type(pred) is int and pred in (0, 1))
+                and type(rec_id := obj.get("id")) is str
+                and type(groups := obj.get("groups")) is dict
+                and type(group := groups.get(attribute)) is str
+                and (len(groups) == 1 or all(type(v) is str for v in groups.values()))
+            ):
+                rec_id, label, score, pred, groups = _prediction(obj)
+                group = groups.get(attribute)
+        except _LINE_ERRORS as exc:
+            raise _line_error(exc, path, lineno) from None
         if group is None:
             lacking = lacking or _lacking(rec_id, attribute)
             continue
@@ -504,4 +571,3 @@ def prediction_columns(
         GroupColumns._coded(attribute, index, first_seen, y_true),
         np.where(given < 0, derived, given),
     )
-

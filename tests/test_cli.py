@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from conftest import run_cli
 from fairvec import Checkpoint, TaskVector, Tensor, read_checkpoint, write_checkpoint
-from fairvec import sweep, toymodel
+from fairvec import corpus, metrics, sweep, toymodel
 from fairvec.cli import UsageError, _Run, build_parser, main
 from fairvec.corpus import CorpusSpec, gen_corpus, parse_examples, save_corpus
+from fairvec.errors import EmptyGroup
 from fairvec.features import touched_buckets
 
 DATA = Path(__file__).parent / "data"
@@ -652,6 +653,10 @@ def test_eval_bad_threshold_exit_2(tmp_path, threshold):
             '{"id": "x", "y_true": 1, "score": 1' + "0" * 400 + ', "groups": {"g": "A"}}',
             "int too large to convert to float", id="score-beyond-float",
         ),
+        ('{"id": "x", "y_true": 1, "score": "0.7", "groups": {"g": "A"}}',
+         "score must be a JSON number, got '0.7'"),
+        ('{"id": "x", "y_true": 1, "score": true, "groups": {"g": "A"}}',
+         "score must be a JSON number, got True"),
     ],
 )
 def test_eval_malformed_line_names_location(tmp_path, line, reason):
@@ -1277,3 +1282,142 @@ class TestTextInputFuzz:
                                  "-o", str(out)])
         assert out.exists() == (wd / "out.ckpt.manifest.json").exists() == (code == 0)
         shutil.rmtree(wd)
+
+
+def _outcome(read):
+    """read()'s value, or the type and message of what it raised."""
+    try:
+        return read()
+    except Exception as exc:  # noqa: BLE001 (the outcome is compared as data)
+        return type(exc), str(exc)
+
+
+def _json(obj, **fields) -> bytes:
+    """obj with fields set, as one line of UTF-8 JSON."""
+    return json.dumps({**obj, **fields}, ensure_ascii=False).encode()
+
+
+def _by_definition(lines, path, parse):
+    """parse(json.loads(line)) for each non-blank stripped line, with
+    parse_jsonl's path:line messages: the reference the readers are checked
+    against, which uses neither parse_jsonl nor the C scanner directly."""
+    out = []
+    for lineno, line in enumerate(lines, 1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            out.append(parse(json.loads(line)))
+        except KeyError as exc:
+            raise ValueError(f"{path}:{lineno}: missing field {exc}") from None
+        except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    return out
+
+
+def _columns_by_definition(lines, attribute, threshold, path):
+    """prediction_columns' names, codes, y_true and y_pred, from
+    _by_definition and _prediction."""
+    records = _by_definition(lines, path, metrics._prediction)
+    for rec_id, _, _, _, groups in records:
+        if attribute not in groups:
+            raise EmptyGroup(f"record {rec_id!r} lacks attribute {attribute!r}")
+    names = sorted({groups[attribute] for *_, groups in records})
+    return (names, [names.index(groups[attribute]) for *_, groups in records],
+            [y_true for _, y_true, *_ in records],
+            [int(score >= threshold) if y_pred is None else y_pred
+             for _, _, score, y_pred, _ in records])
+
+
+class TestReadersAgainstDefinition:
+    """prediction_columns and corpus.parse_examples against per-line
+    json.loads and the one definition of a line (_prediction, _example): the
+    same columns or examples, or the same exception type and message, for a
+    log whose middle line is mutated as in TestTextInputFuzz or is odd as a
+    line (a BOM, trailing text, line ends, separators in a string, duplicate
+    keys, deep nesting, a long integer)."""
+
+    ODD_LINES = {
+        "bom": lambda obj: b"\xef\xbb\xbf" + _json(obj),
+        "trailing comma": lambda obj: _json(obj) + b",",
+        "trailing bracket": lambda obj: _json(obj) + b"]",
+        "separators in a string": lambda obj: _json(obj, id="a\u2028b\x85c"),
+        "separators after": lambda obj: _json(obj) + "\u2028\x85".encode(),
+        "duplicate key": lambda obj: _json(obj)[:-1] + b', "id": "dup"}',
+        "duplicate groups": lambda obj: _json(obj)[:-1] + b', "groups": {"g": 1}}',
+        "deep": lambda obj: b"[" * 100_000,
+        "deep field": lambda obj: _json(obj)[:-1] + b', "x": ' + b"[" * 100_000 + b"}",
+        "long int": lambda obj: b"9" * 5000,
+        "long int label": lambda obj: _json(obj)[:-1] + b', "y_true": ' + b"9" * 5000 + b"}",
+        "empty object": lambda obj: b"{}",
+        "nan score": lambda obj: _json(obj, score=float("nan")),
+        "inf score": lambda obj: _json(obj, score=float("-inf")),
+        "string score": lambda obj: _json(obj, score="0.75"),
+        "int score": lambda obj: _json(obj, score=1),
+        "bool label": lambda obj: _json(obj, y_true=True),
+        "float label": lambda obj: _json(obj, y_true=1.0),
+        "null y_pred": lambda obj: _json(obj, y_pred=None),
+        "float y_pred": lambda obj: _json(obj, y_pred=0.0),
+        "int id": lambda obj: _json(obj, id=7),
+        "int group": lambda obj: _json(obj, groups={"g": "B", "h": 1}),
+        "two groups": lambda obj: _json(obj, groups={"h": "Y", "g": "C"}),
+        "no attribute": lambda obj: _json(obj, groups={"h": "Y"}),
+        "valid": lambda obj: _json(obj),
+    }
+    LINE_ENDS = {"lf": b"\n", "cr": b"\r", "crlf": b"\r\n"}
+
+    @staticmethod
+    def log(middle: bytes, end: bytes = b"\n") -> bytes:
+        first = {**TestTextInputFuzz.PREDICTION, "id": "r0", "groups": {"g": "A"}}
+        return end.join([json.dumps(first).encode(), middle,
+                         json.dumps(TestTextInputFuzz.PREDICTION).encode()]) + end
+
+    @staticmethod
+    def corpus(middle: bytes, end: bytes = b"\n") -> bytes:
+        first = {**TestTextInputFuzz.EXAMPLE, "id": "ex0", "groups": {"g": "A"}}
+        return end.join([json.dumps(first).encode(), middle,
+                         json.dumps(TestTextInputFuzz.EXAMPLE).encode()]) + end
+
+    @staticmethod
+    def lines(data: bytes):
+        """data as cli._Run.text gives it to a reader."""
+        return io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+
+    def check_log(self, data, threshold=0.5):
+        def columns():
+            cols, y_pred = metrics.prediction_columns(self.lines(data), "g", threshold, "p")
+            return cols.names, cols.codes.tolist(), cols.y_true.tolist(), y_pred.tolist()
+
+        want = _outcome(lambda: _columns_by_definition(self.lines(data), "g", threshold, "p"))
+        assert _outcome(columns) == want
+
+    def check_corpus(self, data):
+        want = _outcome(lambda: _by_definition(self.lines(data), "c", corpus._example))
+        assert _outcome(lambda: corpus.parse_examples(self.lines(data), "c")) == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(threshold=st.sampled_from([0.5, 0.75, 0.8]), **TestTextInputFuzz.mutation)
+    def test_mutated_prediction_line(self, threshold, how, at, pick):
+        middle = TestTextInputFuzz.mutate(TestTextInputFuzz.PREDICTION, how, at, pick)
+        self.check_log(self.log(middle), threshold)
+
+    @settings(max_examples=150, deadline=None)
+    @given(**TestTextInputFuzz.mutation)
+    def test_mutated_corpus_line(self, how, at, pick):
+        middle = TestTextInputFuzz.mutate(TestTextInputFuzz.EXAMPLE, how, at, pick)
+        self.check_corpus(self.corpus(middle))
+
+    @pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS)
+    @pytest.mark.parametrize("odd", ODD_LINES.values(), ids=ODD_LINES)
+    def test_odd_prediction_line(self, odd, end):
+        self.check_log(self.log(odd(TestTextInputFuzz.PREDICTION), end))
+
+    @pytest.mark.parametrize("end", LINE_ENDS.values(), ids=LINE_ENDS)
+    @pytest.mark.parametrize("odd", ODD_LINES.values(), ids=ODD_LINES)
+    def test_odd_corpus_line(self, odd, end):
+        self.check_corpus(self.corpus(odd(TestTextInputFuzz.EXAMPLE), end))
+
+    def test_a_leading_bom_is_json_loads_error(self):
+        data = b"\xef\xbb\xbf" + self.log(json.dumps(TestTextInputFuzz.PREDICTION).encode())
+        with pytest.raises(ValueError, match=r"^p:1: Unexpected UTF-8 BOM"):
+            metrics.prediction_columns(self.lines(data), "g", path="p")

@@ -1,4 +1,5 @@
 import hashlib
+import io
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from fairvec import corpus
 from fairvec.corpus import (
     CorpusSpec,
+    _example,
     _gen_example,
     default_proportions,
     gen_corpus,
@@ -174,6 +176,22 @@ def test_save_load_corpus(tmp_path):
 def _read_examples(path):
     with open(path, encoding="utf-8") as fh:
         return parse_examples(fh, path)
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [("true", 1), ("1.0", 1), ("false", 0), ("0.0", 0), ("-0.0", 0)],
+)
+def test_corpus_labels_take_bools_and_integral_floats(monkeypatch, text, label):
+    """A corpus line's y_true is binary_label's, as a log line's is: true and
+    false and the floats 1.0, 0.0 and -0.0 are labels (pinned as it is), and
+    _example reads each line."""
+    read = []
+    monkeypatch.setattr(corpus, "_example", lambda obj: read.append(obj) or _example(obj))
+    line = f'{{"id": "x", "tokens": ["a"], "y_true": {text}, "groups": {{"g": "A"}}}}'
+    (example,) = parse_examples(io.StringIO(line + "\n"), "c.jsonl")
+    assert example.y_true == label and type(example.y_true) is int
+    assert [obj["id"] for obj in read] == ["x"]
 
 
 # sha256 of save_corpus's train.jsonl and test.jsonl for the default 7-group

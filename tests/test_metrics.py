@@ -2,15 +2,18 @@ import io
 import json
 import re
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fairvec import metrics
 from fairvec.errors import EmptyGroup, InsufficientGroups
 from fairvec.metrics import (
     PredictionRecord,
+    _prediction,
     accuracy_parity_gap,
     binarize,
     dpd,
@@ -398,6 +401,72 @@ def test_prediction_columns_check_every_line_before_empty_group():
         prediction_columns(io.StringIO("\n".join(lines)), "g", path="log")
     with pytest.raises(EmptyGroup, match="record 'a' lacks attribute 'g'"):
         prediction_columns(io.StringIO(lines[0]), "g")
+
+
+@pytest.mark.parametrize("score", ['"0.7"', "true", "false", "null", "[0.5]"])
+def test_a_score_that_is_not_a_json_number_names_its_line(tmp_path, score):
+    """score takes what is_json_number takes: no string and no bool."""
+    good = {"id": "a", "y_true": 1, "score": 0.5, "groups": {"g": "A"}}
+    text = json.dumps(good) + "\n" + json.dumps(good).replace("0.5", score) + "\n"
+    path = tmp_path / "preds.jsonl"
+    path.write_text(text)
+    reason = re.escape(f"2: score must be a JSON number, got {json.loads(score)!r}")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{reason}$"):
+        load_predictions(path)
+    with pytest.raises(ValueError, match=f"^log:{reason}$"):
+        prediction_columns(io.StringIO(text), "g", path="log")
+
+
+@pytest.mark.parametrize("score", ["NaN", "Infinity", "-Infinity", "1e400"])
+def test_a_non_finite_score_names_its_line(score):
+    good = {"id": "a", "y_true": 1, "score": 0.5, "groups": {"g": "A"}}
+    text = json.dumps(good).replace("0.5", score)
+    with pytest.raises(ValueError, match="^log:1: non-finite score$"):
+        prediction_columns(io.StringIO(text), "g", path="log")
+
+
+@pytest.mark.parametrize(
+    "text, label",
+    [("true", 1), ("1.0", 1), ("false", 0), ("0.0", 0), ("-0.0", 0)],
+)
+def test_log_labels_take_bools_and_integral_floats(monkeypatch, text, label):
+    """binary_label takes true and false and the floats 1.0, 0.0 and -0.0 as
+    labels (pinned as it is, not a rule chosen here). A log line with such a
+    y_true or y_pred is outside prediction_columns' inline shape, so
+    _prediction reads it."""
+    read = []
+    monkeypatch.setattr(
+        metrics, "_prediction", lambda obj: read.append(obj) or _prediction(obj)
+    )
+    lines = [f'{{"id": "a", "y_true": {text}, "score": 0.25, "groups": {{"g": "A"}}}}',
+             f'{{"id": "b", "y_true": 1, "score": 0.25, "y_pred": {text}, '
+             '"groups": {"g": "A"}}']
+    columns, y_pred = prediction_columns(io.StringIO("\n".join(lines)), "g")
+    assert columns.y_true.tolist() == [label, 1]
+    assert y_pred.tolist() == [0, label]
+    assert [obj["id"] for obj in read] == ["a", "b"]
+
+
+def test_prediction_columns_memory_is_bounded_by_the_log():
+    """prediction_columns streams: its tracemalloc peak over a 10^4-line log
+    stays within twice the log's text, where every decoded record held at
+    once takes about eight times it."""
+    groups = ["A", "B", "C", "D"]
+    data = "".join(
+        json.dumps({"id": f"r{i:05d}", "y_true": i % 2, "score": i * 7919 % 10007 / 10007,
+                    **({"y_pred": i % 3 % 2} if i % 2 else {}), "groups": {"g": groups[i % 4]}})
+        + "\n"
+        for i in range(10_000)
+    ).encode()
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    tracemalloc.start()
+    try:
+        columns, _ = prediction_columns(text, "g")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(columns.codes) == 10_000
+    assert peak <= 2 * len(data)
 
 
 FLOAT_MAX = sys.float_info.max
