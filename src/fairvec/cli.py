@@ -24,6 +24,7 @@ import os
 import re
 import sys
 import time
+from dataclasses import asdict
 
 from . import __version__, arith, corpus, metrics, sweep as sweep_mod, toymodel
 from .atomic import atomic_open
@@ -102,8 +103,7 @@ class _Run:
             "duration_s": time.monotonic() - self.started,
         }
         with atomic_open(path) as fh:
-            json.dump(manifest, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+            fh.write(metrics.json_text(manifest))
 
     def close(self):
         """Join the worker; a digest not yet started is dropped."""
@@ -162,12 +162,12 @@ def cmd_eval(args, run):
         run.text(args.preds), args.attribute, args.threshold, args.preds
     )
     report = columns.report(y_pred)
-    text = json.dumps(report.to_dict(), sort_keys=True, indent=2)
+    text = metrics.json_text(report.to_dict())
     if args.output:
         with atomic_open(args.output) as fh:
-            fh.write(text + "\n")
+            fh.write(text)
     else:
-        print(text)
+        print(text, end="")
     if args.csv:
         with atomic_open(args.csv) as fh:
             fh.write(report.to_csv())
@@ -182,9 +182,7 @@ def cmd_gen_data(args, run):
     spec = corpus.CorpusSpec.from_json(run.text(args.spec).read())
     train, test = corpus.gen_corpus(spec)
     corpus.save_corpus(spec, train, test, args.output)
-    run.write_manifest(
-        os.path.join(args.output, "manifest.json"), json.loads(spec.to_json())
-    )
+    run.write_manifest(os.path.join(args.output, "manifest.json"), asdict(spec))
 
 
 def cmd_train_toy(args, run):
@@ -234,10 +232,8 @@ _KINDS = {dict: "an object", list: "a list", str: "a string", int: "an integer",
 
 
 def _config_value(value, kind, name):
-    """value; UsageError unless it is a kind (float: a number that
-    metrics.is_json_number takes; no kind takes a bool)."""
-    if not (metrics.is_json_number(value) if kind is float
-            else isinstance(value, kind) and not isinstance(value, bool)):
+    """value; UsageError unless it is a kind (metrics.is_json_kind)."""
+    if not metrics.is_json_kind(value, kind):
         raise UsageError(f"sweep config {name} must be {_KINDS[kind]}, got {value!r}")
     return value
 

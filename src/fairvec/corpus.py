@@ -42,7 +42,8 @@ import numpy as np
 
 from .atomic import atomic_open
 from .errors import InvalidSpec
-from .metrics import binary_label, is_json_number, parse_jsonl, string_map, write_jsonl
+from .metrics import binary_label, is_json_kind, is_json_number, json_text, parse_jsonl
+from .metrics import record_id, string_map, write_jsonl
 
 # 7-subgroup default mix (counts 817/114/178/173/148/2057/59, total 3546)
 DEFAULT_GROUP_COUNTS = {
@@ -123,17 +124,20 @@ class CorpusSpec:
         return sorted(self.proportions)
 
     def rate_for_all(self) -> dict[str, float]:
-        if isinstance(self.base_rates, dict):
-            return {g: self.base_rates.get(g, 0.35) for g in self.proportions}
-        return {g: self.base_rates for g in self.proportions}
+        return self._per_group(self.base_rates, 0.35)
 
     def bias_for_all(self) -> dict[str, float]:
-        if isinstance(self.bias, dict):
-            return {g: self.bias.get(g, 0.0) for g in self.proportions}
-        return {g: self.bias for g in self.proportions}
+        return self._per_group(self.bias, 0.0)
+
+    def _per_group(self, value, default: float) -> dict[str, float]:
+        """value for every group: a scalar for all, or a dict by group whose
+        missing groups take default."""
+        if isinstance(value, dict):
+            return {g: value.get(g, default) for g in self.proportions}
+        return dict.fromkeys(self.proportions, value)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True, indent=2)
+        return json_text(asdict(self))
 
     @classmethod
     def from_json(cls, text: str) -> "CorpusSpec":
@@ -153,14 +157,11 @@ class CorpusSpec:
 
 
 def _like(value, default) -> bool:
-    """Whether a JSON value has the type of a field whose default is default:
-    a float field takes a number is_json_number takes, a dict one an object
-    of them."""
-    if isinstance(default, dict):
-        return isinstance(value, dict) and all(map(is_json_number, value.values()))
-    if isinstance(default, float):
-        return is_json_number(value)
-    return type(value) is type(default)
+    """Whether a JSON value has the kind of a field whose default is default
+    (is_json_kind); a dict field takes an object of numbers is_json_number
+    takes."""
+    return is_json_kind(value, type(default)) and (
+        type(value) is not dict or all(map(is_json_number, value.values())))
 
 
 @dataclass(frozen=True)
@@ -376,7 +377,7 @@ def gen_corpus(spec: CorpusSpec) -> tuple[list[Example], list[Example]]:
 
 
 def _example(obj) -> Example:
-    rec_id, tokens = str(obj["id"]), obj["tokens"]
+    rec_id, tokens = record_id(obj["id"]), obj["tokens"]
     if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
         raise ValueError(f"tokens must be a list of strings, got {tokens!r}")
     return Example(
@@ -398,4 +399,4 @@ def save_corpus(spec: CorpusSpec, train, test, out_dir: str | os.PathLike) -> No
     for name, examples in (("train", train), ("test", test)):
         write_jsonl((vars(ex) for ex in examples), os.path.join(out_dir, f"{name}.jsonl"))
     with atomic_open(os.path.join(out_dir, "spec.json")) as fh:
-        fh.write(spec.to_json() + "\n")
+        fh.write(spec.to_json())

@@ -33,11 +33,7 @@ class IoFailure(CheckpointError):
 
 # --- weight-space algebra ---
 
-class ArithmeticError_(FairvecError):
-    pass
-
-
-class NameSetMismatch(ArithmeticError_):
+class NameSetMismatch(FairvecError):
     def __init__(self, missing, extra):
         self.missing = sorted(missing)
         self.extra = sorted(extra)
@@ -46,47 +42,39 @@ class NameSetMismatch(ArithmeticError_):
         )
 
 
-class ShapeMismatch(ArithmeticError_):
+class ShapeMismatch(FairvecError):
     def __init__(self, name, a_shape, b_shape):
         self.name = name
         super().__init__(f"shape mismatch for tensor {name!r}: {a_shape} vs {b_shape}")
 
 
-class NonFiniteCoefficient(ArithmeticError_):
+class NonFiniteCoefficient(FairvecError):
     pass
 
 
-class ZeroVector(ArithmeticError_):
+class ZeroVector(FairvecError):
     pass
 
 
 # --- fairness metrics ---
 
-class MetricsError(FairvecError):
+class EmptyGroup(FairvecError):
     pass
 
 
-class EmptyGroup(MetricsError):
-    pass
-
-
-class InsufficientGroups(MetricsError):
+class InsufficientGroups(FairvecError):
     pass
 
 
 # --- toy lab ---
 
-class ToyLabError(FairvecError):
+class InvalidSpec(FairvecError):
     pass
 
 
-class InvalidSpec(ToyLabError):
+class DivergedTraining(FairvecError):
     pass
 
 
-class DivergedTraining(ToyLabError):
-    pass
-
-
-class IncompatibleCheckpoint(ToyLabError):
+class IncompatibleCheckpoint(FairvecError):
     pass

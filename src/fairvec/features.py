@@ -4,10 +4,11 @@ Tokens are hashed with FNV-1a (64-bit, standard offset basis and prime) over
 their UTF-8 bytes and bucketed modulo the feature dimension. The hash is
 fixed so feature vectors are portable across platforms and processes.
 
-``featurize`` is the definition of a row. ``featurize_all`` and
-``touched_buckets`` read a whole split's tokens through ``_token_buckets``,
-which maps the token stream to buckets in one C-level pass over a lookup
-table and hashes each distinct token once per call.
+``featurize`` is the definition of a row. ``touched_buckets`` reads a whole
+split's tokens: it maps the token stream to buckets in one C-level pass over
+a lookup table and hashes each distinct token once per call. ``token_counts``
+is the one counter of those tokens into columns, a trainer's or a scorer's
+layout, and ``featurize_all`` is that count over all ``dim`` columns.
 """
 
 from __future__ import annotations
@@ -52,30 +53,31 @@ class _Buckets(dict):
         return b
 
 
-def _token_buckets(examples, dim: int) -> tuple[np.ndarray, np.ndarray]:
-    """(rows, buckets): for each token of the examples in order, its
-    example's row and its bucket, both np.intp."""
-    lens = [len(ex.tokens) for ex in examples]
-    lookup = _Buckets(dim)
-    tokens = chain.from_iterable(ex.tokens for ex in examples)
-    buckets = np.fromiter(map(lookup.__getitem__, tokens), np.intp, sum(lens))
-    return np.repeat(np.arange(len(lens), dtype=np.intp), lens), buckets
-
-
-def featurize_all(examples, dim: int) -> np.ndarray:
-    """Row i equals featurize(examples[i].tokens, dim)."""
-    rows, buckets = _token_buckets(examples, dim)
-    mat = np.zeros(len(examples) * dim, dtype=np.float32)
-    np.add.at(mat, rows * dim + buckets, np.float32(1.0))
-    return mat.reshape(len(examples), dim)
-
-
 def touched_buckets(examples, dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(cols, rows, at), each np.intp: the sorted buckets some example
     touches and, for each token of the examples in order, its example's row
     and its bucket's index in cols."""
-    rows, buckets = _token_buckets(examples, dim)
+    lens = [len(ex.tokens) for ex in examples]
+    lookup = _Buckets(dim)
+    tokens = chain.from_iterable(ex.tokens for ex in examples)
+    buckets = np.fromiter(map(lookup.__getitem__, tokens), np.intp, sum(lens))
+    rows = np.repeat(np.arange(len(lens), dtype=np.intp), lens)
     present = np.zeros(dim, bool)
     present[buckets] = True
     index = np.cumsum(present, dtype=np.intp) - 1  # a touched bucket's index in cols
     return np.flatnonzero(present), rows, index[buckets]
+
+
+def token_counts(n: int, pcols: np.ndarray, cols: np.ndarray, rows, at) -> np.ndarray:
+    """The n x len(pcols) float32 token counts over the layout pcols of the
+    touched columns cols, +0 at a pad (-1): rows and at are a token's row
+    and column index in cols (touched_buckets). Counting straight into the
+    layout holds no second, compact copy of the features."""
+    X = np.zeros((n, len(pcols)), np.float32)
+    np.add.at(X, (rows, np.flatnonzero(np.isin(pcols, cols))[at]), np.float32(1.0))
+    return X
+
+
+def featurize_all(examples, dim: int) -> np.ndarray:
+    """Row i equals featurize(examples[i].tokens, dim)."""
+    return token_counts(len(examples), np.arange(dim), *touched_buckets(examples, dim))

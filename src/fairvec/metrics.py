@@ -30,10 +30,13 @@ under the same ``path:line`` error mapping (``_line_error``).
 prediction log is written the same way from ``vars`` of each record: one
 sorted-key JSON object per line, written atomically. Every CSV document,
 here and in the sweep CSV, is ``csv_text``'s, and every cell
-``csv_cell``'s full-precision ``repr``, or empty for None.
-``is_json_number`` is the one rule for the numbers a float field of a JSON
-input takes: ``gen-data`` specs, ``sweep`` configs and a log line's
-``score``.
+``csv_cell``'s full-precision ``repr``, or empty for None. Every JSON
+document (reports, manifests, specs and sweep results) is ``json_text``'s.
+``OVERALL_METRICS`` names a report's overall metrics, for its JSON and the
+sweep's aggregates. ``is_json_number`` is the one rule for the numbers a
+float field of a JSON input takes: ``gen-data`` specs, ``sweep`` configs
+and a log line's ``score``. ``is_json_kind`` extends it to every kind a
+spec or config field takes, and a record's ``id`` must be a string.
 """
 
 from __future__ import annotations
@@ -57,6 +60,9 @@ _FLOAT_MAX = sys.float_info.max
 
 # columns of a confusion-table row, indexed by y_true * 2 + y_pred
 _TN, _FP, _FN, _TP = range(4)
+
+# a GroupReport's overall metrics, in report order
+OVERALL_METRICS = ("macro_accuracy", "overall_dpd", "overall_eod", "accuracy_parity_gap")
 
 
 @dataclass(frozen=True)
@@ -96,6 +102,13 @@ def is_json_number(value) -> bool:
     integers beyond float range are not. The float fields are those of
     gen-data specs and sweep configs, and a prediction log line's score."""
     return type(value) in (int, float) and abs(value) <= _FLOAT_MAX
+
+
+def is_json_kind(value, kind: type) -> bool:
+    """Whether a parsed JSON value is of kind, one of dict, list, str, int and
+    float: float takes a number is_json_number takes, and no kind takes a
+    bool."""
+    return is_json_number(value) if kind is float else type(value) is kind
 
 
 def _binary_column(name: str, values: list) -> np.ndarray:
@@ -322,6 +335,12 @@ def csv_text(rows) -> str:
     return buf.getvalue()
 
 
+def json_text(obj) -> str:
+    """obj as one JSON document with sorted keys, a two-space indent and a
+    final LF: the text of every JSON document fairvec writes."""
+    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+
+
 @dataclass
 class GroupRow:
     group: str
@@ -359,12 +378,7 @@ class GroupReport:
         return {
             "attribute": self.attribute,
             "rows": [vars(r) for r in self.rows],
-            "overall": {
-                "macro_accuracy": self.macro_accuracy,
-                "overall_dpd": self.overall_dpd,
-                "overall_eod": self.overall_eod,
-                "accuracy_parity_gap": self.accuracy_parity_gap,
-            },
+            "overall": {m: getattr(self, m) for m in OVERALL_METRICS},
             "undefined": [list(u) for u in self.undefined],
         }
 
@@ -412,6 +426,14 @@ def evaluate(records, attribute: str) -> GroupReport:
     """
     columns, y_pred = _columns(records, attribute)
     return columns.report(y_pred)
+
+
+def record_id(value) -> str:
+    """value, or ValueError unless it is a string: a log or corpus line's
+    id."""
+    if not is_json_kind(value, str):
+        raise ValueError(f"id must be a string, got {value!r}")
+    return value
 
 
 def string_map(name: str, value) -> dict[str, str]:
@@ -478,7 +500,8 @@ def write_jsonl(objects, path: str | os.PathLike) -> None:
 
 def _prediction(obj) -> tuple[str, int, float, int | None, dict[str, str]]:
     """A log line's (id, y_true, score, y_pred or None, groups): the one
-    definition of a valid line. score is a number is_json_number takes."""
+    definition of a valid line. score is a number is_json_number takes, and
+    id a string (record_id)."""
     score = obj["score"]
     if type(score) not in (int, float):
         raise ValueError(f"score must be a JSON number, got {score!r}")
@@ -486,7 +509,7 @@ def _prediction(obj) -> tuple[str, int, float, int | None, dict[str, str]]:
     score = float(score)  # OverflowError for an integer beyond float range
     y_pred = obj.get("y_pred")
     y_pred = None if y_pred is None else binary_label("y_pred", y_pred)
-    rec_id, y_true = str(obj["id"]), binary_label("y_true", obj["y_true"])
+    rec_id, y_true = record_id(obj["id"]), binary_label("y_true", obj["y_true"])
     groups = string_map("groups", obj["groups"])
     if not finite:
         raise ValueError("non-finite score")

@@ -39,14 +39,13 @@ from .arith import TaskVector, WeightedVector, is_finite_f32, merge
 from .atomic import atomic_open
 from .ckpt import Checkpoint
 from .errors import InsufficientGroups, IoFailure
-from .metrics import DEFAULT_THRESHOLD, GroupColumns, GroupReport, check_threshold
-from .metrics import csv_cell, csv_text
+from .metrics import DEFAULT_THRESHOLD, OVERALL_METRICS, GroupColumns, GroupReport
+from .metrics import check_threshold, csv_cell, csv_text, json_text
 
 MERGE_GRID = [round(0.1 * i, 1) for i in range(11)]    # 0.0 .. 1.0 step 0.1
 INJECT_GRID = [round(0.2 * i, 1) for i in range(6)]    # 0.0 .. 1.0 step 0.2
 DEFAULT_SEEDS = [13, 14, 15]
 
-OVERALL_METRICS = ("macro_accuracy", "overall_dpd", "overall_eod", "accuracy_parity_gap")
 # the overall metrics for which lower is fairer
 DISPARITY_METRICS = ("overall_dpd", "overall_eod", "accuracy_parity_gap")
 # catch-all groups that worst_subgroups never ranks
@@ -138,8 +137,7 @@ class SweepResult:
     def to_csv(self) -> str:
         rows = [
             ["lambda", "seed", "group", "n", "accuracy", "selection_rate",
-             "dpd_ovr", "eod_ovr", "macro_accuracy", "overall_dpd",
-             "overall_eod", "accuracy_parity_gap"]
+             "dpd_ovr", "eod_ovr", *OVERALL_METRICS]
         ]
         for r in self.rows:
             lam = csv_cell(r.lam)
@@ -278,7 +276,7 @@ def emit(
             raise IoFailure(f"cannot write {path}: {exc}") from exc
         written.append(path)
 
-    write("result.json", json.dumps(result.to_dict(), sort_keys=True, indent=2) + "\n")
+    write("result.json", json_text(result.to_dict()))
     write("result.csv", result.to_csv())
     agg = result.aggregates()
     for fname, metric, label in (
@@ -311,5 +309,5 @@ def emit(
         "input_digests": dict(sorted((input_digests or {}).items())),
         "provenance": dict(result.provenance),
     }
-    write("manifest.json", json.dumps(manifest, sort_keys=True, indent=2) + "\n")
+    write("manifest.json", json_text(manifest))
     return written

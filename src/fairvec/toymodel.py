@@ -33,8 +33,8 @@ or -1 for a pad), the features over them, and a plan of how the forward
 sums. The compact layout holds the touched columns
 (``features.touched_buckets``). Dense is the all-columns layout: every
 column, the dense matrix, and the single product ``X @ W1``. The features
-are counted straight into the layout (``_counts``), so no second, compact
-copy of them is held. The loop is
+are counted straight into the layout (``features.token_counts``), so no
+second, compact copy of them is held. The loop is
 the same for both: the W1 gradient is ``X.T @ dZ`` over the layout's
 batch, of W1's layout rows. ``train`` trains those rows in place and
 scatters the real ones back at the end, so untouched rows keep their
@@ -121,7 +121,7 @@ import numpy as np
 from .arith import is_finite_f32
 from .ckpt import Checkpoint, Dtype, Tensor
 from .errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
-from .features import featurize_all, touched_buckets
+from .features import featurize_all, token_counts, touched_buckets
 from .metrics import DEFAULT_THRESHOLD, PredictionRecord, binarize, check_threshold
 
 TENSOR_NAMES = ("W1", "b1", "w2", "b2")
@@ -315,9 +315,12 @@ def _degenerate(y: np.ndarray) -> bool:
     return bool(np.all(y == y[0]))
 
 
-# K-panel widths (GEMM_Q) to try: OpenBLAS 0.3.31's sgemm uses 448 on an
-# AVX-512 CPU; the others are widths of other kernels, and the probe rejects
-# a wrong one
+# K-panel widths (GEMM_Q) to try; the probe rejects a wrong one. Measured
+# with OpenBLAS 0.3.31's sgemm kernels (OPENBLAS_CORETYPE): SkylakeX uses
+# 448; Sandybridge 384 at dim 4096 and 448 at dim 512; Nehalem 512. Haswell
+# (which Zen also loads) and Katmai (which Prescott, Core2 and Penryn load)
+# find no layout and train dense. No kernel tried picks 320 or 256; they stay
+# for kernels that could not be tried.
 _PANEL_WIDTHS = (448, 384, 512, 320, 256)
 # the kernel unroll a split remainder is rounded up to; with that OpenBLAS a
 # K of 1000 splits as 448 + 276 + 276, so the unroll divides 4
@@ -353,16 +356,6 @@ def _padded(dim: int, cols: np.ndarray, q: int):
     for row, p in zip(pcols, slices):
         row[: p.stop - p.start] = cols[p]
     return pcols.reshape(-1), len(slices)
-
-
-def _counts(n: int, pcols: np.ndarray, cols: np.ndarray, rows, at) -> np.ndarray:
-    """The n x len(pcols) float32 token counts over the layout pcols of the
-    touched columns cols, +0 at the pads: rows and at are a token's row and
-    column index in cols (features.touched_buckets). Featurizing straight
-    into the layout holds no second, compact copy of the features."""
-    X = np.zeros((n, len(pcols)), np.float32)
-    np.add.at(X, (rows, np.flatnonzero(np.isin(pcols, cols))[at]), np.float32(1.0))
-    return X
 
 
 def _rows(M: np.ndarray, pcols: np.ndarray) -> np.ndarray:
@@ -464,10 +457,11 @@ def _flat(tensors: dict[str, np.ndarray]):
     return flat, views
 
 
-def _descend(examples, model: ToyModel, hyper: Hyper, stream: int, updater, rank: int = 0):
+def _descend(examples, y, model: ToyModel, hyper: Hyper, stream: int, updater, rank: int = 0):
     """The one training loop, of train and train_lora: mini-batch descent on
-    the examples from model in _layout's layout, one loss_and_grads per step
-    of _minibatches(stream). The parameters (model's tensors, W1 narrowed to
+    the examples, whose labels are y (_labels, built once per trainer call),
+    from model in _layout's layout, one loss_and_grads per step of
+    _minibatches(stream). The parameters (model's tensors, W1 narrowed to
     the layout's rows cols with +0 pad rows) and their gradients are each
     one flat buffer seen through a dict of views (_flat); loss_and_grads
     writes the gradients in place. updater(params, grads, cols, plan), with
@@ -478,9 +472,8 @@ def _descend(examples, model: ToyModel, hyper: Hyper, stream: int, updater, rank
     if not examples:
         raise EmptyGroup("cannot train on an empty dataset")
     tokens = touched_buckets(examples, model.dim)
-    y = _labels(examples)
     cols, plan = _layout(tokens[0], len(y), model.W1, hyper.batch_size, rank)
-    X = _counts(len(y), cols, *tokens)
+    X = token_counts(len(y), cols, *tokens)
     del tokens  # a training run does not hold its token arrays
     params = _flat({**model.arrays(), "W1": _rows(model.W1, cols)})
     grads = _flat(params[1])
@@ -528,11 +521,12 @@ def train(
         ToyModel.from_checkpoint(base) if base is not None
         else init_model(dim, hidden, hyper.seed)
     )
-    cols, arrays = _descend(examples, model, hyper, 1, _sgd)
+    y = _labels(examples)
+    cols, arrays = _descend(examples, y, model, hyper, 1, _sgd)
     _put_rows(model.W1, cols, arrays["W1"])
     model.b1, model.w2, model.b2 = arrays["b1"], arrays["w2"], arrays["b2"]
     meta = _metadata(hyper, metadata)
-    if _degenerate(_labels(examples)):
+    if _degenerate(y):
         meta["degenerate_labels"] = "true"
     return model.to_checkpoint(meta)
 
@@ -637,7 +631,7 @@ def train_lora(
         effective()
         return update
 
-    cols, arrays = _descend(examples, model, hyper, 3, adapter, rank)
+    cols, arrays = _descend(examples, _labels(examples), model, hyper, 3, adapter, rank)
     _put_rows(A, cols, arrays["A"])
     model.b2 = arrays["b2"]
     meta = _metadata(hyper, metadata, lora_rank=str(rank), lora_alpha=repr(float(alpha)))
@@ -718,15 +712,15 @@ class SplitScorer:
         W = np.random.default_rng(0).standard_normal((dim, hidden), dtype=np.float32)
         held = np.isin(rows, probe)
         tokens = cols, rows[held], at[held]
-        want = (_counts(n, np.arange(dim), *tokens) @ W)[probe].tobytes()
+        want = (token_counts(n, np.arange(dim), *tokens) @ W)[probe].tobytes()
         for pcols, panels in _layouts(dim, cols):
-            plan = _plan(_counts(n, pcols, *tokens), _rows(W, pcols), panels, want, probe)
+            plan = _plan(token_counts(n, pcols, *tokens), _rows(W, pcols), panels, want, probe)
             if plan is not False:
                 break
         else:
             pcols, plan = np.arange(dim), None
         self.examples, self.cols, self.panels = examples, pcols, plan
-        self.X = _counts(n, pcols, cols, rows, at)
+        self.X = token_counts(n, pcols, cols, rows, at)
 
     def scores(self, model: ToyModel) -> np.ndarray:
         """The bytes of score_features of the split's dense features under

@@ -657,6 +657,10 @@ def test_eval_bad_threshold_exit_2(tmp_path, threshold):
          "score must be a JSON number, got '0.7'"),
         ('{"id": "x", "y_true": 1, "score": true, "groups": {"g": "A"}}',
          "score must be a JSON number, got True"),
+        ('{"id": 7, "y_true": 1, "score": 0.5, "groups": {"g": "A"}}',
+         "id must be a string, got 7"),
+        ('{"id": null, "y_true": 1, "score": 0.5, "groups": {"g": "A"}}',
+         "id must be a string, got None"),
     ],
 )
 def test_eval_malformed_line_names_location(tmp_path, line, reason):
@@ -787,6 +791,10 @@ def test_eval_crlf_and_u2028_lines(tmp_path):
          "groups must map names to strings"),
         ('{"id": "x", "tokens": ["a"], "y_true": 1, "groups": ["g"]}',
          "groups must map names to strings"),
+        ('{"id": 7, "tokens": ["a"], "y_true": 1, "groups": {"g": "A"}}',
+         "id must be a string, got 7"),
+        ('{"id": ["x"], "tokens": ["a"], "y_true": 1, "groups": {"g": "A"}}',
+         "id must be a string, got ['x']"),
     ],
 )
 def test_train_toy_bad_corpus_line_exit_2(workdir, tmp_path, line, reason):
@@ -872,6 +880,27 @@ def test_apply_non_checkpoint_exit_1(workdir):
     assert proc.stderr.startswith("error: MalformedHeader: ")
     assert len(proc.stderr.splitlines()) == 1
     assert not (workdir / "x.ckpt").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["diff", "{empty}", "{wd}/base.ckpt"],
+        ["apply", "{wd}/base.ckpt", "{empty}"],
+        ["merge", "{empty}", "--vec", "{wd}/vA.ckpt:1"],
+        ["merge", "{wd}/base.ckpt", "--vec", "{empty}:0.5"],
+    ],
+    ids=["diff", "apply", "merge-base", "merge-vec"],
+)
+def test_empty_checkpoint_exit_1_one_line(workdir, tmp_path, argv):
+    """A 0-byte checkpoint is a malformed header (exit 1), like any file
+    too short for the length prefix."""
+    (tmp_path / "empty.ckpt").write_bytes(b"")
+    argv = [a.format(wd=workdir, empty=tmp_path / "empty.ckpt") for a in argv]
+    proc = run_cli([*argv, "-o", "x.ckpt"], tmp_path)
+    assert proc.returncode == 1
+    assert proc.stderr == "error: MalformedHeader: file shorter than the 8-byte length prefix\n"
+    assert not (tmp_path / "x.ckpt").exists()
 
 
 def test_gen_data_missing_spec_exit_2(tmp_path):

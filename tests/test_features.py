@@ -53,7 +53,7 @@ def test_featurize_all_rows_match_featurize(dim):
     for i, ex in enumerate(examples):
         assert mat[i].tobytes() == featurize(ex.tokens, dim).tobytes(), i
     cols, rows, at = touched_buckets(examples, dim)
-    # _counts and SplitScorer index with them
+    # token_counts and SplitScorer index with them
     assert [a.dtype for a in (cols, rows, at)] == [np.dtype(np.intp)] * 3
     assert np.array_equal(cols, np.flatnonzero(mat.any(axis=0)))
     assert [(int(r), int(cols[a])) for r, a in zip(rows, at)] == [

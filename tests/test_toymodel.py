@@ -1,11 +1,17 @@
 import copy
+import os
+import platform
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import step_reference as ref
+from conftest import SRC
 from fairvec.ckpt import Checkpoint, Tensor, write_checkpoint
 from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
@@ -508,7 +514,7 @@ class TestSparseTraining:
         if np.array_equal(layout[layout >= 0], cols):
             # compact: the touched columns in order, padded (-1) to equal
             # panels, and the features over them, +0 at the pads
-            Xl = toymodel._counts(len(subset), layout, *tokens)
+            Xl = features.token_counts(len(subset), layout, *tokens)
             assert np.array_equal(Xl[:, layout >= 0], featurize_all(subset, dim)[:, cols])
             assert not Xl[:, layout < 0].any()
             for panels in plan.values():
@@ -559,7 +565,7 @@ class TestSparseTraining:
         layout, plan = _layout(tokens[0], len(readme_split), init_model(512, 16, 13).W1, 32)
         assert np.array_equal(layout, np.arange(512))
         assert plan == dict.fromkeys({32, len(readme_split) % 32} - {0})
-        dense = toymodel._counts(len(readme_split), layout, *tokens)
+        dense = features.token_counts(len(readme_split), layout, *tokens)
         assert dense.tobytes() == featurize_all(readme_split, 512).tobytes()
         hy = Hyper(epochs=3, seed=13)
         base = dense_train_reference(readme_split, Hyper(epochs=2, seed=14), 512, 16)
@@ -976,7 +982,8 @@ class TestLeanStepLayouts:
         """After training, the pad rows of the layout W1 still hold +0, and
         the checkpoint has the dense loop's bytes."""
         subset, hy = self.padded_split(corpus), Hyper(epochs=3, seed=13)
-        cols, arrays = toymodel._descend(subset, init_model(4096, 32, 13), hy, 1, _sgd)
+        y = _labels(subset)
+        cols, arrays = toymodel._descend(subset, y, init_model(4096, 32, 13), hy, 1, _sgd)
         pads = cols < 0
         assert pads.any()
         assert arrays["W1"][pads].tobytes() == bytes(4 * 32 * pads.sum())
@@ -1018,3 +1025,58 @@ class TestLeanStepLayouts:
             lora_train_reference(subset, base, two, alpha=24.0)
         with pytest.raises(DivergedTraining, match="epoch 1, step 0$"):
             train_lora(subset, base, two, alpha=24.0)
+
+
+# Trains the paper-scale seed-13 Women subgroup for 2 epochs and scores the
+# whole train split, in the layouts this BLAS kernel matches and then with
+# _plan patched to match nothing (every layout dense); exits 1 unless the
+# checkpoint and the score bytes are equal.
+_KERNEL_RUN = """
+import sys
+from fairvec import toymodel
+from fairvec.corpus import CorpusSpec, gen_corpus
+
+train, _ = gen_corpus(CorpusSpec(total=3546, seed=13))
+women = toymodel.subgroup(train, "gender", "Women")
+
+def run():
+    ckpt = toymodel.train(women, toymodel.Hyper(epochs=2, seed=13), dim=4096, hidden=32)
+    scorer = toymodel.SplitScorer(train, 4096, 32)
+    scores = scorer.scores(toymodel.ToyModel.from_checkpoint(ckpt))
+    return ckpt.tensors, scores.tobytes(), (len(scorer.cols), scorer.panels)
+
+compact = run()
+toymodel._plan = lambda *args, **kwargs: False
+dense = run()
+print("scorer layout (columns, panels):", compact[2], "forced dense:", dense[2])
+sys.exit(compact[:2] != dense[:2])
+"""
+
+# the instructions each OpenBLAS kernel needs, as /proc/cpuinfo names them
+_KERNEL_FLAGS = {"Haswell": {"avx2", "fma"}, "Sandybridge": {"avx"}, "Nehalem": {"sse4_2"}}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        lines = Path("/proc/cpuinfo").read_text().splitlines()
+    except OSError:
+        return set()
+    return {f for line in lines if line.startswith("flags") for f in line.split(":", 1)[1].split()}
+
+
+@pytest.mark.parametrize("kernel", sorted(_KERNEL_FLAGS))
+def test_compact_bytes_equal_dense_under_blas_kernel(kernel):
+    """OPENBLAS_CORETYPE switches a DYNAMIC_ARCH OpenBLAS (numpy's wheels)
+    to another sgemm kernel, with its own K blocking. Whatever layout the
+    probes pick under it, training and scoring give the bytes of the
+    all-columns layout."""
+    if platform.machine().lower() not in ("x86_64", "amd64"):
+        pytest.skip("OpenBLAS x86 kernels")
+    if not _KERNEL_FLAGS[kernel] <= _cpu_flags():
+        pytest.skip(f"this CPU lacks the {kernel} kernel's instructions")
+    env = dict(os.environ, OPENBLAS_CORETYPE=kernel, PYTHONWARNINGS="error::RuntimeWarning")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _KERNEL_RUN], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
