@@ -19,13 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .atomic import atomic_open
-from .errors import (
-    IoFailure,
-    MalformedHeader,
-    OverlappingOffsets,
-    TruncatedData,
-    UnsupportedDtype,
-)
+from .errors import MalformedHeader, OverlappingOffsets, TruncatedData, UnsupportedDtype
 
 METADATA_KEY = "__metadata__"
 
@@ -268,11 +262,8 @@ def write_checkpoint(ckpt: Checkpoint, path: str | os.PathLike) -> None:
         cursor = end
     blob = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    try:
-        with atomic_open(path, "wb") as fh:
-            fh.write(struct.pack("<Q", len(blob)))
-            fh.write(blob)
-            for chunk in payloads:
-                fh.write(chunk)
-    except OSError as exc:
-        raise IoFailure(f"cannot write checkpoint to {path}: {exc}") from exc
+    with atomic_open(path, "wb") as fh:
+        fh.write(struct.pack("<Q", len(blob)))
+        fh.write(blob)
+        for chunk in payloads:
+            fh.write(chunk)

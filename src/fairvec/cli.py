@@ -145,7 +145,9 @@ def cmd_merge(args, run):
     vecs = [_parse_vec_arg(spec) for spec in args.vec or []]
     base = run.checkpoint(args.base)
     # Each vector is read when the fold reaches it and let go once it is
-    # added, so one vector's bytes are live at a time, however many there are.
+    # added, so at most two vectors' bytes are live at a time, however many
+    # there are: _Run.read waits for the previous file's digest only after it
+    # has read the next file.
     parts = (
         arith.WeightedVector(arith.TaskVector.from_checkpoint(run.checkpoint(path)), lam)
         for path, lam in vecs

@@ -27,8 +27,10 @@ class UnsupportedDtype(CheckpointError):
     pass
 
 
-class IoFailure(CheckpointError):
-    pass
+# --- output files ---
+
+class IoFailure(FairvecError):
+    """A file could not be written (raised by atomic.atomic_open only)."""
 
 
 # --- weight-space algebra ---

@@ -46,7 +46,7 @@ import io
 import json
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -358,6 +358,10 @@ class GroupRow:
         ]
 
 
+# the per-group CSV columns, in the order GroupRow.cells writes them
+GROUP_COLUMNS = tuple(f.name for f in fields(GroupRow))
+
+
 @dataclass
 class GroupReport:
     attribute: str
@@ -384,7 +388,7 @@ class GroupReport:
 
     def to_csv(self) -> str:
         return csv_text([
-            ["group", "n", "accuracy", "selection_rate", "dpd_ovr", "eod_ovr"],
+            GROUP_COLUMNS,
             *(r.cells() for r in self.rows),
             ["__overall__", sum(r.n for r in self.rows), csv_cell(self.macro_accuracy), ""]
             + [csv_cell(v) for v in (self.overall_dpd, self.overall_eod)],

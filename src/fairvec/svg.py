@@ -25,6 +25,18 @@ def _ticks(lo: float, hi: float, n: int = 5) -> list[float]:
     return [lo + i * step for i in range(n)]
 
 
+def _line(x1, y1, x2, y2) -> str:
+    return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="black"/>'
+
+
+def _text(x, y, anchor: str, size: int, body: str, attrs: str = "") -> str:
+    """A sans-serif <text> element; attrs follows the font size."""
+    return (
+        f'<text x="{x}" y="{y}" text-anchor="{anchor}" '
+        f'font-family="sans-serif" font-size="{size}"{attrs}>{body}</text>'
+    )
+
+
 def line_chart(
     mean_line: list[tuple[float, float]],
     scatter: list[tuple[float, float]],
@@ -59,41 +71,22 @@ def line_chart(
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" height="{HEIGHT}" '
         f'viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>',
-        f'<text x="{WIDTH // 2}" y="24" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="16">{title}</text>',
-        f'<line x1="{MARGIN_L}" y1="{MARGIN_T + plot_h}" x2="{MARGIN_L + plot_w}" '
-        f'y2="{MARGIN_T + plot_h}" stroke="black"/>',
-        f'<line x1="{MARGIN_L}" y1="{MARGIN_T}" x2="{MARGIN_L}" '
-        f'y2="{MARGIN_T + plot_h}" stroke="black"/>',
+        _text(WIDTH // 2, 24, "middle", 16, title),
+        _line(MARGIN_L, MARGIN_T + plot_h, MARGIN_L + plot_w, MARGIN_T + plot_h),
+        _line(MARGIN_L, MARGIN_T, MARGIN_L, MARGIN_T + plot_h),
     ]
     for tx in _ticks(x_lo, x_hi):
         px = _fmt(sx(tx))
-        parts.append(
-            f'<line x1="{px}" y1="{MARGIN_T + plot_h}" x2="{px}" '
-            f'y2="{MARGIN_T + plot_h + 5}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{px}" y="{MARGIN_T + plot_h + 20}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="11">{_fmt(tx)}</text>'
-        )
+        parts.append(_line(px, MARGIN_T + plot_h, px, MARGIN_T + plot_h + 5))
+        parts.append(_text(px, MARGIN_T + plot_h + 20, "middle", 11, _fmt(tx)))
     for ty in _ticks(y_lo, y_hi):
         py = _fmt(sy(ty))
-        parts.append(
-            f'<line x1="{MARGIN_L - 5}" y1="{py}" x2="{MARGIN_L}" '
-            f'y2="{py}" stroke="black"/>'
-        )
-        parts.append(
-            f'<text x="{MARGIN_L - 8}" y="{py}" text-anchor="end" '
-            f'font-family="sans-serif" font-size="11">{_fmt(ty)}</text>'
-        )
+        parts.append(_line(MARGIN_L - 5, py, MARGIN_L, py))
+        parts.append(_text(MARGIN_L - 8, py, "end", 11, _fmt(ty)))
+    parts.append(_text(MARGIN_L + plot_w // 2, HEIGHT - 10, "middle", 13, xlabel))
+    mid = MARGIN_T + plot_h // 2
     parts.append(
-        f'<text x="{MARGIN_L + plot_w // 2}" y="{HEIGHT - 10}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13">{xlabel}</text>'
-    )
-    parts.append(
-        f'<text x="16" y="{MARGIN_T + plot_h // 2}" text-anchor="middle" '
-        f'font-family="sans-serif" font-size="13" '
-        f'transform="rotate(-90 16 {MARGIN_T + plot_h // 2})">{ylabel}</text>'
+        _text(16, mid, "middle", 13, ylabel, f' transform="rotate(-90 16 {mid})"')
     )
 
     for x, y in scatter:

@@ -22,7 +22,8 @@ injection's list holds its one worst vector.
 computed: ``select_lambda`` picks its grid point from them and ``emit``
 charts them. ``emit`` always writes all six files, and the CSV is
 ``metrics.csv_text`` of cells from ``metrics.csv_cell`` and
-``GroupRow.cells``, as ``fairvec eval``'s CSV is.
+``GroupRow.cells`` under ``metrics.GROUP_COLUMNS``, as ``fairvec eval``'s
+CSV is.
 """
 
 from __future__ import annotations
@@ -38,9 +39,9 @@ from . import svg, toymodel
 from .arith import TaskVector, WeightedVector, is_finite_f32, merge
 from .atomic import atomic_open
 from .ckpt import Checkpoint
-from .errors import InsufficientGroups, IoFailure
+from .errors import InsufficientGroups
 from .metrics import DEFAULT_THRESHOLD, OVERALL_METRICS, GroupColumns, GroupReport
-from .metrics import check_threshold, csv_cell, csv_text, json_text
+from .metrics import GROUP_COLUMNS, check_threshold, csv_cell, csv_text, json_text
 
 MERGE_GRID = [round(0.1 * i, 1) for i in range(11)]    # 0.0 .. 1.0 step 0.1
 INJECT_GRID = [round(0.2 * i, 1) for i in range(6)]    # 0.0 .. 1.0 step 0.2
@@ -135,10 +136,7 @@ class SweepResult:
         }
 
     def to_csv(self) -> str:
-        rows = [
-            ["lambda", "seed", "group", "n", "accuracy", "selection_rate",
-             "dpd_ovr", "eod_ovr", *OVERALL_METRICS]
-        ]
+        rows = [["lambda", "seed", *GROUP_COLUMNS, *OVERALL_METRICS]]
         for r in self.rows:
             lam = csv_cell(r.lam)
             rows += [[lam, r.seed, *row.cells(), "", "", "", ""] for row in r.report.rows]
@@ -269,11 +267,8 @@ def emit(
 
     def write(name: str, text: str):
         path = os.path.join(out_dir, name)
-        try:
-            with atomic_open(path) as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise IoFailure(f"cannot write {path}: {exc}") from exc
+        with atomic_open(path) as fh:
+            fh.write(text)
         written.append(path)
 
     write("result.json", json_text(result.to_dict()))

@@ -1,3 +1,5 @@
+import ctypes
+import functools
 import os
 import subprocess
 import sys
@@ -25,6 +27,32 @@ def run_cli(args, cwd=None, **kw):
         [sys.executable, "-m", "fairvec.cli", *args],
         cwd=cwd, env=env, capture_output=True, text=True, **kw,
     )
+
+
+@functools.cache
+def blas_kernel() -> str | None:
+    """The kernel name numpy's bundled OpenBLAS runs with ("SkylakeX",
+    "Haswell", ...; OPENBLAS_CORETYPE overrides the CPU's pick), or None
+    when it cannot be read. numpy 1.24's wheels name the getter without the
+    scipy_ prefix."""
+    libs = Path(np.__file__).resolve().parent.parent / "numpy.libs"
+    for lib in sorted(libs.glob("*openblas*")):
+        for getter in ("scipy_openblas_get_corename64_", "openblas_get_corename64_"):
+            try:
+                fn = getattr(ctypes.CDLL(str(lib)), getter)
+            except (OSError, AttributeError):
+                continue
+            fn.restype = ctypes.c_char_p
+            return fn().decode()
+    return None
+
+
+def measured_on(*kernels: str) -> bool:
+    """Whether an assertion on the layout kind _layout or SplitScorer picks,
+    a property of the BLAS kernel, applies here: the running kernel is one
+    of the kernels it was measured on, or cannot be read."""
+    kernel = blas_kernel()
+    return kernel is None or kernel in kernels
 
 
 def random_checkpoint(rng, max_tensors=3, max_dim=4, dtypes=(Dtype.F32,), with_meta=True):

@@ -194,7 +194,7 @@ def test_runtime_error_exit_1(workdir):
 
 
 def test_output_directory_missing_exit_1_one_line(tmp_path):
-    """An output that cannot be opened is an OSError: exit 1, one line,
+    """An output that cannot be opened is an IoFailure: exit 1, one line,
     nothing written."""
     write_hand_built_preds(tmp_path / "hand.jsonl")
     proc = run_cli(
@@ -202,9 +202,56 @@ def test_output_directory_missing_exit_1_one_line(tmp_path):
         tmp_path,
     )
     assert proc.returncode == 1
-    assert proc.stderr.startswith("error: ") and "No such file or directory" in proc.stderr
+    assert proc.stderr.startswith("error: IoFailure: cannot write missing/out.json: ")
+    assert "No such file or directory" in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert sorted(p.name for p in tmp_path.iterdir()) == ["hand.jsonl"]
+
+
+@pytest.mark.parametrize(
+    "argv, target, parent_missing",
+    [
+        (["diff", "subA.ckpt", "base.ckpt", "-o", "missing/d.ckpt"], "missing/d.ckpt", True),
+        (["apply", "base.ckpt", "vA.ckpt", "-o", "missing/a.ckpt"], "missing/a.ckpt", True),
+        (["merge", "base.ckpt", "--vec", "vA.ckpt:0.5", "-o", "missing/m.ckpt"],
+         "missing/m.ckpt", True),
+        (["inject", "fft.ckpt", "vA.ckpt", "--lambda", "0.5", "-o", "missing/i.ckpt"],
+         "missing/i.ckpt", True),
+        (["train-toy", "--data", "data", "--dim", "128", "--hidden", "8", "--seed", "13",
+          "--init-only", "-o", "missing/t.ckpt"], "missing/t.ckpt", True),
+        (["eval", "--preds", "hand.jsonl", "--attribute", "g", "-o", "missing/r.json"],
+         "missing/r.json", True),
+        (["eval", "--preds", "hand.jsonl", "--attribute", "g", "--csv", "missing/r.csv"],
+         "missing/r.csv", True),
+        (["gen-data", "--spec", "spec.json", "-o", "corpus"], "corpus/train.jsonl", False),
+        (["sweep", "--config", "unwritable.json", "-o", "run"], "run/result.json", False),
+        (["diff", "subA.ckpt", "base.ckpt", "-o", "d.ckpt"], "d.ckpt.manifest.json", False),
+    ],
+    ids=["diff", "apply", "merge", "inject", "train-toy", "eval-output", "eval-csv",
+         "gen-data", "sweep", "manifest"],
+)
+def test_unwritable_output_exit_1_one_io_failure_line(
+    workdir, tmp_path, monkeypatch, capsys, argv, target, parent_missing
+):
+    """An output that cannot be written, because its parent directory does
+    not exist or a directory has its name, is one IoFailure line naming the
+    output, never its temp file, and exit 1; no temp file is left behind."""
+    wd = tmp_path / "wd"
+    shutil.copytree(workdir, wd)
+    write_hand_built_preds(wd / "hand.jsonl")
+    (wd / "unwritable.json").write_text(json.dumps({
+        "mode": "merge", "grid": [0.0, 1.0], "seeds": [13], "attribute": "g",
+        "data_dir": "data", "runs": {"13": {"base": "base.ckpt", "vectors": ["vA.ckpt"]}},
+    }))
+    if not parent_missing:
+        (wd / target).mkdir(parents=True)
+    temp_files = set(wd.rglob("*.tmp"))
+    monkeypatch.chdir(wd)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: IoFailure: cannot write {re.escape(target)}: [^\n]+\n", err)
+    assert ".tmp" not in err
+    assert set(wd.rglob("*.tmp")) == temp_files
 
 
 def test_bad_vec_syntax_exit_2(workdir):

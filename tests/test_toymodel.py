@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import step_reference as ref
-from conftest import SRC
+from conftest import SRC, measured_on
 from fairvec.ckpt import Checkpoint, Tensor, write_checkpoint
 from fairvec.corpus import CorpusSpec, gen_corpus
 from fairvec.errors import DivergedTraining, EmptyGroup, IncompatibleCheckpoint
@@ -320,7 +320,8 @@ class TestLoraReference:
         if group is None:
             cols = touched_buckets(subset, 512)[0]
             layout, plan = _layout(cols, len(subset), base.W1, 32, 8)
-            assert layout is cols
+            if measured_on("SkylakeX", "Nehalem"):
+                assert layout is cols
             assert set(plan) == {32, len(subset) % 32, 8} - {0}
         hy = Hyper(epochs=3, seed=13)
         self.assert_reference_bytes(subset, base.to_checkpoint(), hy, tmp_path)
@@ -355,7 +356,8 @@ class TestLoraReference:
         model = init_model(512, 16, 13)
         cols = touched_buckets(subset, 512)[0]
         model.W1[np.delete(np.arange(512), cols)] = 3.4e38
-        assert _layout(cols, len(subset), model.W1, 32, 8)[0] is cols
+        if measured_on("SkylakeX", "Nehalem"):
+            assert _layout(cols, len(subset), model.W1, 32, 8)[0] is cols
         hy, base = Hyper(epochs=2, lr=1e10, seed=13), model.to_checkpoint()
         with pytest.raises(DivergedTraining, match="epoch 0, step 1$"):
             lora_train_reference(subset, base, hy, alpha=8e16)
@@ -753,14 +755,17 @@ class TestScoringPanels:
         examples = scoring_splits["paper-train"]
         model = init_model(4096, 32, 13)
         scorer = SplitScorer(examples, 4096, 32)
-        assert scorer.panels is not None
-        assert scorer.X.shape == (len(examples), len(scorer.cols)) < (len(examples), 4096)
+        compact = measured_on("SkylakeX", "Sandybridge", "Nehalem")
+        if compact:
+            assert scorer.panels is not None
+            assert scorer.X.shape == (len(examples), len(scorer.cols)) < (len(examples), 4096)
         scorer.scores(model)
         predict(model.to_checkpoint(), examples)
         assert calls == []
-        model.W1[np.delete(np.arange(4096), scorer.cols)[0], 0] = np.nan
-        scorer.scores(model)
-        assert calls == ["featurize_all"]
+        if compact:  # the all-columns layout has no untouched row
+            model.W1[np.delete(np.arange(4096), scorer.cols)[0], 0] = np.nan
+            scorer.scores(model)
+            assert calls == ["featurize_all"]
 
     @pytest.mark.parametrize("row", ["touched", "untouched"])
     def test_non_finite_weight_scores_without_a_warning(self, readme_split, row):
@@ -964,8 +969,9 @@ class TestLeanStepLayouts:
                 assert params[1]["W1"][~real].tobytes() == zero[: (~real).sum()].tobytes()
                 for name in ("b1", "w2", "b2"):
                     assert same_bits(params[1][name], updated[name]), name
-        # with OpenBLAS 0.3.31 on AVX-512, as in CI
-        assert kind in kinds
+        # OpenBLAS 0.3.31's Haswell and Sandybridge kernels give no "one product"
+        if kind != "one product" or measured_on("SkylakeX", "Nehalem"):
+            assert kind in kinds
 
     @staticmethod
     def padded_split(corpus, n=None):
@@ -975,7 +981,8 @@ class TestLeanStepLayouts:
         subset = subgroup(tr, "g", "A")[:n]
         cols = touched_buckets(subset, 4096)[0]
         layout, plan = _layout(cols, len(subset), init_model(4096, 32, 13).W1, 32, 8)
-        assert (layout < 0).any() and 32 in plan and plan[32] is not None
+        if measured_on("SkylakeX", "Sandybridge", "Nehalem"):
+            assert (layout < 0).any() and 32 in plan and plan[32] is not None
         return subset
 
     def test_pad_rows_stay_zero_in_training(self, corpus):
@@ -985,7 +992,8 @@ class TestLeanStepLayouts:
         y = _labels(subset)
         cols, arrays = toymodel._descend(subset, y, init_model(4096, 32, 13), hy, 1, _sgd)
         pads = cols < 0
-        assert pads.any()
+        if measured_on("SkylakeX", "Sandybridge", "Nehalem"):
+            assert pads.any()
         assert arrays["W1"][pads].tobytes() == bytes(4 * 32 * pads.sum())
         got = train(subset, hy, dim=4096, hidden=32)
         assert got.tensors == dense_train_reference(subset, hy, 4096, 32).tensors
