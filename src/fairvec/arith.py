@@ -9,10 +9,10 @@ payload, and every result array becomes its tensor's payload without a copy.
 ``diff``, ``add``, ``negate`` and ``scale`` each build their result with one
 elementwise step (``_elementwise``): a ufunc over those views, under the
 errstate ``merge`` folds in, so an element beyond float32's range is inf or
-NaN and no operation prints a warning. ``merge`` takes its parts from any
-iterable and folds each into one float32 buffer per tensor as it arrives, so
-a caller that reads its vectors lazily (``fairvec merge``) holds one vector
-at a time.
+NaN and no operation prints a warning. ``merge`` takes ``WeightedVector``
+parts from any iterable and folds each into one float32 buffer per tensor
+as it arrives, so a caller that reads its vectors lazily (``fairvec
+merge``, ``apply`` and ``inject``) holds one vector at a time.
 
 A coefficient must be finite in float32 (``is_finite_f32``), the one test
 that the CLI's coefficients, sweep grids and the trainers' ``lr`` and
@@ -157,13 +157,13 @@ def scale(tv: TaskVector, coefficient: float) -> TaskVector:
 
 def merge(
     base: Checkpoint,
-    parts: Iterable[WeightedVector | tuple[TaskVector, float]],
+    parts: Iterable[WeightedVector],
 ) -> Checkpoint:
     """theta_0 + sum_i lambda_i * delta_i, folded left-to-right in caller order.
 
-    parts may be any iterable, a generator included. Each part is checked
-    against base as it arrives, before the next one is drawn, and is added
-    in place into one float32 buffer per tensor; a part with a zero
+    parts is any iterable of WeightedVectors, a generator included. Each
+    part is checked against base as it arrives, before the next one is
+    drawn, and is added in place into one float32 buffer per tensor; a part with a zero
     coefficient is checked but not added. An empty parts list returns base
     unchanged bitwise (metadata included). Like training and scoring, the
     fold runs under an errstate that ignores "over" and "invalid": a
@@ -173,8 +173,6 @@ def merge(
     acc = None
     coefficients = []
     for part in parts:
-        if not isinstance(part, WeightedVector):
-            part = WeightedVector(part[0], part[1])
         _check_compat(base.tensors, part.vector.deltas)
         coefficients.append(part.coefficient)
         if acc is None:

@@ -1,6 +1,10 @@
 """Command-line interface: one binary, stable subcommands, machine-readable
 exit codes (0 success, 1 runtime error, 2 validation error).
 
+``apply``, ``inject`` and ``merge`` make one edit through one function
+(``_merge``): base + sum_i lambda_i * vector_i, with each vector read only
+when the fold reaches it; ``apply`` and ``inject`` are its one-vector case.
+
 A command reads every input file through its ``_Run``, once, as bytes: a
 missing file is a usage error at that read, and the bytes are hashed on one
 worker thread while the command parses them. Every file-producing command
@@ -131,18 +135,10 @@ def cmd_diff(args, run):
     run.write_manifest(args.output + ".manifest.json", {"intersect": args.intersect})
 
 
-def cmd_edit(args, run):
-    """apply and inject: model + lambda * vector, one-part merge."""
-    if not arith.is_finite_f32(args.lam):
-        raise UsageError(f"--lambda must be finite, got {args.lam}")
-    model = run.checkpoint(args.model)
-    tv = arith.TaskVector.from_checkpoint(run.checkpoint(args.vector))
-    write_checkpoint(arith.inject(model, tv, args.lam), args.output)
-    run.write_manifest(args.output + ".manifest.json", {"lambda": args.lam})
-
-
-def cmd_merge(args, run):
-    vecs = [_parse_vec_arg(spec) for spec in args.vec or []]
+def _merge(args, run, vecs, config):
+    """apply, inject and merge: write args.base + sum_i lambda_i * vector_i
+    over vecs, a list of (path, lambda_i), to args.output, then its manifest
+    of config."""
     base = run.checkpoint(args.base)
     # Each vector is read when the fold reaches it and let go once it is
     # added, so at most two vectors' bytes are live at a time, however many
@@ -152,11 +148,20 @@ def cmd_merge(args, run):
         arith.WeightedVector(arith.TaskVector.from_checkpoint(run.checkpoint(path)), lam)
         for path, lam in vecs
     )
-    out = arith.merge(base, parts)
-    write_checkpoint(out, args.output)
-    run.write_manifest(
-        args.output + ".manifest.json", {"vectors": [list(v) for v in vecs]}
-    )
+    write_checkpoint(arith.merge(base, parts), args.output)
+    run.write_manifest(args.output + ".manifest.json", config)
+
+
+def cmd_edit(args, run):
+    """apply and inject: base + lambda * vector, a one-part merge."""
+    if not arith.is_finite_f32(args.lam):
+        raise UsageError(f"--lambda must be finite, got {args.lam}")
+    _merge(args, run, [(args.vector, args.lam)], {"lambda": args.lam})
+
+
+def cmd_merge(args, run):
+    vecs = [_parse_vec_arg(spec) for spec in args.vec or []]
+    _merge(args, run, vecs, {"vectors": [list(v) for v in vecs]})
 
 
 def cmd_eval(args, run):
@@ -168,8 +173,6 @@ def cmd_eval(args, run):
     if args.output:
         with atomic_open(args.output) as fh:
             fh.write(text)
-    else:
-        print(text, end="")
     if args.csv:
         with atomic_open(args.csv) as fh:
             fh.write(report.to_csv())
@@ -178,6 +181,9 @@ def cmd_eval(args, run):
             (args.output or args.csv) + ".manifest.json",
             {"attribute": args.attribute, "threshold": args.threshold},
         )
+    if not args.output:
+        # last, so a run that fails to write its files prints no report
+        print(text, end="")
 
 
 def cmd_gen_data(args, run):
@@ -293,7 +299,8 @@ def cmd_sweep(args, run):
         if seed not in paths:
             raise UsageError(f"seed {seed} has no entry in runs")
     split_path = os.path.join(data_dir, f"{config.split}.jsonl")
-    eval_data = corpus.parse_examples(run.text(split_path), split_path)
+    split = corpus.parse_examples(run.text(split_path), split_path)
+    eval_data = dict.fromkeys(config.seeds, split)
 
     models, vectors, checkpoints = {}, {}, []
     for seed, (one, many) in paths.items():
@@ -341,7 +348,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_diff)
 
     p = sub.add_parser("apply", help="base + lambda * vector")
-    p.add_argument("model", metavar="base")
+    p.add_argument("base")
     p.add_argument("vector")
     p.add_argument("--lambda", dest="lam", type=float, default=1.0)
     p.add_argument("-o", "--output", required=True)
@@ -355,7 +362,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_merge)
 
     p = sub.add_parser("inject", help="sft + lambda * worst-subgroup vector")
-    p.add_argument("model", metavar="sft")
+    p.add_argument("base", metavar="sft")
     p.add_argument("vector")
     p.add_argument("--lambda", dest="lam", type=float, required=True)
     p.add_argument("-o", "--output", required=True)

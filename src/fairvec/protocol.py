@@ -1,7 +1,8 @@
 """The paper's experiment as one call. Per seed: a corpus, a seeded base, a
-full fine-tune (fft), one fine-tune per subgroup and their task vectors, all
-written under out; then the merge sweep and the injection sweep of each
-seed's worst-subgroup vector into its fft, emitted as two run directories."""
+full fine-tune (fft) and one fine-tune per subgroup, each trained from that
+base, and their task vectors, all written under out; then the merge sweep
+and the injection sweep of each seed's worst-subgroup vector into its fft,
+emitted as two run directories."""
 
 from __future__ import annotations
 
@@ -49,10 +50,10 @@ def run(out, seeds=tuple(sweep.DEFAULT_SEEDS), total=700, dim=512, hidden=16,
 
         hy = toymodel.Hyper(epochs=epochs, seed=seed)
         base = toymodel.init_model(dim, hidden, seed).to_checkpoint()
-        fft = toymodel.train(tr, hy, dim=dim, hidden=hidden)
+        fft = toymodel.train(tr, hy, base=base)
         vectors = {}
         for g in spec.groups():
-            sub = toymodel.train_subgroup(tr, ATTRIBUTE, g, hy, dim=dim, hidden=hidden)
+            sub = toymodel.train_subgroup(tr, ATTRIBUTE, g, hy, base=base)
             vectors[g] = arith.diff(sub, base)
         write_checkpoint(base, seed_dir / "base.ckpt")
         write_checkpoint(fft, seed_dir / "fft.ckpt")

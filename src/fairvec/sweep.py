@@ -12,8 +12,9 @@ confusion table and the GroupReport read off it, the same report
 time, and a compact split holds no N x dim matrix.
 A base that is not a D->H->1 model raises ``IncompatibleCheckpoint`` before
 its seed is scored.
-Rows are still ordered grid-major then seed. Per-seed artifacts (base
-checkpoint, vectors, eval split) may be one shared object or a dict by seed.
+Rows are still ordered grid-major then seed. Each per-seed input (base
+checkpoint, vectors, eval split) is a dict keyed by seed; one split for
+every seed is ``dict.fromkeys(seeds, split)``.
 Both sweeps make one edit at a grid point (``_edit_sweep``): the merge of
 the seed's base with each of the seed's vectors at coefficient lambda; an
 injection's list holds its one worst vector.
@@ -154,18 +155,16 @@ class SweepResult:
         return csv_text(rows)
 
 
-def _per_seed(obj, seed):
-    if not isinstance(obj, dict):
-        return obj
-    if seed not in obj:
+def _per_seed(mapping, seed):
+    if seed not in mapping:
         raise ValueError(f"no entry for seed {seed}")
-    return obj[seed]
+    return mapping[seed]
 
 
 def _edit_sweep(config: SweepConfig, base, vectors, eval_data, mode: str) -> SweepResult:
     """Score the merge of base with each of the seed's vectors at coefficient
-    lam, at every grid point lam of every seed. vectors is one list of task
-    vectors or a dict of them by seed."""
+    lam, at every grid point lam of every seed. base, vectors (each seed's
+    list of task vectors) and eval_data are dicts keyed by seed."""
     reports = {}
     for seed in config.seeds:
         examples = _per_seed(eval_data, seed)
@@ -187,24 +186,23 @@ def _edit_sweep(config: SweepConfig, base, vectors, eval_data, mode: str) -> Swe
 
 
 def lambda_sweep(
-    base: Checkpoint | dict[int, Checkpoint],
-    vectors: list[TaskVector] | dict[int, list[TaskVector]],
+    base: dict[int, Checkpoint],
+    vectors: dict[int, list[TaskVector]],
     config: SweepConfig,
-    eval_data,
+    eval_data: dict[int, list],
 ) -> SweepResult:
     """Uniform-coefficient merge over the grid, evaluated per seed."""
     return _edit_sweep(config, base, vectors, eval_data, "merge")
 
 
 def inject_sweep(
-    sft: Checkpoint | dict[int, Checkpoint],
-    worst_vector: TaskVector | dict[int, TaskVector],
+    sft: dict[int, Checkpoint],
+    worst_vector: dict[int, TaskVector],
     config: SweepConfig,
-    eval_data,
+    eval_data: dict[int, list],
 ) -> SweepResult:
     """Injection grid: sft + lambda * worst_vector; lambda=0 is the sft row."""
-    shared = not isinstance(worst_vector, dict)
-    worst = [worst_vector] if shared else {seed: [v] for seed, v in worst_vector.items()}
+    worst = {seed: [v] for seed, v in worst_vector.items()}
     return _edit_sweep(config, sft, worst, eval_data, "inject")
 
 

@@ -395,7 +395,7 @@ def test_criterion_8_emission_fidelity(tmp_path):
             for g in spec.groups()
         ]
         cfg = SweepConfig(grid=[0.0, 0.5, 1.0], seeds=[13], attribute=attr)
-        res = lambda_sweep(base, vectors, cfg, tr)
+        res = lambda_sweep({13: base}, {13: vectors}, cfg, {13: tr})
 
         # CSV parse-back is exact for every emitted number
         import csv

@@ -151,7 +151,7 @@ def test_negate_applied_gives_reflection(rng):
 def test_merge_zero_lambdas_bitwise(rng):
     base, ft = random_checkpoint_pair(rng)
     v = diff(ft, base)
-    out = merge(base, [(v, 0.0), (v, 0.0)])
+    out = merge(base, [WeightedVector(v, 0.0), WeightedVector(v, 0.0)])
     assert out.tensors == base.tensors
 
 
@@ -164,13 +164,13 @@ def test_merge_empty_is_identity(rng):
 def test_merge_single_unit_equals_apply(rng):
     base, ft = random_checkpoint_pair(rng)
     v = diff(ft, base)
-    assert merge(base, [(v, 1.0)]).tensors == apply(base, v).tensors
+    assert merge(base, [WeightedVector(v, 1.0)]).tensors == apply(base, v).tensors
 
 
 def test_merge_uniform_many_vectors(rng):
     base = ckpt(w=np.zeros(4))
     vectors = [tv(w=rng.standard_normal(4)) for _ in range(7)]
-    out = merge(base, [(v, 0.8) for v in vectors])
+    out = merge(base, [WeightedVector(v, 0.8) for v in vectors])
     expect = np.zeros(4, np.float32)
     for v in vectors:
         expect = expect + np.float32(0.8) * v.deltas["w"].to_numpy()
@@ -181,7 +181,10 @@ def test_merge_overflow_gives_non_finite_weights_and_no_warning():
     """A product beyond float32's range is inf and inf - inf is NaN, with no
     numpy warning, as in training and scoring."""
     base = ckpt(w=[1.0, 0.0])
-    parts = [(tv(w=[2.0, 2.0]), 3e38), (tv(w=[-2.0, 2.0]), 3e38)]
+    parts = [
+        WeightedVector(tv(w=[2.0, 2.0]), 3e38),
+        WeightedVector(tv(w=[-2.0, 2.0]), 3e38),
+    ]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         out = merge(base, parts)
@@ -209,7 +212,7 @@ def test_elementwise_overflow_gives_inf_and_no_warning(edit, want):
 def test_inject_equals_merge_bitwise(rng):
     sft, ft = random_checkpoint_pair(rng)
     v = diff(ft, sft)
-    assert inject(sft, v, 0.4).tensors == merge(sft, [(v, 0.4)]).tensors
+    assert inject(sft, v, 0.4).tensors == merge(sft, [WeightedVector(v, 0.4)]).tensors
     assert inject(sft, v, 0.0).tensors == sft.tensors
     assert inject(sft, v, 1.0).tensors == apply(sft, v).tensors
 
@@ -217,15 +220,15 @@ def test_inject_equals_merge_bitwise(rng):
 def test_merge_determinism(rng):
     base, ft = random_checkpoint_pair(rng)
     v = diff(ft, base)
-    parts = [(v, 0.3), (v, 0.4)]
+    parts = [WeightedVector(v, 0.3), WeightedVector(v, 0.4)]
     assert merge(base, parts).tensors == merge(base, parts).tensors
 
 
 def test_lambda_split_consistency(rng):
     base, ft = random_checkpoint_pair(rng)
     v = diff(ft, base)
-    one = merge(base, [(v, 0.7)])
-    two = merge(merge(base, [(v, 0.3)]), [(v, 0.4)])
+    one = merge(base, [WeightedVector(v, 0.7)])
+    two = merge(merge(base, [WeightedVector(v, 0.3)]), [WeightedVector(v, 0.4)])
     for name in base.names():
         np.testing.assert_allclose(
             one.tensors[name].to_numpy(),
@@ -320,7 +323,7 @@ def test_unaligned_payloads_give_the_bytes_of_copies(rng, residue):
     # the vector read back unaligned, folded twice onto an unaligned model
     v_u = TaskVector.from_checkpoint(parse_checkpoint(_unaligned_file(v.to_checkpoint(), residue)))
     model_u = parse_checkpoint(_unaligned_file(other, residue))
-    out = merge(model_u, [(v_u, 0.3), (v_u, -1.5)])
+    out = merge(model_u, [WeightedVector(v_u, 0.3), WeightedVector(v_u, -1.5)])
     for name, t in out.tensors.items():
         expect = other.tensors[name].to_numpy()
         for lam in (0.3, -1.5):
@@ -336,7 +339,7 @@ def test_results_are_read_only_and_sized(rng):
                    {n: Tensor.from_numpy(t.to_numpy(), Dtype.BF16) for n, t in v.deltas.items()}
                ))]
     tensors = [t for r in results for t in r.deltas.values()]
-    tensors += merge(base, [(v, 0.5)]).tensors.values()
+    tensors += merge(base, [WeightedVector(v, 0.5)]).tensors.values()
     for t in tensors:
         assert len(t.data) == t.numel * 4
         with pytest.raises(ValueError, match="read-only"):
@@ -346,7 +349,10 @@ def test_results_are_read_only_and_sized(rng):
 def test_merge_folds_a_generator_like_a_list(rng):
     base, ft = random_checkpoint_pair(rng)
     v = diff(ft, base)
-    parts = [(v, 0.3), (negate(v), 0.0), (scale(v, 2.0), -0.7)]
+    parts = [
+        WeightedVector(v, 0.3), WeightedVector(negate(v), 0.0),
+        WeightedVector(scale(v, 2.0), -0.7),
+    ]
     assert merge(base, iter(parts)) == merge(base, parts)
     assert merge(base, iter([])) == base
 
@@ -358,7 +364,7 @@ def test_merge_stops_at_an_incompatible_part_before_drawing_the_next():
     def parts():
         for vec in (tv(w=[1.0, 1.0]), tv(w=[1.0, 1.0, 1.0]), tv(w=[0.0, 0.0])):
             drawn.append(vec)
-            yield vec, 0.5
+            yield WeightedVector(vec, 0.5)
 
     with pytest.raises(ShapeMismatch):
         merge(base, parts())

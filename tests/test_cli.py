@@ -82,6 +82,15 @@ def test_inject_and_apply(workdir):
                  for name in ("inj", "applied04")]
     assert [m["command"] for m in manifests] == ["inject", "apply"]
     assert [m["config"] for m in manifests] == [{"lambda": 0.4}] * 2
+    # and a one-vector merge is the same edit, with its own manifest config
+    assert run_cli(
+        ["merge", "fft.ckpt", "--vec", "vA.ckpt:0.4", "-o", "merged04.ckpt"], workdir,
+    ).returncode == 0
+    assert (workdir / "merged04.ckpt").read_bytes() == (workdir / "inj.ckpt").read_bytes()
+    manifest = json.loads((workdir / "merged04.ckpt.manifest.json").read_text())
+    assert (manifest["command"], manifest["config"]) == (
+        "merge", {"vectors": [["vA.ckpt", 0.4]]}
+    )
 
 
 def test_apply_negative_exponent_lambda_equals_form(workdir, tmp_path):
@@ -235,7 +244,8 @@ def test_unwritable_output_exit_1_one_io_failure_line(
 ):
     """An output that cannot be written, because its parent directory does
     not exist or a directory has its name, is one IoFailure line naming the
-    output, never its temp file, and exit 1; no temp file is left behind."""
+    output, never its temp file, and exit 1; no temp file is left behind,
+    and nothing is printed to stdout."""
     wd = tmp_path / "wd"
     shutil.copytree(workdir, wd)
     write_hand_built_preds(wd / "hand.jsonl")
@@ -248,7 +258,8 @@ def test_unwritable_output_exit_1_one_io_failure_line(
     temp_files = set(wd.rglob("*.tmp"))
     monkeypatch.chdir(wd)
     assert main(argv) == 1
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert out == ""
     assert re.fullmatch(rf"error: IoFailure: cannot write {re.escape(target)}: [^\n]+\n", err)
     assert ".tmp" not in err
     assert set(wd.rglob("*.tmp")) == temp_files
@@ -497,7 +508,7 @@ def test_sweep_inject_matches_in_process(tmp_path):
         {13: read_checkpoint(tmp_path / "sft.ckpt")},
         {13: TaskVector.from_checkpoint(read_checkpoint(tmp_path / "vB.ckpt"))},
         sweep.SweepConfig(grid=sweep.INJECT_GRID, seeds=[13], attribute="g"),
-        parse_examples((tmp_path / "data" / "train.jsonl").read_text().splitlines()),
+        {13: parse_examples((tmp_path / "data" / "train.jsonl").read_text().splitlines())},
     )
     sweep.emit(result, tmp_path / "in-process")
     for name in ("result.json", "result.csv"):

@@ -388,14 +388,16 @@ def test_base_not_a_toy_model_raises(lab, sweep):
     vec = TaskVector.from_arrays(zeros)
     cfg = SweepConfig(grid=[0.0, 1.0], seeds=[13], attribute=ATTR)
     with pytest.raises(IncompatibleCheckpoint, match="D->H->1"):
-        sweep(base, [vec] if sweep is lambda_sweep else vec, cfg, evals)
+        sweep({13: base}, {13: [vec] if sweep is lambda_sweep else vec}, cfg, evals)
 
 
 def test_rows_grid_major_with_shared_eval_split(lab):
     bases, vectors, evals, ffts, seeds = lab
     shared = evals[13]
     cfg = SweepConfig(grid=[0.0, 0.5, 1.0], seeds=seeds, attribute=ATTR)
-    res = inject_sweep(ffts, {s: vectors[s][0] for s in seeds}, cfg, shared)
+    res = inject_sweep(
+        ffts, {s: vectors[s][0] for s in seeds}, cfg, dict.fromkeys(seeds, shared)
+    )
     assert [(r.lam, r.seed) for r in res.rows] == [
         (lam, seed) for lam in cfg.grid for seed in seeds
     ]
