@@ -4,6 +4,9 @@ exit codes (0 success, 1 runtime error, 2 validation error).
 ``apply``, ``inject`` and ``merge`` make one edit through one function
 (``_merge``): base + sum_i lambda_i * vector_i, with each vector read only
 when the fold reaches it; ``apply`` and ``inject`` are its one-vector case.
+``sweep`` reads the ``runs`` entry of each listed seed, under the seed's
+decimal key, and no other entry, and hands every seed's checkpoint and
+vector list, in either mode, to the one sweep driver, ``sweep.edit_sweep``.
 
 A command reads every input file through its ``_Run``, once, as bytes: a
 missing file is a usage error at that read, and the bytes are hashed on one
@@ -212,23 +215,21 @@ def cmd_train_toy(args, run):
             {"seed": str(args.seed), "subset": "init"}
         )
     else:
-        base = run.checkpoint(args.base) if args.base else None
+        # the one starting checkpoint of both trainers
+        base = run.checkpoint(args.base) if args.base else (
+            toymodel.init_model(args.dim, args.hidden, args.seed).to_checkpoint()
+        )
         meta = None
         if args.group:
             train_ex = toymodel.subgroup(train_ex, spec.attribute, args.group)
             meta = {"subset": args.group}
         if args.lora:
-            if base is None:
-                base = toymodel.init_model(args.dim, args.hidden, args.seed).to_checkpoint()
             ckpt, _ = toymodel.train_lora(
                 train_ex, base, hyper, rank=args.rank, alpha=args.alpha, metadata=meta
             )
             config.update({"rank": args.rank, "alpha": args.alpha})
         else:
-            ckpt = toymodel.train(
-                train_ex, hyper, dim=args.dim, hidden=args.hidden, base=base,
-                metadata=meta,
-            )
+            ckpt = toymodel.train(train_ex, hyper, base=base, metadata=meta)
     # the written model's shape: with --base it is the base's, not --dim/--hidden
     config["dim"], config["hidden"] = ckpt.tensors["W1"].shape
     write_checkpoint(ckpt, args.output)
@@ -284,20 +285,20 @@ def cmd_sweep(args, run):
     )
     data_dir = _config_field(cfg, "data_dir", str)
     runs = _config_field(cfg, "runs", dict)
-    # each seed's checkpoint paths: (base, [vectors]) or (sft, [vector])
+    # each listed seed's checkpoint paths, under its decimal key:
+    # (base, [vectors]) or (sft, [vector]); no other entry is read
     first, rest = ("base", "vectors") if mode == "merge" else ("sft", "vector")
     paths = {}
-    for seed_str, entry in runs.items():
-        within = f"'runs'[{seed_str!r}]"
-        _config_value(entry, dict, within)
-        paths[int(seed_str)] = (
+    for seed in config.seeds:
+        if str(seed) not in runs:
+            raise UsageError(f"seed {seed} has no entry in runs")
+        within = f"'runs'['{seed}']"
+        entry = _config_value(runs[str(seed)], dict, within)
+        paths[seed] = (
             _config_field(entry, first, str, within=within),
             _config_list(entry, rest, str, within=within) if mode == "merge"
             else [_config_field(entry, rest, str, within=within)],
         )
-    for seed in config.seeds:
-        if seed not in paths:
-            raise UsageError(f"seed {seed} has no entry in runs")
     split_path = os.path.join(data_dir, f"{config.split}.jsonl")
     split = corpus.parse_examples(run.text(split_path), split_path)
     eval_data = dict.fromkeys(config.seeds, split)
@@ -309,11 +310,7 @@ def cmd_sweep(args, run):
             arith.TaskVector.from_checkpoint(run.checkpoint(p)) for p in many
         ]
         checkpoints += [one, *many]
-    if mode == "merge":
-        result = sweep_mod.lambda_sweep(models, vectors, config, eval_data)
-    else:
-        worst = {seed: vecs[0] for seed, vecs in vectors.items()}
-        result = sweep_mod.inject_sweep(models, worst, config, eval_data)
+    result = sweep_mod.edit_sweep(config, models, vectors, eval_data, mode)
 
     sweep_mod.emit(result, args.output, input_digests=run.digests(checkpoints))
     run.write_manifest(os.path.join(args.output, "run_manifest.json"), cfg)

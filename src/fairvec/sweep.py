@@ -15,9 +15,11 @@ its seed is scored.
 Rows are still ordered grid-major then seed. Each per-seed input (base
 checkpoint, vectors, eval split) is a dict keyed by seed; one split for
 every seed is ``dict.fromkeys(seeds, split)``.
-Both sweeps make one edit at a grid point (``_edit_sweep``): the merge of
-the seed's base with each of the seed's vectors at coefficient lambda; an
-injection's list holds its one worst vector.
+One driver, ``edit_sweep``, makes the one edit at a grid point: the merge
+of the seed's base with each of the seed's vectors at coefficient lambda;
+an injection's list holds its one worst vector. ``fairvec sweep`` calls it
+for both modes; ``lambda_sweep`` and ``inject_sweep`` are its merge and
+injection cases.
 
 ``SweepResult.aggregates`` is the one place the across-seed means are
 computed: ``select_lambda`` picks its grid point from them and ``emit``
@@ -161,10 +163,11 @@ def _per_seed(mapping, seed):
     return mapping[seed]
 
 
-def _edit_sweep(config: SweepConfig, base, vectors, eval_data, mode: str) -> SweepResult:
+def edit_sweep(config: SweepConfig, base, vectors, eval_data, mode: str) -> SweepResult:
     """Score the merge of base with each of the seed's vectors at coefficient
     lam, at every grid point lam of every seed. base, vectors (each seed's
-    list of task vectors) and eval_data are dicts keyed by seed."""
+    list of task vectors) and eval_data are dicts keyed by seed; mode
+    ("merge" or "inject") is recorded as the result's provenance."""
     reports = {}
     for seed in config.seeds:
         examples = _per_seed(eval_data, seed)
@@ -192,7 +195,7 @@ def lambda_sweep(
     eval_data: dict[int, list],
 ) -> SweepResult:
     """Uniform-coefficient merge over the grid, evaluated per seed."""
-    return _edit_sweep(config, base, vectors, eval_data, "merge")
+    return edit_sweep(config, base, vectors, eval_data, "merge")
 
 
 def inject_sweep(
@@ -202,8 +205,7 @@ def inject_sweep(
     eval_data: dict[int, list],
 ) -> SweepResult:
     """Injection grid: sft + lambda * worst_vector; lambda=0 is the sft row."""
-    worst = {seed: [v] for seed, v in worst_vector.items()}
-    return _edit_sweep(config, sft, worst, eval_data, "inject")
+    return edit_sweep(config, sft, {s: [v] for s, v in worst_vector.items()}, eval_data, "inject")
 
 
 def select_lambda(result: SweepResult) -> float:

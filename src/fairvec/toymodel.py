@@ -311,10 +311,6 @@ def _labels(examples) -> np.ndarray:
     return np.array([ex.y_true for ex in examples], dtype=np.float32)
 
 
-def _degenerate(y: np.ndarray) -> bool:
-    return bool(np.all(y == y[0]))
-
-
 # K-panel widths (GEMM_Q) to try; the probe rejects a wrong one. Measured
 # with OpenBLAS 0.3.31's sgemm kernels (OPENBLAS_CORETYPE): SkylakeX uses
 # 448; Sandybridge 384 at dim 4096 and 448 at dim 512; Nehalem 512. Haswell
@@ -491,10 +487,16 @@ def _descend(examples, y, model: ToyModel, hyper: Hyper, stream: int, updater, r
     return cols, arrays
 
 
-def _metadata(hyper: Hyper, metadata: dict[str, str] | None, **fields) -> dict[str, str]:
-    """A trained checkpoint's metadata: the seed, subset "all" and fields,
-    each overridden by metadata."""
-    return {"seed": str(hyper.seed), "subset": "all", **fields, **(metadata or {})}
+def _metadata(hyper: Hyper, y: np.ndarray, metadata: dict[str, str] | None,
+              **fields) -> dict[str, str]:
+    """A trained checkpoint's metadata, the one owner of it for train and
+    train_lora: the seed, subset "all" and fields, each overridden by
+    metadata, then degenerate_labels "true" when the labels y (nonempty, as
+    _descend requires) are all one class."""
+    meta = {"seed": str(hyper.seed), "subset": "all", **fields, **(metadata or {})}
+    if np.all(y == y[0]):
+        meta["degenerate_labels"] = "true"
+    return meta
 
 
 def _sgd(params, grads, cols, plan):
@@ -525,10 +527,7 @@ def train(
     cols, arrays = _descend(examples, y, model, hyper, 1, _sgd)
     _put_rows(model.W1, cols, arrays["W1"])
     model.b1, model.w2, model.b2 = arrays["b1"], arrays["w2"], arrays["b2"]
-    meta = _metadata(hyper, metadata)
-    if _degenerate(y):
-        meta["degenerate_labels"] = "true"
-    return model.to_checkpoint(meta)
+    return model.to_checkpoint(_metadata(hyper, y, metadata))
 
 
 def train_subgroup(
@@ -631,10 +630,11 @@ def train_lora(
         effective()
         return update
 
-    cols, arrays = _descend(examples, _labels(examples), model, hyper, 3, adapter, rank)
+    y = _labels(examples)
+    cols, arrays = _descend(examples, y, model, hyper, 3, adapter, rank)
     _put_rows(A, cols, arrays["A"])
     model.b2 = arrays["b2"]
-    meta = _metadata(hyper, metadata, lora_rank=str(rank), lora_alpha=repr(float(alpha)))
+    meta = _metadata(hyper, y, metadata, lora_rank=str(rank), lora_alpha=repr(float(alpha)))
     # under the loop's errstate: an effective row that the last step
     # overflowed is written as inf, with no warning, as train writes its W1
     with np.errstate(over="ignore", invalid="ignore"):

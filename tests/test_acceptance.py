@@ -240,6 +240,7 @@ def test_criterion_4_gradient_correctness():
             assert grad_check(model, tr, eps=1e-4, n_params=100) < 1e-4
 
 
+@pytest.mark.byte_identity
 def test_criterion_5_lora_rank_bound():
     with criterion(5, "low-rank adapter rank bound"):
         spec = CorpusSpec(

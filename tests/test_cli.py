@@ -388,6 +388,11 @@ def test_sweep_cli(workdir):
         pytest.param({"threshold": 10**400}, "sweep config 'threshold' must be a number, got 1000",
                      id="threshold-beyond-float-range"),
         ({"grid": [0.0, 1e39]}, "invalid input: grid values must be finite"),
+        # a listed seed's entry is under its decimal key, and no other spelling
+        pytest.param({"runs": {"013": {"base": "b.ckpt", "vectors": []}}},
+                     "seed 13 has no entry in runs", id="seed-key-013"),
+        pytest.param({"runs": {"1_3": {"base": "b.ckpt", "vectors": []}}},
+                     "seed 13 has no entry in runs", id="seed-key-1_3"),
     ],
 )
 def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
@@ -407,6 +412,37 @@ def test_sweep_bad_config_exit_2(workdir, tmp_path, change, reason):
     assert proc.stderr.startswith("error: ") and reason in proc.stderr
     assert len(proc.stderr.splitlines()) == 1
     assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [
+        # another spelling of a listed seed, with other checkpoints
+        pytest.param({"013": {"base": "fft.ckpt", "vectors": ["subA.ckpt"]}}, id="013"),
+        # an unlisted seed whose entry would fail every check
+        pytest.param({"14": {"base": "missing.ckpt", "vectors": [3]}}, id="unlisted"),
+    ],
+)
+def test_sweep_reads_only_listed_seeds(workdir, tmp_path, extra):
+    """runs entries other than each listed seed's decimal key are neither
+    checked, read nor digested: the run is the one without them."""
+    runs = {"13": {"base": "base.ckpt", "vectors": ["vA.ckpt"]}}
+    manifests = {}
+    for out, entries in (("want", runs), ("got", {**runs, **extra})):
+        cfg = {"mode": "merge", "grid": [0.0, 0.1, 1.0], "seeds": [13],
+               "attribute": "g", "data_dir": "data", "runs": entries}
+        (workdir / "sweep.json").write_text(json.dumps(cfg))
+        proc = run_cli(["sweep", "--config", "sweep.json", "-o", str(tmp_path / out)],
+                       workdir)
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        manifests[out] = json.loads((tmp_path / out / "run_manifest.json").read_text())
+    got, want = tmp_path / "got", tmp_path / "want"
+    for name in ("result.json", "result.csv", "acc.svg", "dpd.svg", "eod.svg",
+                 "manifest.json"):
+        assert (got / name).read_bytes() == (want / name).read_bytes()
+    # the same files read (the config's own digest differs, as its text does)
+    digests = {out: m["input_digests"].keys() for out, m in manifests.items()}
+    assert digests["got"] == digests["want"]
 
 
 def test_sweep_undefined_criterion_exit_1_one_line(workdir, tmp_path):
@@ -1054,6 +1090,7 @@ def test_train_toy_manifest_records_written_shape(workdir, tmp_path, extra, shap
     assert [config["dim"], config["hidden"]] == shape
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("alpha", ["nan", "inf"])
 def test_train_toy_lora_bad_alpha_exit_2(workdir, alpha):
     proc = run_cli(
@@ -1066,6 +1103,7 @@ def test_train_toy_lora_bad_alpha_exit_2(workdir, alpha):
     assert not (workdir / "never.ckpt").exists()
 
 
+@pytest.mark.byte_identity
 @pytest.mark.parametrize("lora", [[], ["--lora"]])
 def test_train_toy_diverging_exit_1_one_line(workdir, lora):
     """A learning rate that overflows the weights fails with the one
@@ -1083,6 +1121,7 @@ def test_train_toy_diverging_exit_1_one_line(workdir, lora):
     assert not (workdir / "never.ckpt").exists()
 
 
+@pytest.mark.byte_identity
 def test_train_toy_lora_overflowing_merge_exit_0_no_warning(tmp_path):
     """The README-scale Women split with untouched W1 rows at 3.4e38 and one
     step: the step overflows no loss, but the merged W1 + (alpha/r) A B does.
@@ -1116,6 +1155,7 @@ def test_train_toy_lora_overflowing_merge_exit_0_no_warning(tmp_path):
     assert got.tensors == want.tensors
 
 
+@pytest.mark.byte_identity
 def test_train_toy_lora_trains_on_its_group(workdir, tmp_path):
     from fairvec import corpus, toymodel
 

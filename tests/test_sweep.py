@@ -116,6 +116,7 @@ def test_zero_lambda_equals_base_eval(lab):
         assert row.report == direct
 
 
+@pytest.mark.byte_identity
 def test_stderr_recomputed(lab):
     bases, vectors, evals, _, seeds = lab
     cfg = SweepConfig(grid=[0.0, 1.0], seeds=seeds, attribute=ATTR)
@@ -321,6 +322,7 @@ def test_inject_sweep_rows(lab):
         assert zero_row.report == fft_eval
 
 
+@pytest.mark.byte_identity
 def test_inject_rows_match_independent_recompute(lab):
     from fairvec.arith import inject
 
@@ -349,14 +351,17 @@ def check_lambda_rows_match_independent_recompute(lab):
         assert row.report == evaluate(predict(merged, evals[row.seed]), ATTR)
 
 
+@pytest.mark.byte_identity
 def test_lambda_rows_match_independent_recompute(lab):
     check_lambda_rows_match_independent_recompute(lab)
 
 
+@pytest.mark.byte_identity
 def test_lambda_rows_match_independent_recompute_wide(wide_lab):
     check_lambda_rows_match_independent_recompute(wide_lab)
 
 
+@pytest.mark.byte_identity
 def test_nan_in_untouched_row_recompute(wide_lab):
     """A NaN in a W1 row no eval example touches turns the dense forward into
     NaN scores (0 * NaN), so the sweep must score that point densely too."""
@@ -391,6 +396,7 @@ def test_base_not_a_toy_model_raises(lab, sweep):
         sweep({13: base}, {13: [vec] if sweep is lambda_sweep else vec}, cfg, evals)
 
 
+@pytest.mark.byte_identity
 def test_rows_grid_major_with_shared_eval_split(lab):
     bases, vectors, evals, ffts, seeds = lab
     shared = evals[13]

@@ -161,17 +161,31 @@ def test_subgroup_missing(corpus):
         train_subgroup(tr, "g", "Nope", Hyper(epochs=1))
 
 
-def test_degenerate_labels_metadata():
+@pytest.mark.parametrize(
+    "fit",
+    [
+        pytest.param(lambda ex, hyper: train(ex, hyper, dim=DIM, hidden=HID), id="train"),
+        pytest.param(
+            lambda ex, hyper: train_lora(
+                ex, init_model(DIM, HID, hyper.seed).to_checkpoint(), hyper
+            )[0],
+            id="train_lora",
+        ),
+    ],
+)
+def test_degenerate_labels_metadata(fit):
+    """Both trainers flag one-class training labels in the metadata."""
     from fairvec.corpus import Example
 
     ex = [
         Example(id=f"d{i}", tokens=("t",), y_true=1, groups={"g": "A"})
         for i in range(10)
     ]
-    ckpt = train(ex, Hyper(epochs=1, seed=3), dim=DIM, hidden=HID)
+    ckpt = fit(ex, Hyper(epochs=1, seed=3))
     assert ckpt.metadata.get("degenerate_labels") == "true"
 
 
+@pytest.mark.byte_identity
 class TestLora:
     def test_zero_init_merged_equals_base(self, corpus):
         _, tr, _ = corpus
@@ -256,9 +270,12 @@ def lora_train_reference(examples, base, hyper, rank=8, alpha=16.0, metadata=Non
     meta = {"seed": str(hyper.seed), "subset": "all", "lora_rank": str(rank),
             "lora_alpha": repr(float(alpha))}
     meta.update(metadata or {})
+    if np.all(y == y[0]):
+        meta["degenerate_labels"] = "true"
     return ToyModel(*(arrays[n] for n in TENSOR_NAMES)).to_checkpoint(meta), A, B
 
 
+@pytest.mark.byte_identity
 class TestLoraReference:
     """train_lora gives the bytes of lora_train_reference: the merged
     checkpoint, A and B, and the epoch and step of a divergence."""
@@ -478,6 +495,7 @@ def dense_train_reference(examples, hyper, dim, hidden, base=None):
     return ToyModel(*(arrays[n] for n in TENSOR_NAMES)).to_checkpoint()
 
 
+@pytest.mark.byte_identity
 class TestSparseTraining:
     """train works on the touched columns when BLAS gives the compact
     forward and backward the dense bytes at every batch size, and in the
@@ -608,6 +626,7 @@ class TestSparseTraining:
         assert re.search(where, str(got.value))[0] == re.search(where, str(want.value))[0]
 
 
+@pytest.mark.byte_identity
 class TestPanels:
     """_panels follows OpenBLAS's K-loop rule, and whenever _layout returns a
     compact plan the panel sum and the compact gradient have the dense
@@ -663,6 +682,7 @@ class TestPanels:
                 assert dW[~real].tobytes() == bytes(4 * hidden * (~real).sum())
 
 
+@pytest.mark.byte_identity
 class TestScoringPanels:
     """Whichever layout SplitScorer picks from the split and the shape alone,
     its scores have the bytes score_features gives on the dense features:
@@ -803,6 +823,7 @@ def same_bits(a, b):
     )
 
 
+@pytest.mark.byte_identity
 class TestLeanStep:
     """The package's step (in place, one exp per sigmoid, the loss as a sum
     over the row count) gives the reference step's gradient bytes and loss
@@ -900,6 +921,7 @@ class TestLeanStep:
             train(ex, Hyper(epochs=1, seed=1), base=model.to_checkpoint())
 
 
+@pytest.mark.byte_identity
 class TestLeanStepLayouts:
     """A float32 training step in each layout a trainer works in (all
     columns, one product over the touched columns, and the touched columns
