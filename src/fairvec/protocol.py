@@ -1,12 +1,15 @@
 """The paper's experiment as one call. Per seed: a corpus, a seeded base, a
 full fine-tune (fft) and one fine-tune per subgroup, each trained from that
-base, and their task vectors, all written under out; then the merge sweep
-and the injection sweep of each seed's worst-subgroup vector into its fft,
+base, and their task vectors, all written under out; then, off one reporter
+of the seed's train split (``sweep.split_reporter``), the fft's report, the
+merge grid of the subgroup vectors into the base and the injection grid of
+the worst-subgroup vector into the fft. The reporter is dropped before the
+next seed; after the last seed both sweeps are assembled grid-major and
 emitted as two run directories."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 from . import arith, corpus, metrics, sweep, toymodel
@@ -37,12 +40,10 @@ def run(out, seeds=tuple(sweep.DEFAULT_SEEDS), total=700, dim=512, hidden=16,
         epochs=200) -> ProtocolResult:
     """Run the protocol into out; bad seeds fail before any training."""
     out = Path(out)
-    merge_cfg, inject_cfg = (
-        sweep.SweepConfig(grid=grid, seeds=list(seeds), attribute=ATTRIBUTE)
-        for grid in (sweep.MERGE_GRID, sweep.INJECT_GRID)
-    )
-    runs, digests = {}, {}
-    for seed in seeds:
+    merge_cfg = sweep.SweepConfig(grid=sweep.MERGE_GRID, seeds=list(seeds), attribute=ATTRIBUTE)
+    inject_cfg = replace(merge_cfg, grid=sweep.INJECT_GRID)
+    runs, digests, merged, injected = {}, {}, {}, {}
+    for seed in merge_cfg.seeds:
         spec = corpus.CorpusSpec(attribute=ATTRIBUTE, total=total, seed=seed)
         tr, te = corpus.gen_corpus(spec)
         seed_dir = out / f"seed{seed}"
@@ -62,19 +63,16 @@ def run(out, seeds=tuple(sweep.DEFAULT_SEEDS), total=700, dim=512, hidden=16,
         for name in ("base.ckpt", "fft.ckpt"):
             digests[f"seed{seed}/{name}"] = sweep.sha256_file(seed_dir / name)
 
-        report = metrics.evaluate(toymodel.predict(fft, tr), ATTRIBUTE)
-        worst = sweep.worst_subgroups(report, k=2)
-        runs[seed] = SeedRun(tr, te, base, fft, vectors, report, worst)
+        report = sweep.split_reporter(tr, ATTRIBUTE, merge_cfg.threshold, base)
+        fft_report = report(fft)
+        worst = sweep.worst_subgroups(fft_report, k=2)
+        runs[seed] = SeedRun(tr, te, base, fft, vectors, fft_report, worst)
+        merged[seed] = sweep.grid_reports(report, base, list(vectors.values()), merge_cfg.grid)
+        injected[seed] = sweep.grid_reports(report, fft, [vectors[worst[0]]], inject_cfg.grid)
+        del report  # before the next seed trains: one seed's arrays at a time
 
-    trains = {s: r.train for s, r in runs.items()}
-    merge = sweep.lambda_sweep(
-        {s: r.base for s, r in runs.items()},
-        {s: list(r.vectors.values()) for s, r in runs.items()}, merge_cfg, trains,
-    )
+    merge = sweep.assemble(merge_cfg, merged, "merge")
     sweep.emit(merge, out / "merge_sweep", input_digests=digests)
-    inject = sweep.inject_sweep(
-        {s: r.fft for s, r in runs.items()},
-        {s: r.vectors[r.worst[0]] for s, r in runs.items()}, inject_cfg, trains,
-    )
+    inject = sweep.assemble(inject_cfg, injected, "inject")
     sweep.emit(inject, out / "inject_sweep", input_digests=digests)
     return ProtocolResult(runs, merge, inject)

@@ -1,25 +1,30 @@
 """Sweep orchestration: uniform-coefficient merge grids and worst-subgroup
 injection grids across seeds, with deterministic result assembly.
 
-Evaluation is seed-major and columnar. Each seed's eval split is featurized
+Evaluation is seed-major and columnar, in three public pieces. A seed's
+eval split has one reporter (``split_reporter``): the split is featurized
 once, compactly, and its panels are found once, from the split and the
 base's shape alone (``toymodel.SplitScorer``, the scorer ``predict`` uses
 too); its group codes and true labels are built once
-(``metrics.GroupColumns``). Every grid point is then arrays only: the
-edited model's scores, ``y_pred = scores >= threshold``, one per-group
+(``metrics.GroupColumns``). The reporter maps a checkpoint to arrays only:
+the model's scores, ``y_pred = scores >= threshold``, one per-group
 confusion table and the GroupReport read off it, the same report
-``evaluate(predict(...))`` gives. Only one seed's arrays are alive at a
-time, and a compact split holds no N x dim matrix.
+``evaluate(predict(...))`` gives. The grid step (``grid_reports``) is that
+reporter at each grid point's edit, and ``assemble`` orders
+``reports[seed][lam]`` into rows, grid-major then seed. Only one seed's
+arrays are alive at a time, and a compact split holds no N x dim matrix.
 A base that is not a D->H->1 model raises ``IncompatibleCheckpoint`` before
 its seed is scored.
-Rows are still ordered grid-major then seed. Each per-seed input (base
-checkpoint, vectors, eval split) is a dict keyed by seed; one split for
-every seed is ``dict.fromkeys(seeds, split)``.
-One driver, ``edit_sweep``, makes the one edit at a grid point: the merge
-of the seed's base with each of the seed's vectors at coefficient lambda;
-an injection's list holds its one worst vector. ``fairvec sweep`` calls it
-for both modes; ``lambda_sweep`` and ``inject_sweep`` are its merge and
-injection cases.
+Each per-seed input of a sweep (base checkpoint, vectors, eval split) is a
+dict keyed by seed; one split for every seed is
+``dict.fromkeys(seeds, split)``.
+One driver, ``edit_sweep``, is those three pieces over the seeds of a
+config; its edit at a grid point is the merge of the seed's base with each
+of the seed's vectors at coefficient lambda, and an injection's list holds
+its one worst vector. ``fairvec sweep`` calls it for both modes;
+``lambda_sweep`` and ``inject_sweep`` are its merge and injection cases.
+``protocol.run`` uses the same pieces inside its seed loop, so one reporter
+gives a seed's full fine-tune report and both of its grids.
 
 ``SweepResult.aggregates`` is the one place the across-seed means are
 computed: ``select_lambda`` picks its grid point from them and ``emit``
@@ -163,29 +168,50 @@ def _per_seed(mapping, seed):
     return mapping[seed]
 
 
+def split_reporter(examples, attribute: str, threshold: float, base: Checkpoint):
+    """The reporter of one split: a function from a checkpoint of base's
+    shape to the GroupReport of its predictions on examples, the report
+    ``evaluate(predict(ckpt, examples, threshold), attribute)`` gives. It
+    holds the split's one SplitScorer and one GroupColumns; a base that is
+    not a D->H->1 model raises IncompatibleCheckpoint here."""
+    columns = GroupColumns.of(examples, attribute)
+    dim, hidden = toymodel.ToyModel.from_checkpoint(base).W1.shape
+    scorer = toymodel.SplitScorer(examples, dim, hidden)
+
+    def report(ckpt: Checkpoint) -> GroupReport:
+        model = toymodel.ToyModel.from_checkpoint(ckpt)
+        return columns.report(scorer.scores(model) >= threshold)
+
+    return report
+
+
+def grid_reports(report, base: Checkpoint, vectors, grid) -> dict[float, GroupReport]:
+    """One seed's grid step: at each lam of grid, the report of the merge of
+    base with each of vectors at coefficient lam."""
+    return {lam: report(merge(base, [WeightedVector(v, lam) for v in vectors])) for lam in grid}
+
+
+def assemble(config: SweepConfig, reports, mode: str) -> SweepResult:
+    """reports[seed][lam] as a SweepResult, rows grid-major then seed; mode
+    ("merge" or "inject") is recorded as the result's provenance."""
+    rows = [SweepRow(lam, s, reports[s][lam]) for lam in config.grid for s in config.seeds]
+    return SweepResult(config=config, rows=rows, provenance={"mode": mode})
+
+
 def edit_sweep(config: SweepConfig, base, vectors, eval_data, mode: str) -> SweepResult:
     """Score the merge of base with each of the seed's vectors at coefficient
     lam, at every grid point lam of every seed. base, vectors (each seed's
     list of task vectors) and eval_data are dicts keyed by seed; mode
-    ("merge" or "inject") is recorded as the result's provenance."""
+    ("merge" or "inject") is recorded as the result's provenance. Each seed
+    is one split_reporter and one grid_reports step, and the reporter is
+    dropped before the next seed featurizes: one seed's arrays at a time."""
     reports = {}
     for seed in config.seeds:
-        examples = _per_seed(eval_data, seed)
-        columns = GroupColumns.of(examples, config.attribute)
-        # from_checkpoint rejects a base that is not a D->H->1 model
-        dim, hidden = toymodel.ToyModel.from_checkpoint(_per_seed(base, seed)).W1.shape
-        scorer = toymodel.SplitScorer(examples, dim, hidden)
-        seed_vectors = _per_seed(vectors, seed)
-        for lam in config.grid:
-            model = toymodel.ToyModel.from_checkpoint(
-                merge(_per_seed(base, seed), [WeightedVector(v, lam) for v in seed_vectors])
-            )
-            y_pred = scorer.scores(model) >= config.threshold
-            reports[lam, seed] = columns.report(y_pred)
-        del scorer  # before the next seed featurizes: one seed's arrays at a time
-    grid_major = [(lam, seed) for lam in config.grid for seed in config.seeds]
-    rows = [SweepRow(lam, seed, reports[lam, seed]) for lam, seed in grid_major]
-    return SweepResult(config=config, rows=rows, provenance={"mode": mode})
+        examples, seed_base = _per_seed(eval_data, seed), _per_seed(base, seed)
+        report = split_reporter(examples, config.attribute, config.threshold, seed_base)
+        reports[seed] = grid_reports(report, seed_base, _per_seed(vectors, seed), config.grid)
+        del report  # before the next seed featurizes
+    return assemble(config, reports, mode)
 
 
 def lambda_sweep(
